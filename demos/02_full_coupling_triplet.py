@@ -24,7 +24,7 @@ from transmon_decay import (
 model = DimensionlessModel(a=50.0, b=98.5)
 coupling = CouplingConfig.transmon_ratio(6.0)  # L1 = (2/3) L2 = 4
 
-print("building the full-coupling spectral grid (adaptive quadrature per point) ...")
+print("building the full-coupling spectral grid (one Gauss-Kronrod sum over all energies) ...")
 grid = build_grid(model, coupling, Regime.FULL)
 print(f"  {len(grid.energies)} energy points")
 

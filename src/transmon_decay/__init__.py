@@ -7,8 +7,8 @@ Library layout:
 - :mod:`transmon_decay.quadrature` -- Dawson function, principal-value and
   adaptive integration.
 - :mod:`transmon_decay.self_energy` -- first-level shift/width pair.
-- :mod:`transmon_decay.spectrum` -- second-level self-energy in all regimes
-  and the spectral function with adaptive grids.
+- :mod:`transmon_decay.spectrum` -- the complex second-level self-energy
+  ``sigma2`` in all regimes and the spectral function with adaptive grids.
 - :mod:`transmon_decay.resonances` -- roots, peaks, FWHM, coupling sweeps.
 - :mod:`transmon_decay.time_domain` -- survival amplitude and Rabi metrics.
 - :mod:`transmon_decay.discrete` -- brute-force discrete-mode oracle.
@@ -33,6 +33,7 @@ from .quadrature import (
 from .self_energy import ShiftWidth, delta1, delta1_pv, gamma1
 from .spectrum import (
     Regime,
+    SigmaStats,
     SpectralGrid,
     build_grid,
     delta2_full,
@@ -41,6 +42,7 @@ from .spectrum import (
     gamma2_stable,
     level2_shift_width,
     shift_width_weak,
+    sigma2,
     spectral_function,
 )
 from .resonances import (
@@ -79,6 +81,7 @@ __all__ = [
     "delta1_pv",
     "gamma1",
     "Regime",
+    "SigmaStats",
     "SpectralGrid",
     "build_grid",
     "delta2_full",
@@ -87,6 +90,7 @@ __all__ = [
     "gamma2_stable",
     "level2_shift_width",
     "shift_width_weak",
+    "sigma2",
     "spectral_function",
     "FwhmResult",
     "ResonanceRecord",

@@ -25,7 +25,7 @@ from .config import ConfigError, RunConfig, load_config
 from .discrete import convergence_report
 from .quadrature import QuadratureError
 from .resonances import ScanRangeError, find_peaks, find_roots, fwhm, spectral_callable, sweep_coupling
-from .spectrum import DegeneratePointError, build_grid
+from .spectrum import DegeneratePointError, SigmaStats, build_grid
 from .time_domain import TimeHorizonError, rabi_metrics, survival_amplitude
 
 EXIT_OK = 0
@@ -72,11 +72,20 @@ def _meta(cfg: RunConfig, **extra) -> dict:
     return payload
 
 
+def _sigma2_info(stats: SigmaStats) -> dict:
+    """Deterministic self-energy diagnostics for a sidecar."""
+    return {
+        "energies": stats.energies,
+        "fallbacks": stats.fallbacks,
+        "max_error_estimate": _jnum(stats.max_error),
+    }
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _build_cfg_grid(cfg: RunConfig):
+def _build_cfg_grid(cfg: RunConfig, stats: SigmaStats):
     b = cfg.model.b
     return build_grid(
         cfg.model,
@@ -85,11 +94,13 @@ def _build_cfg_grid(cfg: RunConfig):
         (b - cfg.grid_span, b + cfg.grid_span),
         cfg.quadrature,
         coarse_step=cfg.coarse_step,
+        stats=stats,
     )
 
 
 def _cmd_spectrum(cfg: RunConfig, out: Path, fmt: str) -> int:
-    grid = _build_cfg_grid(cfg)
+    stats = SigmaStats()
+    grid = _build_cfg_grid(cfg, stats)
     rows = zip(
         grid.energies,
         grid.energies - cfg.model.b,
@@ -99,7 +110,12 @@ def _cmd_spectrum(cfg: RunConfig, out: Path, fmt: str) -> int:
     )
     header = ["y", "y_minus_b", "gamma2", "delta2", "u_ff"]
     norm = float(np.trapezoid(grid.u_ff, grid.energies))
-    info = {"n_points": int(len(grid.energies)), "norm": _jnum(norm), "complete": grid.complete}
+    info = {
+        "n_points": int(len(grid.energies)),
+        "norm": _jnum(norm),
+        "complete": grid.complete,
+        "sigma2": _sigma2_info(stats),
+    }
     if fmt == "csv":
         digest = _write_csv(out / "spectrum.csv", header, rows)
         _write_json(out / "spectrum.meta.json", _meta(cfg, sha256_csv=digest, **info))
@@ -110,16 +126,18 @@ def _cmd_spectrum(cfg: RunConfig, out: Path, fmt: str) -> int:
 
 
 def _resonance_payload(cfg: RunConfig):
-    grid = _build_cfg_grid(cfg)
+    stats = SigmaStats()
+    grid = _build_cfg_grid(cfg, stats)
     roots = find_roots(
         cfg.model,
         cfg.coupling,
         cfg.regime,
         cfg.quadrature,
         y_range=(cfg.model.b - cfg.grid_span, cfg.model.b + cfg.grid_span),
+        stats=stats,
     )
     peaks = find_peaks(grid, roots)
-    u = spectral_callable(cfg.model, cfg.coupling, cfg.regime, cfg.quadrature)
+    u = spectral_callable(cfg.model, cfg.coupling, cfg.regime, cfg.quadrature, stats=stats)
     records = []
     for rec in roots + peaks:
         entry = {
@@ -137,7 +155,7 @@ def _resonance_payload(cfg: RunConfig):
             entry["fwhm_complete"] = res.complete
         records.append(entry)
 
-    payload = {"records": records}
+    payload = {"records": records, "sigma2": _sigma2_info(stats)}
     peak_locs = sorted(r.y_r for r in peaks)
     if len(peak_locs) >= 2:
         # beat of the two outermost peaks, reported in both period conventions
@@ -193,7 +211,8 @@ def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> int:
 
 
 def _cmd_timedomain(cfg: RunConfig, out: Path, fmt: str) -> int:
-    grid = _build_cfg_grid(cfg)
+    stats = SigmaStats()
+    grid = _build_cfg_grid(cfg, stats)
     times = np.linspace(0.0, cfg.t_max, cfg.t_steps)
     series = survival_amplitude(grid, times)
     metrics = rabi_metrics(series)
@@ -212,7 +231,8 @@ def _cmd_timedomain(cfg: RunConfig, out: Path, fmt: str) -> int:
             "decay_time": _jnum(metrics.decay_time),
             "angular_rabi_frequency": _jnum(metrics.angular_rabi_frequency),
             "n_maxima": metrics.n_maxima,
-        }
+        },
+        "sigma2": _sigma2_info(stats),
     }
     if cfg.mode == "physical":
         d = cfg.delta_rad_s
@@ -241,6 +261,7 @@ def _cmd_oracle(cfg: RunConfig, out: Path, fmt: str) -> int:
         cfg.model,
         cfg.coupling,
         cfg.quadrature,
+        pole_offset=cfg.oracle_pole_offset or 0.0,
     )
     rows = [
         (r.spacing, r.max_abs_err_shift, r.max_abs_err_width, r.max_rel_err)

@@ -192,6 +192,13 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("grid span, t_max must be positive and time steps >= 2")
     if cfg.sweep_l2_min <= 0 or cfg.sweep_l2_max < cfg.sweep_l2_min or cfg.sweep_steps < 1:
         raise ConfigError("sweep range must be positive and non-empty")
+    if cfg.oracle_pole_offset is not None and not (
+        0.0 < cfg.oracle_pole_offset <= min(cfg.oracle_spacings, default=math.inf)
+    ):
+        raise ConfigError(
+            "[oracle] pole_offset must satisfy 0 < pole_offset <= every spacing, "
+            f"got {cfg.oracle_pole_offset}"
+        )
 
     object.__setattr__(cfg, "resolved", _resolved_dict(cfg))
     return cfg

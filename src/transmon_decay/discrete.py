@@ -26,7 +26,7 @@ import numpy as np
 from .model import CouplingConfig, DimensionlessModel, coupling_sq
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 from .self_energy import ShiftWidth
-from .spectrum import level2_shift_width
+from .spectrum import regime_for, sigma2
 
 _CHUNK = 512
 
@@ -189,12 +189,15 @@ def convergence_report(
     s: QuadratureSettings = DEFAULT_SETTINGS,
     *,
     cutoff: float = 10.0,
+    pole_offset: float = 0.0,
 ) -> ConvergenceReport:
     """Per-spacing deviation of the discrete sums from the continuum values.
 
-    ``spacings`` must be strictly decreasing.  The report is flagged
-    non-monotone when the maximum error fails to decrease after the first
-    entry, which signals a bug in one of the two paths.
+    ``spacings`` must be strictly decreasing.  ``pole_offset`` is the
+    regularization of every spacing's ``DiscretizationSpec`` (0 means equal
+    to the spacing).  The report is flagged non-monotone when the maximum
+    error fails to decrease after the first entry, which signals a bug in
+    one of the two paths.
     """
     spacings = [float(v) for v in spacings]
     if not spacings:
@@ -205,20 +208,13 @@ def convergence_report(
     if not ys:
         raise ValueError("need at least one evaluation energy")
 
-    if c.v1_enabled:
-        reference = [level2_shift_width(y, m, c, s) for y in ys]
-    else:
-        from .spectrum import delta2_stable, gamma2_stable
-
-        reference = [
-            ShiftWidth(shift=float(delta2_stable(y, m, c)), width=float(gamma2_stable(y, m, c)))
-            for y in ys
-        ]
+    sigma = sigma2(np.asarray(ys), m, c, regime_for(c), s)
+    reference = [ShiftWidth(shift=v.real, width=max(-2.0 * v.imag, 0.0)) for v in sigma]
     scale = max(max(abs(r.shift), abs(r.width)) for r in reference)
 
     rows = []
     for spacing in spacings:
-        spec = DiscretizationSpec.for_model(m, spacing, cutoff=cutoff)
+        spec = DiscretizationSpec.for_model(m, spacing, cutoff=cutoff, pole_offset=pole_offset)
         err_shift = 0.0
         err_width = 0.0
         for y, ref in zip(ys, reference):

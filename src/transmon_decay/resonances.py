@@ -16,13 +16,7 @@ from scipy import optimize
 
 from .model import CouplingConfig, DimensionlessModel
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
-from .spectrum import (
-    Regime,
-    SpectralGrid,
-    _shift_width_at,
-    delta2_stable,
-    spectral_function,
-)
+from .spectrum import Regime, SigmaStats, SpectralGrid, sigma2, spectral_function
 
 
 class ScanRangeError(RuntimeError):
@@ -65,9 +59,16 @@ class SweepResult:
     crossover_estimate: float | None
 
 
-def spectral_callable(m, c, regime: Regime, s: QuadratureSettings = DEFAULT_SETTINGS):
+def spectral_callable(
+    m,
+    c,
+    regime: Regime,
+    s: QuadratureSettings = DEFAULT_SETTINGS,
+    *,
+    stats: SigmaStats | None = None,
+):
     """Scalar ``y -> U(y)`` closure for the given configuration."""
-    return lambda y: float(spectral_function(float(y), m, c, regime, s))
+    return lambda y: float(spectral_function(float(y), m, c, regime, s, stats=stats))
 
 
 def find_roots(
@@ -80,13 +81,16 @@ def find_roots(
     scan_step: float = 0.01,
     root_tol: float = 1e-9,
     merge_tol: float = 1e-5,
+    stats: SigmaStats | None = None,
 ) -> list[ResonanceRecord]:
     """All roots of ``y - b - Delta_2(y)`` in the scan range, sorted by location.
 
     Sign changes are bracketed on a uniform scan grid and refined by Brent
     bracketing; roots closer than ``merge_tol`` are merged into one record
     with a degeneracy flag.  Each record is annotated with the value of the
-    spectral function at the root.
+    spectral function at the root.  The scan is one vector ``sigma2`` call;
+    Brent's scalar calls reproduce its values exactly.  ``stats``
+    accumulates the ``sigma2`` diagnostics.
     """
     if y_range is None:
         y_range = (m.b - 12.0, m.b + 12.0)
@@ -94,20 +98,10 @@ def find_roots(
     n = max(int(math.ceil((hi - lo) / scan_step)), 8) + 1
     ys = np.linspace(lo, hi, n)
 
-    from .spectrum import delta2_full, shift_width_weak
+    def resfun(y):
+        return float(y) - m.b - sigma2(float(y), m, c, regime, s, stats=stats).real
 
-    if regime is Regime.WEAK:
-        const_shift = shift_width_weak(m, c, s).shift
-        resfun = lambda y: float(y) - m.b - const_shift
-    elif regime is Regime.FULL:
-        resfun = lambda y: float(y) - m.b - delta2_full(float(y), m, c, s)
-    else:
-        resfun = lambda y: float(y) - m.b - float(delta2_stable(y, m, c))
-
-    if regime is Regime.STABLE:
-        vals = np.asarray(ys - m.b - delta2_stable(ys, m, c), dtype=float)
-    else:
-        vals = np.array([resfun(y) for y in ys])
+    vals = ys - m.b - sigma2(ys, m, c, regime, s, stats=stats).real
 
     crossings = np.nonzero(np.diff(np.signbit(vals)) | (vals[:-1] == 0.0))[0]
     if len(crossings) and (crossings[0] == 0 or crossings[-1] == n - 2):
@@ -132,7 +126,7 @@ def find_roots(
                 ResonanceRecord(
                     y_r=y_r,
                     kind="root",
-                    height=float(spectral_function(y_r, m, c, regime, s)),
+                    height=float(spectral_function(y_r, m, c, regime, s, stats=stats)),
                     degenerate=len(cluster) > 1,
                 )
             )

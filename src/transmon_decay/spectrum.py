@@ -1,31 +1,52 @@
 """Second-level self-energy and the spectral function of the third level.
 
-Three regimes are supported:
+Every regime goes through one complex evaluator, ``sigma2``, which returns
+``Sigma_2(y) = Delta_2(y) - i Gamma_2(y)/2`` for a whole array of energies.
+The Gaussian self-energy of a continuum of strength ``L`` is the Faddeeva
+function ``w`` (``scipy.special.wofz``):
+
+    -2i sqrt(pi) L w(x) = 4 L D(x) - 2i sqrt(pi) L e^{-x^2},
+
+shift and half-width in one complex number (``D`` is the Dawson function).
 
 ``STABLE``
-    The |g>-|e> coupling is off.  Shift and width are closed forms,
-
-        Delta_2(y) = 4 L_2 D(y - b),
-        Gamma_2(y) = 4 sqrt(pi) L_2 exp(-(y - b)^2).
+    The |g>-|e> coupling is off and ``Sigma_2`` is that form with ``L_2`` at
+    ``x = y - b``, evaluated through ``dawsn`` and ``exp``.
 
 ``FULL``
-    The |g>-|e> coupling dresses the intermediate level.  Shift and width
-    are frequency integrals over the continuum with the first-level
-    self-energy in the denominator:
+    The |g>-|e> coupling dresses the intermediate level.  With
+    ``d = y - b`` and the photon variable written as ``x = d - v`` (``v`` is
+    the photon frequency measured from the second-transition centre),
 
-        Delta_2(y) = (2 L_2/sqrt(pi)) int dw e^{-(w-a+alpha_d)^2}
-                        (y-a-w-Delta_1) / [(y-a-w-Delta_1)^2 + Gamma_1^2/4],
-        Gamma_2(y) = 8 L_1 L_2 int dw e^{-(w-a+alpha_d)^2} e^{-(y-a-w)^2}
-                        / [(y-a-w-Delta_1)^2 + Gamma_1^2/4],
+        Sigma_2(y) = (2 L_2/sqrt(pi)) int dx e^{-(d - x)^2} K(x),
+        K(x) = 1 / (x - Sigma_1(x)),   Sigma_1(x) = -2i sqrt(pi) L_1 w(x).
 
-    with Delta_1 = Delta_1(y, w), Gamma_1 = Gamma_1(y, w).  The integrand
-    develops narrow Lorentzian spikes where ``y - a - w = Delta_1``; the
-    spike positions are known analytically (fixed points of ``u = 4 L_1
-    D(u)``) and are passed to the adaptive integrator as break points.
+    The kernel ``K`` depends on ``L_1`` only, not on the energy.  Its narrow
+    Lorentzian spikes sit at the fixed points of ``u = 4 L_1 D(u)``.  One
+    Gauss-Kronrod node set per ``(L_1, tail_cutoff)`` resolves ``K``: unit
+    panels over ``|x| <= 24 + tail_cutoff``, break points at the fixed
+    points, and panels bisected until the embedded 10-point Gauss rule
+    agrees with the 21-point Kronrod rule, or differs from it only by the
+    rounding error of ``K``.  The set is built on first use and cached.
+    ``Sigma_2`` at every energy is then one row sum of
+    ``e^{-(d - x_j)^2} w_j K(x_j)``, evaluated in blocks.  Each energy's
+    error estimate is the Kronrod-Gauss difference, summed in magnitude over
+    panels, plus the rounding bound of ``K``.
+
+    Energies whose estimate misses ``max(abs_tol, rel_tol |Sigma_2|)``, or
+    that lie beyond ``|y - b| = 24``, fall back to adaptive ``scipy.quad``
+    on the two real integrals (``_full_integrals``); a point that fails
+    there too raises ``QuadratureError``.  That route also serves as the
+    independent reference in the tests.
+
+    Known limit: at ``L_2 >~ 20`` the outer spikes are narrower than double
+    precision can resolve next to ``u`` (a near-real pole).  The energies
+    the spike reaches then fall back, and ``quad`` raises or returns a value
+    that can miss the spike's weight.  Subtracting the pole is the cure.
 
 ``WEAK``
-    Same integrals, frozen at ``y = b``; the spectral function is then a
-    plain Lorentzian with those constants.
+    The FULL self-energy frozen at ``y = b``; the spectral function is then
+    a plain Lorentzian with that constant.
 
 In every regime the spectral function is
 
@@ -37,9 +58,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial import legendre
 from scipy import optimize, special
 
 from .model import CouplingConfig, DimensionlessModel
@@ -47,6 +69,14 @@ from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, _quad
 from .self_energy import ShiftWidth
 
 SQRT_PI = math.sqrt(math.pi)
+
+_GAUSS_ORDER = 10  # Gauss points per panel; the Kronrod rule adds 11
+_COVER = 24.0  # |y - b| covered by the FULL node set
+_PANEL = 1.0  # widest panel: resolves the unit Gaussian e^{-(d - x)^2}
+_PANEL_TOL = 1e-15  # per-panel Kronrod-Gauss difference, relative to int |K|
+_BLOCK = 1 << 18  # matrix elements per evaluation block
+_MAX_PANELS = 1 << 14  # bisection stops when this many panels are pending
+_ROUNDOFF = 16 * np.finfo(float).eps
 
 
 class DegeneratePointError(ArithmeticError):
@@ -64,23 +94,37 @@ def regime_for(c: CouplingConfig) -> Regime:
     return Regime.FULL if c.v1_enabled else Regime.STABLE
 
 
-# ---------------------------------------------------------------------------
-# stable second level: closed forms
+@dataclass
+class SigmaStats:
+    """Diagnostics accumulated over ``sigma2`` calls: energies evaluated,
+    energies that fell back to per-point ``quad``, and the worst absolute
+    error estimate of any returned ``Sigma_2`` value."""
 
-def delta2_stable(y, m: DimensionlessModel, c: CouplingConfig):
-    """Second-level shift with a stable intermediate level."""
-    x = np.asarray(y, dtype=float) - m.b
-    return 4.0 * c.l2 * special.dawsn(x)
+    energies: int = 0
+    fallbacks: int = 0
+    max_error: float = 0.0
+
+    def record(self, errors, fallbacks: int) -> None:
+        errors = np.asarray(errors, dtype=float)
+        self.energies += errors.size
+        self.fallbacks += int(fallbacks)
+        if errors.size:
+            self.max_error = max(self.max_error, float(errors.max()))
 
 
-def gamma2_stable(y, m: DimensionlessModel, c: CouplingConfig):
-    """Second-level width with a stable intermediate level."""
-    x = np.asarray(y, dtype=float) - m.b
-    return 4.0 * SQRT_PI * c.l2 * np.exp(-(x**2))
+def _stable_sigma2(d: np.ndarray, l2: float) -> np.ndarray:
+    """``4 L_2 D(d) - 2i sqrt(pi) L_2 e^{-d^2}`` from ``dawsn`` and ``exp``.
 
+    The Faddeeva form ``-2i sqrt(pi) L_2 w(d)`` agrees to ~1e-16, but the
+    parabolic peak heights of ``find_peaks`` on the narrow stable doublet
+    move by 4e-4 relative with that last digit, so the stable values keep
+    this arithmetic.
+    """
+    value = np.empty(d.shape, dtype=complex)
+    value.real = 4.0 * l2 * special.dawsn(d)
+    value.imag = -2.0 * SQRT_PI * l2 * np.exp(-(d**2))
+    return value
 
-# ---------------------------------------------------------------------------
-# full coupling: adaptive integrals
 
 @functools.lru_cache(maxsize=64)
 def _resonant_offsets(l1: float) -> tuple[float, ...]:
@@ -99,99 +143,269 @@ def _resonant_offsets(l1: float) -> tuple[float, ...]:
     return (-u_r, 0.0, u_r)
 
 
-def _full_integrals(
-    y: float,
-    m: DimensionlessModel,
-    c: CouplingConfig,
-    s: QuadratureSettings,
-    which: str = "both",
-):
-    """Raw shift and width integrals (without prefactors) for FULL coupling.
+# ---------------------------------------------------------------------------
+# FULL coupling: fixed-kernel Gauss-Kronrod sum
+
+
+@functools.lru_cache(maxsize=1)
+def _kronrod_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes on [-1, 1] and the Kronrod and embedded Gauss weights (zero at
+    the Kronrod-only nodes) of the (2n+1)-point Gauss-Kronrod rule.
+
+    The added nodes are the roots of the Stieltjes polynomial, which is
+    orthogonal to every polynomial of degree <= n with respect to ``P_n``;
+    the weights make the rule exact for degree <= 2n in the Legendre basis.
+    """
+    n = _GAUSS_ORDER
+    xg, wg = legendre.leggauss(n)
+    xq, wq = legendre.leggauss(3 * n + 3)
+    basis = legendre.legvander(xq, n + 1).T
+    gram = (basis[n] * wq * basis[: n + 1]) @ basis.T  # int P_n P_k P_j
+    coef, *_ = np.linalg.lstsq(gram[:, : n + 1], -gram[:, n + 1], rcond=None)
+    nodes = np.sort(np.concatenate([xg, legendre.legroots(np.append(coef, 1.0))]))
+    nodes = 0.5 * (nodes - nodes[::-1])
+    moments = np.zeros(2 * n + 1)
+    moments[0] = 2.0
+    wk = np.linalg.solve(legendre.legvander(nodes, 2 * n).T, moments)
+    wk = 0.5 * (wk + wk[::-1])
+    wgk = np.zeros_like(wk)
+    wgk[1::2] = 0.5 * (wg + wg[::-1])
+    return nodes, wk, wgk
+
+
+def _kernel(x, l1: float):
+    """``K(x) = 1/(x - Sigma_1(x))``, the dressed intermediate-level
+    propagator, and a bound on its rounding error: the denominator carries
+    an absolute error of a few ulps of ``|x| + |Sigma_1|``, which near a
+    narrow spike is a large part of its size."""
+    sigma1 = -2j * SQRT_PI * l1 * special.wofz(x)
+    k = 1.0 / (x - sigma1)
+    return k, _ROUNDOFF * (np.abs(x) + np.abs(sigma1)) * np.abs(k) ** 2
+
+
+@dataclass(frozen=True)
+class _NodeSet:
+    """Nodes ``x`` (ascending, symmetric about 0, ``panels`` groups of 21)
+    with the kernel folded into five real weight rows: ``w_Kronrod K`` (real,
+    imaginary), ``(w_Kronrod - w_Gauss) K`` (real, imaginary) and the
+    rounding bound ``w_Kronrod |dK|``."""
+
+    x: np.ndarray
+    weights: np.ndarray
+    panels: int
+
+
+@functools.lru_cache(maxsize=64)
+def _node_set(l1: float, tail_cutoff: float) -> _NodeSet:
+    """Panels on ``[0, _COVER + tail_cutoff]``, bisected until each panel's
+    Kronrod-Gauss difference is below ``_PANEL_TOL`` times ``int |K|`` or
+    within the rounding error of ``K``, then mirrored with
+    ``K(-x) = -conj K(x)``.  A panel that cannot get there (a spike narrower
+    than the spacing of doubles) keeps its difference, which then shows in
+    the error estimate of every energy it reaches."""
+    t, wk, wg = _kronrod_rule()
+    n_unit = int(math.ceil((_COVER + tail_cutoff) / _PANEL))
+    breaks = np.union1d(
+        np.arange(n_unit + 1) * _PANEL, [u for u in _resonant_offsets(l1) if u >= 0]
+    )
+    lo, hi = breaks[:-1], breaks[1:]
+    done: list[tuple[np.ndarray, ...]] = []
+    scale = None
+    while lo.size:
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        x = mid[:, None] + half[:, None] * t
+        k, dk = _kernel(x, l1)
+        diff = np.abs((half[:, None] * (wk - wg) * k).sum(axis=1))
+        if scale is None:
+            scale = float(np.abs((half[:, None] * wk * k).sum(axis=1)).sum())
+        noise = (half[:, None] * np.abs(wk - wg) * dk).sum(axis=1)
+        ok = (
+            (diff <= np.maximum(_PANEL_TOL * scale, noise))
+            | (half <= _ROUNDOFF * np.maximum(mid, 1.0))
+            | (lo.size > _MAX_PANELS)
+        )
+        done.append((x[ok], half[ok], k[ok], dk[ok]))
+        lo, hi = np.concatenate([lo[~ok], mid[~ok]]), np.concatenate([mid[~ok], hi[~ok]])
+    x, half, k, dk = (np.concatenate(parts) for parts in zip(*done))
+    order = np.argsort(x[:, 0])
+    x, half, k, dk = x[order], half[order, None], k[order], dk[order]
+
+    def mirrored(w):
+        return np.concatenate([-np.conj(w.ravel()[::-1]), w.ravel()])
+
+    kronrod, diff = mirrored(half * wk * k), mirrored(half * (wk - wg) * k)
+    rounding = half * wk * dk
+    return _NodeSet(
+        x=np.concatenate([-x.ravel()[::-1], x.ravel()]),
+        weights=np.stack(
+            [
+                kronrod.real,
+                kronrod.imag,
+                diff.real,
+                diff.imag,
+                np.concatenate([rounding.ravel()[::-1], rounding.ravel()]),
+            ]
+        ),
+        panels=2 * len(x),
+    )
+
+
+def _full_integrals(d: float, c: CouplingConfig, s: QuadratureSettings):
+    """Raw shift and width integrals (without prefactors) for FULL coupling at
+    detuning ``d = y - b``, by adaptive ``quad``, with their error estimates.
 
     Integration variable is ``v = w - (a - alpha_d)``, centred on the
     second-transition Gaussian; in this variable the inner resonances sit at
-    ``v = (y - b) - u`` for each fixed point ``u``.
+    ``v = d - u`` for each fixed point ``u``.  Returns
+    ``(shift, width, shift_err, width_err)``.
     """
-    a, b = m.a, m.b
     l1 = c.l1
     g1_peak = 4.0 * SQRT_PI * l1
-    c2 = a - m.alpha_d
-    d = y - b  # detuning from the bare resonance
+
+    def denominator(v):
+        x = d - v  # = y - a - w
+        num = x - 4.0 * l1 * special.dawsn(x)
+        g1 = g1_peak * math.exp(-x * x)
+        return x, num, num * num + 0.25 * g1 * g1
 
     def shift_integrand(v):
-        x = d - v  # = y - a - w with w = c2 + v
-        dl1 = 4.0 * l1 * special.dawsn(x)
-        g1 = g1_peak * math.exp(-x * x)
-        num = x - dl1
-        return math.exp(-v * v) * num / (num * num + 0.25 * g1 * g1)
+        x, num, den = denominator(v)
+        return math.exp(-v * v) * num / den
 
     def width_integrand(v):
-        x = d - v
-        dl1 = 4.0 * l1 * special.dawsn(x)
-        g1 = g1_peak * math.exp(-x * x)
-        num = x - dl1
-        return math.exp(-v * v) * math.exp(-x * x) / (num * num + 0.25 * g1 * g1)
+        x, num, den = denominator(v)
+        return math.exp(-v * v) * math.exp(-x * x) / den
 
     span = s.tail_cutoff
     points = [d - u for u in _resonant_offsets(l1)]
-    shift = width = math.nan
-    if which in ("both", "shift"):
-        shift, _ = _quad(shift_integrand, -span, span, s, points=points)
-    if which in ("both", "width"):
-        width, _ = _quad(width_integrand, -span, span, s, points=points)
-    return shift, width
+    shift, shift_err = _quad(shift_integrand, -span, span, s, points=points)
+    width, width_err = _quad(width_integrand, -span, span, s, points=points)
+    return shift, width, shift_err, width_err
+
+
+def _full_sigma2_quad(d: float, c: CouplingConfig, s: QuadratureSettings) -> tuple[complex, float]:
+    """Per-point fallback: ``Sigma_2`` and its error estimate from ``quad``.
+    ``abs_tol`` bounds the error of ``Sigma_2``, so the raw integrals get it
+    divided by the larger of their prefactors."""
+    shift_pref, width_pref = 2.0 * c.l2 / SQRT_PI, 4.0 * c.l1 * c.l2
+    raw = replace(s, abs_tol=s.abs_tol / max(shift_pref, width_pref))
+    shift, width, shift_err, width_err = _full_integrals(d, c, raw)
+    value = complex(shift_pref * shift, -width_pref * width)
+    return value, math.hypot(shift_pref * shift_err, width_pref * width_err)
+
+
+def _full_sigma2(d: np.ndarray, c: CouplingConfig, s: QuadratureSettings):
+    """FULL ``Sigma_2`` at detunings ``d``, their error estimates, and the
+    number of points that fell back to ``quad``."""
+    if c.l1 == 0.0 or c.l2 == 0.0:
+        # L1 = 0 is the exact limit K(x) = 1/(x + i0): the stable form
+        return _stable_sigma2(d, c.l2), np.zeros(d.shape), 0
+    nodes = _node_set(c.l1, s.tail_cutoff)
+    value = np.empty(d.shape, dtype=complex)
+    error = np.empty(d.shape)
+    rows = max(1, _BLOCK // nodes.x.size)
+    for i in range(0, d.size, rows):
+        g = np.exp(-np.square(d[i : i + rows, None] - nodes.x))
+        re, im, d_re, d_im, rounding = (g * w for w in nodes.weights)
+        block = slice(i, i + rows)
+        value[block] = re.sum(axis=1) + 1j * im.sum(axis=1)
+        panels = (len(g), nodes.panels, -1)
+        d_re, d_im = d_re.reshape(panels).sum(axis=2), d_im.reshape(panels).sum(axis=2)
+        error[block] = np.hypot(d_re, d_im).sum(axis=1) + rounding.sum(axis=1)
+    pref = 2.0 * c.l2 / SQRT_PI
+    value *= pref
+    error *= pref
+    passed = error <= np.maximum(s.abs_tol, s.rel_tol * np.abs(value))
+    bad = ~(passed & (np.abs(d) <= _COVER))
+    for i in np.flatnonzero(bad):
+        value[i], error[i] = _full_sigma2_quad(float(d[i]), c, s)
+    return value, error, int(bad.sum())
+
+
+def sigma2(
+    y,
+    m: DimensionlessModel,
+    c: CouplingConfig,
+    regime: Regime,
+    s: QuadratureSettings = DEFAULT_SETTINGS,
+    *,
+    stats: SigmaStats | None = None,
+):
+    """Second-level self-energy ``Delta_2(y) - i Gamma_2(y)/2``.
+
+    Vectorised over ``y``; a scalar call returns exactly the value the same
+    energy gets inside an array.  ``stats``, when given, accumulates the
+    error estimates and fallback count.  Raises ``QuadratureError`` when a
+    FULL point fails both the Gauss-Kronrod sum and the ``quad`` fallback.
+    """
+    if regime is not Regime.STABLE and not c.v1_enabled:
+        raise ValueError(f"{regime.value} self-energy needs v1_enabled=True")
+    d = np.atleast_1d(np.asarray(y, dtype=float)) - m.b
+    fallbacks = 0
+    if regime is Regime.STABLE:
+        value, error = _stable_sigma2(d, c.l2), np.zeros(d.shape)
+    elif regime is Regime.WEAK:
+        const, err, fell_back = _full_sigma2(np.zeros(1), c, s)
+        value, error = np.full(d.shape, const[0]), np.full(d.shape, err[0])
+        fallbacks = fell_back * d.size
+    else:
+        value, error, fallbacks = _full_sigma2(d, c, s)
+    if stats is not None:
+        stats.record(error, fallbacks)
+    return value if np.ndim(y) else complex(value[0])
 
 
 def level2_shift_width(
     y: float, m: DimensionlessModel, c: CouplingConfig, s: QuadratureSettings = DEFAULT_SETTINGS
 ) -> ShiftWidth:
     """Second-level (shift, width) pair at energy ``y`` with full coupling."""
-    if not c.v1_enabled:
-        raise ValueError("full-coupling self-energy needs v1_enabled=True")
-    shift_raw, width_raw = _full_integrals(float(y), m, c, s)
-    return ShiftWidth(
-        shift=2.0 * c.l2 / SQRT_PI * shift_raw,
-        width=max(8.0 * c.l1 * c.l2 * width_raw, 0.0),
-    )
+    value = sigma2(float(y), m, c, Regime.FULL, s)
+    return ShiftWidth(shift=value.real, width=max(-2.0 * value.imag, 0.0))
+
+
+def delta2_stable(y, m: DimensionlessModel, c: CouplingConfig):
+    """Second-level shift with a stable intermediate level."""
+    return _stable_sigma2(np.asarray(y, dtype=float) - m.b, c.l2).real
+
+
+def gamma2_stable(y, m: DimensionlessModel, c: CouplingConfig):
+    """Second-level width with a stable intermediate level."""
+    return -2.0 * _stable_sigma2(np.asarray(y, dtype=float) - m.b, c.l2).imag
 
 
 def delta2_full(
     y: float, m: DimensionlessModel, c: CouplingConfig, s: QuadratureSettings = DEFAULT_SETTINGS
 ) -> float:
-    if not c.v1_enabled:
-        raise ValueError("full-coupling self-energy needs v1_enabled=True")
-    shift_raw, _ = _full_integrals(float(y), m, c, s, which="shift")
-    return 2.0 * c.l2 / SQRT_PI * shift_raw
+    return level2_shift_width(y, m, c, s).shift
 
 
 def gamma2_full(
     y: float, m: DimensionlessModel, c: CouplingConfig, s: QuadratureSettings = DEFAULT_SETTINGS
 ) -> float:
-    if not c.v1_enabled:
-        raise ValueError("full-coupling self-energy needs v1_enabled=True")
-    _, width_raw = _full_integrals(float(y), m, c, s, which="width")
-    return max(8.0 * c.l1 * c.l2 * width_raw, 0.0)
+    return level2_shift_width(y, m, c, s).width
 
 
-@functools.lru_cache(maxsize=64)
 def shift_width_weak(
     m: DimensionlessModel, c: CouplingConfig, s: QuadratureSettings = DEFAULT_SETTINGS
 ) -> ShiftWidth:
-    """Weak-coupling constants: the full integrals frozen at ``y = b``."""
+    """Weak-coupling constants: the full self-energy frozen at ``y = b``."""
     return level2_shift_width(m.b, m, c, s)
 
 
 # ---------------------------------------------------------------------------
 # spectral function
 
-def _shift_width_at(y: float, m, c, regime: Regime, s) -> tuple[float, float]:
-    if regime is Regime.STABLE:
-        return float(delta2_stable(y, m, c)), float(gamma2_stable(y, m, c))
-    if regime is Regime.WEAK:
-        sw = shift_width_weak(m, c, s)
-        return sw.shift, sw.width
-    sw = level2_shift_width(y, m, c, s)
-    return sw.shift, sw.width
+
+def _lineshape(d: np.ndarray, value: np.ndarray):
+    """Spectral function and width from detunings and ``Sigma_2`` values."""
+    width = np.maximum(-2.0 * value.imag, 0.0)
+    denom = (d - value.real) ** 2 + 0.25 * width**2
+    if np.any((denom == 0.0) & (width == 0.0)):
+        raise DegeneratePointError(
+            "width underflowed to zero exactly at a resonance point; "
+            "the spectral function is a delta distribution there"
+        )
+    return width / (2.0 * math.pi * denom), width
 
 
 def spectral_function(
@@ -200,29 +414,13 @@ def spectral_function(
     c: CouplingConfig,
     regime: Regime,
     s: QuadratureSettings = DEFAULT_SETTINGS,
+    *,
+    stats: SigmaStats | None = None,
 ):
     """Dimensionless spectral function ``U(y) = U_ff(E) * delta``."""
     ys = np.atleast_1d(np.asarray(y, dtype=float))
-    if regime is Regime.FULL:
-        pairs = [(level2_shift_width(float(yi), m, c, s)) for yi in ys]
-        shift = np.array([p.shift for p in pairs])
-        width = np.array([p.width for p in pairs])
-    elif regime is Regime.WEAK:
-        sw = shift_width_weak(m, c, s)
-        shift = np.full_like(ys, sw.shift)
-        width = np.full_like(ys, sw.width)
-    else:
-        shift = np.asarray(delta2_stable(ys, m, c))
-        width = np.asarray(gamma2_stable(ys, m, c))
-    detuning = ys - m.b - shift
-    denom = detuning**2 + 0.25 * width**2
-    if np.any((denom == 0.0) & (width == 0.0)):
-        raise DegeneratePointError(
-            "width underflowed to zero exactly at a resonance point; "
-            "the spectral function is a delta distribution there"
-        )
-    out = width / (2.0 * math.pi * denom)
-    return out if np.ndim(y) else float(out[0])
+    u, _ = _lineshape(ys - m.b, sigma2(ys, m, c, regime, s, stats=stats))
+    return u if np.ndim(y) else float(u[0])
 
 
 # ---------------------------------------------------------------------------
@@ -253,23 +451,6 @@ class SpectralGrid:
             raise ValueError("u_ff and gamma2 must be non-negative")
 
 
-def _eval_columns(ys, m, c, regime, s):
-    if regime is Regime.FULL:
-        pairs = [level2_shift_width(float(yi), m, c, s) for yi in ys]
-        shift = np.array([p.shift for p in pairs])
-        width = np.array([p.width for p in pairs])
-    elif regime is Regime.WEAK:
-        sw = shift_width_weak(m, c, s)
-        shift = np.full(len(ys), sw.shift)
-        width = np.full(len(ys), sw.width)
-    else:
-        shift = np.asarray(delta2_stable(ys, m, c), dtype=float)
-        width = np.asarray(gamma2_stable(ys, m, c), dtype=float)
-    detuning = np.asarray(ys) - m.b - shift
-    u = width / (2.0 * math.pi * (detuning**2 + 0.25 * width**2))
-    return u, width, shift
-
-
 def _peak_width_estimate(y_p, width_p, slope):
     # FWHM of a locally Lorentzian peak when the shift is locally linear
     return max(width_p / max(abs(1.0 - slope), 1e-3), 1e-6)
@@ -285,6 +466,7 @@ def build_grid(
     coarse_step: float | None = None,
     points_per_fwhm: int = 20,
     max_refined_peaks: int = 16,
+    stats: SigmaStats | None = None,
 ) -> SpectralGrid:
     """Coarse scan plus local refinement around every resonance.
 
@@ -292,8 +474,15 @@ def build_grid(
     and the local maxima of the coarse spectral function.  Around each centre
     points are laid with spacing ``FWHM / points_per_fwhm`` in a linear core
     and geometric tails, so narrow peaks are resolved without a dense global
-    grid.  The minimum local step is 1e-6.
+    grid.  The minimum local step is 1e-6.  ``stats`` accumulates the
+    ``sigma2`` diagnostics.
     """
+
+    def columns(ys):
+        value = sigma2(ys, m, c, regime, s, stats=stats)
+        u, width = _lineshape(ys - m.b, value)
+        return u, width, value.real
+
     if y_range is None:
         y_range = (m.b - 12.0, m.b + 12.0)
     lo, hi = y_range
@@ -301,7 +490,7 @@ def build_grid(
         coarse_step = 0.01 if regime is Regime.FULL else 0.002
     n_coarse = max(int(round((hi - lo) / coarse_step)), 16) + 1
     ys = np.linspace(lo, hi, n_coarse)
-    u, width, shift = _eval_columns(ys, m, c, regime, s)
+    u, width, shift = columns(ys)
 
     # refinement centres: roots of the resonance function and local maxima of U
     resfun = ys - m.b - shift
@@ -352,7 +541,7 @@ def build_grid(
         src = np.searchsorted(ys, merged[is_old])
         u_m[is_old], w_m[is_old], d_m[is_old] = u[src], width[src], shift[src]
         if is_new.any():
-            u_new, w_new, d_new = _eval_columns(merged[is_new], m, c, regime, s)
+            u_new, w_new, d_new = columns(merged[is_new])
             u_m[is_new], w_m[is_new], d_m[is_new] = u_new, w_new, d_new
         level = np.where(is_new, 1, 0)
         ys, u, width, shift = merged, u_m, w_m, d_m

@@ -31,6 +31,19 @@ spacings = 0.05, 0.02
 """
 
 
+FULL_FAST = """\
+[model]
+a = 50
+b = 98.5
+
+[coupling]
+l2 = 1
+
+[grid]
+span = 6
+"""
+
+
 @pytest.fixture()
 def config_path(tmp_path):
     path = tmp_path / "run.ini"
@@ -136,9 +149,63 @@ class TestOtherCommands:
         meta = json.loads((out / "timedomain.meta.json").read_text())
         assert "decay_time_s" in meta["metrics_physical"]
 
+    def test_oracle_pole_offset_reaches_report(self, config_path, tmp_path):
+        default, offset = tmp_path / "default", tmp_path / "offset"
+        assert run("oracle", "--config", config_path, "--out", str(default)) == EXIT_OK
+        cfg = tmp_path / "offset.ini"
+        cfg.write_text(STABLE_FAST + "pole_offset = 0.01\n", encoding="utf-8")
+        assert run("oracle", "--config", str(cfg), "--out", str(offset)) == EXIT_OK
+        before = json.loads((default / "oracle.json").read_text())
+        after = json.loads((offset / "oracle.json").read_text())
+        assert after["config"]["oracle"]["pole_offset"] == 0.01
+        assert [r["spacing"] for r in after["rows"]] == [r["spacing"] for r in before["rows"]]
+        assert after["rows"] != before["rows"]
+
+    def test_pole_offset_wider_than_spacing_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(STABLE_FAST + "pole_offset = 0.03\n", encoding="utf-8")
+        assert run("oracle", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_CONFIG
+        assert "pole_offset" in capsys.readouterr().err
+
     def test_oracle(self, config_path, tmp_path):
         out = tmp_path / "out"
         assert run("oracle", "--config", config_path, "--out", str(out)) == EXIT_OK
         data = json.loads((out / "oracle.json").read_text())
         assert data["monotone"] is True
         assert len(data["rows"]) == 2
+
+
+class TestSelfEnergyDiagnostics:
+    @pytest.fixture()
+    def full_config(self, tmp_path):
+        path = tmp_path / "full.ini"
+        path.write_text(FULL_FAST, encoding="utf-8")
+        return str(path)
+
+    def test_sidecars_report_error_estimate_and_fallbacks(self, full_config, tmp_path):
+        out = tmp_path / "out"
+        assert run("spectrum", "--config", full_config, "--out", str(out)) == EXIT_OK
+        assert run("resonances", "--config", full_config, "--out", str(out)) == EXIT_OK
+        meta = json.loads((out / "spectrum.meta.json").read_text())
+        spectrum = meta["sigma2"]
+        resonances = json.loads((out / "resonances.json").read_text())["sigma2"]
+        assert spectrum["energies"] == meta["n_points"]
+        assert resonances["energies"] > spectrum["energies"]
+        for info in (spectrum, resonances):
+            assert info["fallbacks"] == 0
+            assert 0.0 < info["max_error_estimate"] < 1e-10
+
+    def test_full_reruns_are_byte_identical(self, full_config, tmp_path):
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        for out in (out1, out2):
+            for command in ("spectrum", "resonances"):
+                assert run(command, "--config", full_config, "--out", str(out)) == EXIT_OK
+        for name in ("spectrum.csv", "spectrum.meta.json", "resonances.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_stable_sidecar_has_no_quadrature_error(self, config_path, tmp_path):
+        out = tmp_path / "out"
+        assert run("spectrum", "--config", config_path, "--out", str(out)) == EXIT_OK
+        info = json.loads((out / "spectrum.meta.json").read_text())["sigma2"]
+        assert info["fallbacks"] == 0
+        assert info["max_error_estimate"] == 0.0
