@@ -9,14 +9,13 @@ x = 4 L2 D(x).
 """
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, special
 
 from transmon_decay import (
     CouplingConfig,
     DimensionlessModel,
     Regime,
     build_grid,
-    dawson,
     find_peaks,
     find_roots,
     fwhm,
@@ -46,6 +45,6 @@ for p in peaks:
     )
 
 # the peak location is the nonzero fixed point of x = 4 L2 D(x)
-x_fp = optimize.brentq(lambda x: x - 24.0 * float(dawson(x)), 1.0, 10.0, xtol=1e-12)
+x_fp = optimize.brentq(lambda x: x - 24.0 * special.dawsn(x), 1.0, 10.0, xtol=1e-12)
 print(f"\nfixed point of x = 24 D(x): x = {x_fp:.10f}")
 print(f"spectral norm: {np.trapezoid(grid.u_ff, grid.energies):.6f}")

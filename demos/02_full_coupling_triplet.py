@@ -17,7 +17,7 @@ from transmon_decay import (
     find_peaks,
     find_roots,
     fwhm,
-    shift_width_weak,
+    sigma2,
     spectral_callable,
 )
 
@@ -40,10 +40,10 @@ for p in sorted(peaks, key=lambda r: r.y_r):
         f"   FWHM = {w.width:.4f}"
     )
 
-weak = shift_width_weak(model, coupling)
+weak = sigma2(model.b, model, coupling, Regime.WEAK)  # Delta_2 - i Gamma_2/2, frozen at y = b
 print(
-    f"\nweak-coupling constants at y = b: shift = {weak.shift:+.3e}, "
-    f"width = {weak.width:.4f}"
+    f"\nweak-coupling constants at y = b: shift = {weak.real:+.3e}, "
+    f"width = {-2.0 * weak.imag:.4f}"
 )
 print(
     "a single Lorentzian of that width misses the triplet entirely; "

@@ -4,11 +4,11 @@ Library layout:
 
 - :mod:`transmon_decay.model` -- level structure, Gaussian mode densities,
   squared couplings.
-- :mod:`transmon_decay.quadrature` -- Dawson function, principal-value and
-  adaptive integration.
-- :mod:`transmon_decay.self_energy` -- first-level shift/width pair.
-- :mod:`transmon_decay.spectrum` -- the complex second-level self-energy
-  ``sigma2`` in all regimes and the spectral function with adaptive grids.
+- :mod:`transmon_decay.quadrature` -- adaptive and principal-value
+  integration, the generic verification routes.
+- :mod:`transmon_decay.spectrum` -- the complex self-energies ``sigma1``
+  (first level) and ``sigma2`` (second level, all regimes), each
+  ``shift - i width/2``, and the spectral function with adaptive grids.
 - :mod:`transmon_decay.resonances` -- roots, peaks, FWHM, coupling sweeps.
 - :mod:`transmon_decay.time_domain` -- survival amplitude and Rabi metrics.
 - :mod:`transmon_decay.discrete` -- brute-force discrete-mode oracle.
@@ -25,23 +25,16 @@ from .model import (
 from .quadrature import (
     QuadratureError,
     QuadratureSettings,
-    dawson,
-    hilbert_gaussian,
     integrate_adaptive,
     pv_integrate,
 )
-from .self_energy import ShiftWidth, delta1, delta1_pv, gamma1
 from .spectrum import (
     Regime,
     SigmaStats,
     SpectralGrid,
     build_grid,
-    delta2_full,
-    delta2_stable,
-    gamma2_full,
-    gamma2_stable,
-    level2_shift_width,
-    shift_width_weak,
+    delta1_pv,
+    sigma1,
     sigma2,
     spectral_function,
 )
@@ -72,24 +65,14 @@ __all__ = [
     "coupling_sq",
     "QuadratureError",
     "QuadratureSettings",
-    "dawson",
-    "hilbert_gaussian",
     "integrate_adaptive",
     "pv_integrate",
-    "ShiftWidth",
-    "delta1",
-    "delta1_pv",
-    "gamma1",
     "Regime",
     "SigmaStats",
     "SpectralGrid",
     "build_grid",
-    "delta2_full",
-    "delta2_stable",
-    "gamma2_full",
-    "gamma2_stable",
-    "level2_shift_width",
-    "shift_width_weak",
+    "delta1_pv",
+    "sigma1",
     "sigma2",
     "spectral_function",
     "FwhmResult",

@@ -72,6 +72,17 @@ def _meta(cfg: RunConfig, **extra) -> dict:
     return payload
 
 
+def _write_table(out: Path, name: str, fmt: str, cfg: RunConfig, header, rows, info: dict) -> None:
+    """``name.csv`` with a ``name.meta.json`` sidecar, or ``name.json`` that
+    holds the rows next to the same metadata."""
+    if fmt == "csv":
+        digest = _write_csv(out / f"{name}.csv", header, rows)
+        _write_json(out / f"{name}.meta.json", _meta(cfg, sha256_csv=digest, **info))
+    else:
+        data = [{k: _jnum(v) for k, v in zip(header, row)} for row in rows]
+        _write_json(out / f"{name}.json", _meta(cfg, rows=data, **info))
+
+
 def _sigma2_info(stats: SigmaStats) -> dict:
     """Deterministic self-energy diagnostics for a sidecar."""
     return {
@@ -116,12 +127,7 @@ def _cmd_spectrum(cfg: RunConfig, out: Path, fmt: str) -> int:
         "complete": grid.complete,
         "sigma2": _sigma2_info(stats),
     }
-    if fmt == "csv":
-        digest = _write_csv(out / "spectrum.csv", header, rows)
-        _write_json(out / "spectrum.meta.json", _meta(cfg, sha256_csv=digest, **info))
-    else:
-        data = [{k: _jnum(v) for k, v in zip(header, row)} for row in rows]
-        _write_json(out / "spectrum.json", _meta(cfg, rows=data, **info))
+    _write_table(out, "spectrum", fmt, cfg, header, rows, info)
     return EXIT_OK
 
 
@@ -201,12 +207,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> int:
             rows.append((l2, rec.y_r, rec.height, 0.0 if rec.kind == "root" else 1.0))
     header = ["l2", "y_r", "u_at_yr", "kind"]
     info = {"crossover_estimate": _jnum(result.crossover_estimate)}
-    if fmt == "csv":
-        digest = _write_csv(out / "sweep.csv", header, rows)
-        _write_json(out / "sweep.meta.json", _meta(cfg, sha256_csv=digest, **info))
-    else:
-        data = [{k: _jnum(v) for k, v in zip(header, row)} for row in rows]
-        _write_json(out / "sweep.json", _meta(cfg, rows=data, **info))
+    _write_table(out, "sweep", fmt, cfg, header, rows, info)
     return EXIT_OK
 
 
@@ -244,13 +245,7 @@ def _cmd_timedomain(cfg: RunConfig, out: Path, fmt: str) -> int:
         if math.isfinite(metrics.decay_time):
             phys["decay_time_s"] = _jnum(metrics.decay_time / d)
         info["metrics_physical"] = phys
-
-    if fmt == "csv":
-        digest = _write_csv(out / "timedomain.csv", header, rows)
-        _write_json(out / "timedomain.meta.json", _meta(cfg, sha256_csv=digest, **info))
-    else:
-        data = [{k: _jnum(v) for k, v in zip(header, row)} for row in rows]
-        _write_json(out / "timedomain.json", _meta(cfg, rows=data, **info))
+    _write_table(out, "timedomain", fmt, cfg, header, rows, info)
     return EXIT_OK
 
 

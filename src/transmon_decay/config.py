@@ -192,8 +192,13 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("grid span, t_max must be positive and time steps >= 2")
     if cfg.sweep_l2_min <= 0 or cfg.sweep_l2_max < cfg.sweep_l2_min or cfg.sweep_steps < 1:
         raise ConfigError("sweep range must be positive and non-empty")
+    spacings = cfg.oracle_spacings
+    if not spacings or spacings[-1] <= 0 or any(b >= a for a, b in zip(spacings, spacings[1:])):
+        raise ConfigError(
+            f"[oracle] spacings must be positive and strictly decreasing, got {list(spacings)}"
+        )
     if cfg.oracle_pole_offset is not None and not (
-        0.0 < cfg.oracle_pole_offset <= min(cfg.oracle_spacings, default=math.inf)
+        0.0 < cfg.oracle_pole_offset <= spacings[-1]
     ):
         raise ConfigError(
             "[oracle] pole_offset must satisfy 0 < pole_offset <= every spacing, "

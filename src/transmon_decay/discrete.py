@@ -25,10 +25,10 @@ import numpy as np
 
 from .model import CouplingConfig, DimensionlessModel, coupling_sq
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
-from .self_energy import ShiftWidth
 from .spectrum import regime_for, sigma2
 
 _CHUNK = 512
+_BAND_CUTOFF = 10.0  # Gaussian widths the default band reaches beyond both centres
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,11 @@ class DiscretizationSpec:
         m: DimensionlessModel,
         mode_spacing: float,
         *,
-        cutoff: float = 10.0,
         pole_offset: float = 0.0,
     ) -> "DiscretizationSpec":
-        """Band covering both coupling Gaussians out to ``cutoff`` widths."""
-        lo = min(m.center(1), m.center(2)) - cutoff
-        hi = max(m.center(1), m.center(2)) + cutoff
+        """Band covering both coupling Gaussians out to 10 widths."""
+        lo = min(m.center(1), m.center(2)) - _BAND_CUTOFF
+        hi = max(m.center(1), m.center(2)) + _BAND_CUTOFF
         return cls(mode_spacing=mode_spacing, band=(max(lo, 0.0), hi), pole_offset=pole_offset)
 
     def modes(self) -> np.ndarray:
@@ -124,11 +123,12 @@ def discrete_self_energy_1(
     spec: DiscretizationSpec,
     m: DimensionlessModel,
     c: CouplingConfig,
-) -> ShiftWidth:
-    """Discrete first-level self-energy at one ``(y, w)`` point."""
+) -> complex:
+    """Discrete first-level self-energy ``Delta_1 - i Gamma_1/2`` at one
+    ``(y, w)`` point."""
     _check_band(spec, m)
     shift, width = _sigma1(float(y), [float(w)], spec, m, c)
-    return ShiftWidth(shift=float(shift[0]), width=float(width[0]))
+    return complex(shift[0], -0.5 * width[0])
 
 
 def discrete_self_energy_2(
@@ -136,9 +136,10 @@ def discrete_self_energy_2(
     spec: DiscretizationSpec,
     m: DimensionlessModel,
     c: CouplingConfig,
-) -> ShiftWidth:
-    """Discrete second-level self-energy, summing over photon modes with the
-    discrete first-level self-energy inside every denominator."""
+) -> complex:
+    """Discrete second-level self-energy ``Delta_2 - i Gamma_2/2``, summing
+    over photon modes with the discrete first-level self-energy inside every
+    denominator."""
     _check_band(spec, m)
     y = float(y)
     dw = spec.mode_spacing
@@ -155,7 +156,7 @@ def discrete_self_energy_2(
     denom = x * x + 0.25 * s1_width**2 + eps_eff**2
     shift = float((g2sq * x / denom).sum())
     width = float((g2sq * (s1_width + 2.0 * eps_eff) / denom).sum())
-    return ShiftWidth(shift=shift, width=max(width, 0.0))
+    return complex(shift, -0.5 * max(width, 0.0))
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,6 @@ def convergence_report(
     c: CouplingConfig,
     s: QuadratureSettings = DEFAULT_SETTINGS,
     *,
-    cutoff: float = 10.0,
     pole_offset: float = 0.0,
 ) -> ConvergenceReport:
     """Per-spacing deviation of the discrete sums from the continuum values.
@@ -208,19 +208,16 @@ def convergence_report(
     if not ys:
         raise ValueError("need at least one evaluation energy")
 
-    sigma = sigma2(np.asarray(ys), m, c, regime_for(c), s)
-    reference = [ShiftWidth(shift=v.real, width=max(-2.0 * v.imag, 0.0)) for v in sigma]
-    scale = max(max(abs(r.shift), abs(r.width)) for r in reference)
+    reference = sigma2(np.asarray(ys), m, c, regime_for(c), s)
+    # shifts compare real parts, widths twice the imaginary parts
+    scale = float(max(np.abs(reference.real).max(), 2.0 * np.abs(reference.imag).max()))
 
     rows = []
     for spacing in spacings:
-        spec = DiscretizationSpec.for_model(m, spacing, cutoff=cutoff, pole_offset=pole_offset)
-        err_shift = 0.0
-        err_width = 0.0
-        for y, ref in zip(ys, reference):
-            got = discrete_self_energy_2(y, spec, m, c)
-            err_shift = max(err_shift, abs(got.shift - ref.shift))
-            err_width = max(err_width, abs(got.width - ref.width))
+        spec = DiscretizationSpec.for_model(m, spacing, pole_offset=pole_offset)
+        err = np.array([discrete_self_energy_2(y, spec, m, c) for y in ys]) - reference
+        err_shift = float(np.abs(err.real).max())
+        err_width = 2.0 * float(np.abs(err.imag).max())
         rows.append(
             ConvergenceRow(
                 spacing=spacing,

@@ -1,14 +1,12 @@
-"""Special functions and integration kernels.
+"""Adaptive and principal-value integration: the generic quadrature routes.
 
-Two independent routes exist for every principal-value integral in the
-library: a closed form through the Dawson function
-
-    D(x) = exp(-x^2) * int_0^x exp(t^2) dt,
-    PV int e^{-t^2} / (x - t) dt = 2 sqrt(pi) D(x),
-
-and a generic PV integrator based on symmetric singularity subtraction.  The
-closed form is the production path; the generic route is kept as the
-verification path and must agree with it to tight tolerance.
+``integrate_adaptive`` wraps ``scipy.integrate.quad`` with tolerance checking
+and Gaussian tail truncation; ``pv_integrate`` takes the principal value of
+an integrand with a simple pole by symmetric singularity subtraction.  The
+closed-form self-energies (``spectrum._gaussian_sigma``, through the Dawson
+function, PV int e^{-t^2} / (x - t) dt = 2 sqrt(pi) D(x)) are the production
+path; these routes are the independent checks, and must agree with them to
+tight tolerance.
 """
 
 from __future__ import annotations
@@ -17,9 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
-
-SQRT_PI = math.sqrt(math.pi)
+from scipy import integrate
 
 
 class QuadratureError(RuntimeError):
@@ -54,16 +50,6 @@ class QuadratureSettings:
 DEFAULT_SETTINGS = QuadratureSettings()
 
 
-def dawson(x):
-    """Dawson function ``D(x)``; odd, with ``D(x) -> 1/(2x)`` for large ``|x|``."""
-    return special.dawsn(x)
-
-
-def hilbert_gaussian(x):
-    """Principal value of ``int e^{-t^2}/(x - t) dt`` over the real line."""
-    return 2.0 * SQRT_PI * special.dawsn(x)
-
-
 def _quad(f, lo, hi, s: QuadratureSettings, points=None):
     """scipy.integrate.quad with tolerance checking and diagnostic errors."""
     kwargs = dict(epsabs=s.abs_tol, epsrel=s.rel_tol, limit=s.max_subdivisions, full_output=1)
@@ -89,21 +75,19 @@ def integrate_adaptive(
     s: QuadratureSettings = DEFAULT_SETTINGS,
     *,
     gaussian_center: float | None = None,
-    gaussian_width: float = 1.0,
     points=None,
 ) -> float:
     """Adaptive integral of ``f`` on ``[lo, hi]`` (endpoints may be infinite).
 
     When ``gaussian_center`` is given, infinite endpoints are truncated at
-    ``tail_cutoff`` Gaussian widths from the centre; the neglected tail mass
-    is below 1e-43 at the default cutoff.
+    ``tail_cutoff`` from the centre of a unit-width Gaussian; the neglected
+    tail mass is below 1e-43 at the default cutoff.
     """
     if gaussian_center is not None:
-        span = s.tail_cutoff * gaussian_width
         if not np.isfinite(lo):
-            lo = gaussian_center - span
+            lo = gaussian_center - s.tail_cutoff
         if not np.isfinite(hi):
-            hi = gaussian_center + span
+            hi = gaussian_center + s.tail_cutoff
     value, _ = _quad(f, lo, hi, s, points=points)
     return value
 

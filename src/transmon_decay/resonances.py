@@ -18,6 +18,12 @@ from .model import CouplingConfig, DimensionlessModel
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 from .spectrum import Regime, SigmaStats, SpectralGrid, sigma2, spectral_function
 
+_SCAN_STEP = 0.01  # root-scan spacing in y
+_ROOT_TOL = 1e-9  # Brent's absolute tolerance on a root
+_MERGE_TOL = 1e-5  # roots closer than this form one degenerate record
+_FWHM_SPAN = 6.0  # farthest flank search from a peak
+_FWHM_RTOL = 1e-8  # Brent's relative tolerance on a flank crossing
+
 
 class ScanRangeError(RuntimeError):
     """A sign change touched the scan boundary; widen the range."""
@@ -78,16 +84,13 @@ def find_roots(
     s: QuadratureSettings = DEFAULT_SETTINGS,
     *,
     y_range: tuple[float, float] | None = None,
-    scan_step: float = 0.01,
-    root_tol: float = 1e-9,
-    merge_tol: float = 1e-5,
     stats: SigmaStats | None = None,
 ) -> list[ResonanceRecord]:
     """All roots of ``y - b - Delta_2(y)`` in the scan range, sorted by location.
 
-    Sign changes are bracketed on a uniform scan grid and refined by Brent
-    bracketing; roots closer than ``merge_tol`` are merged into one record
-    with a degeneracy flag.  Each record is annotated with the value of the
+    Sign changes are bracketed on a uniform scan grid of step 0.01 and
+    refined by Brent bracketing; roots closer than 1e-5 are merged into one
+    record with a degeneracy flag.  Each record is annotated with the value of the
     spectral function at the root.  The scan is one vector ``sigma2`` call;
     Brent's scalar calls reproduce its values exactly.  ``stats``
     accumulates the ``sigma2`` diagnostics.
@@ -95,7 +98,7 @@ def find_roots(
     if y_range is None:
         y_range = (m.b - 12.0, m.b + 12.0)
     lo, hi = y_range
-    n = max(int(math.ceil((hi - lo) / scan_step)), 8) + 1
+    n = max(int(math.ceil((hi - lo) / _SCAN_STEP)), 8) + 1
     ys = np.linspace(lo, hi, n)
 
     def resfun(y):
@@ -114,13 +117,13 @@ def find_roots(
         if vals[i] == 0.0:
             roots.append(float(ys[i]))
             continue
-        roots.append(optimize.brentq(resfun, ys[i], ys[i + 1], xtol=root_tol))
+        roots.append(optimize.brentq(resfun, ys[i], ys[i + 1], xtol=_ROOT_TOL))
     roots.sort()
 
     records: list[ResonanceRecord] = []
     cluster: list[float] = []
     for r in roots + [math.inf]:
-        if cluster and r - cluster[-1] >= merge_tol:
+        if cluster and r - cluster[-1] >= _MERGE_TOL:
             y_r = float(np.mean(cluster))
             records.append(
                 ResonanceRecord(
@@ -180,15 +183,12 @@ def fwhm(
     record: ResonanceRecord,
     u,
     s: QuadratureSettings = DEFAULT_SETTINGS,
-    *,
-    search_span: float = 6.0,
-    rel_tol: float = 1e-8,
 ) -> FwhmResult:
     """Full width at half maximum of a peak by bisection on each flank.
 
     ``u`` is a scalar callable ``y -> U(y)``.  When a flank never falls to
-    half height within ``search_span`` (overlapping peaks), the attainable
-    half-width is doubled and flagged incomplete.
+    half height within 6 of the peak (overlapping peaks), the attainable
+    half-width is doubled and flagged incomplete.  ``s`` is not used.
     """
     if record.height <= 0:
         raise ValueError("fwhm needs a peak with positive height")
@@ -198,12 +198,12 @@ def fwhm(
         # expand outward until below half height, then bisect
         step = 1e-6
         prev = y_p
-        while step <= search_span:
+        while step <= _FWHM_SPAN:
             y_try = y_p + direction * step
             if u(y_try) < half:
                 f = lambda y: u(y) - half
                 lo, hi = (prev, y_try) if direction > 0 else (y_try, prev)
-                return optimize.brentq(f, lo, hi, rtol=rel_tol, xtol=1e-14)
+                return optimize.brentq(f, lo, hi, rtol=_FWHM_RTOL, xtol=1e-14)
             prev = y_try
             step *= 2.0
         return None
@@ -219,24 +219,18 @@ def fwhm(
     return FwhmResult(width=2.0 * side, complete=False)
 
 
-def _root_count(m, c, regime, s, scan_step) -> int:
-    return len(find_roots(m, c, regime, s, scan_step=scan_step))
-
-
 def sweep_coupling(
     m: DimensionlessModel,
     regime: Regime,
     l2_values,
     s: QuadratureSettings = DEFAULT_SETTINGS,
     *,
-    l1_ratio: float = 2.0 / 3.0,
-    scan_step: float = 0.01,
     crossover_tol: float = 1e-3,
 ) -> SweepResult:
     """Root structure versus coupling strength, plus the crossover estimate.
 
     For every ``L_2`` the roots and their spectral-function values are
-    collected (``L_1 = l1_ratio * L_2`` at full coupling).  The crossover is
+    collected (``L_1 = (2/3) L_2`` at full coupling).  The crossover is
     the smallest ``L_2`` whose root count exceeds one, refined by bisection
     over ``L_2``.
     """
@@ -247,12 +241,12 @@ def sweep_coupling(
     def config(l2: float) -> CouplingConfig:
         if regime is Regime.STABLE:
             return CouplingConfig.stable_second_level(l2)
-        return CouplingConfig(l1=l1_ratio * l2, l2=l2, v1_enabled=True)
+        return CouplingConfig.transmon_ratio(l2)
 
     records = []
     counts = []
     for l2 in l2_values:
-        recs = find_roots(m, config(l2), regime, s, scan_step=scan_step)
+        recs = find_roots(m, config(l2), regime, s)
         records.append(tuple(recs))
         counts.append(len(recs))
 
@@ -267,7 +261,7 @@ def sweep_coupling(
         else:
             while hi - lo > crossover_tol:
                 mid = 0.5 * (lo + hi)
-                if _root_count(m, config(mid), regime, s, scan_step) > 1:
+                if len(find_roots(m, config(mid), regime, s)) > 1:
                     hi = mid
                 else:
                     lo = mid

@@ -1,17 +1,20 @@
-"""Second-level self-energy and the spectral function of the third level.
+"""Self-energies and the spectral function of the third level.
 
-Every regime goes through one complex evaluator, ``sigma2``, which returns
-``Sigma_2(y) = Delta_2(y) - i Gamma_2(y)/2`` for a whole array of energies.
-The Gaussian self-energy of a continuum of strength ``L`` is the Faddeeva
-function ``w`` (``scipy.special.wofz``):
+The self-energy of a Gaussian continuum of strength ``L`` is the Faddeeva
+function ``w``:
 
     -2i sqrt(pi) L w(x) = 4 L D(x) - 2i sqrt(pi) L e^{-x^2},
 
 shift and half-width in one complex number (``D`` is the Dawson function).
+``_gaussian_sigma`` evaluates it, through ``dawsn`` and ``exp``, for every
+route below.  ``sigma1`` is the first-level self-energy at ``x = y - w - a``.
+Every regime of the second level goes through one complex evaluator,
+``sigma2``, which returns ``Sigma_2(y) = Delta_2(y) - i Gamma_2(y)/2`` for a
+whole array of energies.
 
 ``STABLE``
-    The |g>-|e> coupling is off and ``Sigma_2`` is that form with ``L_2`` at
-    ``x = y - b``, evaluated through ``dawsn`` and ``exp``.
+    The |g>-|e> coupling is off and ``Sigma_2`` is the Gaussian form with
+    ``L_2`` at ``x = y - b``.
 
 ``FULL``
     The |g>-|e> coupling dresses the intermediate level.  With
@@ -37,7 +40,8 @@ shift and half-width in one complex number (``D`` is the Dawson function).
     that lie beyond ``|y - b| = 24``, fall back to adaptive ``scipy.quad``
     on the two real integrals (``_full_integrals``); a point that fails
     there too raises ``QuadratureError``.  That route also serves as the
-    independent reference in the tests.
+    independent reference in the tests, as ``delta1_pv`` does for the first
+    level.
 
     Known limit: at ``L_2 >~ 20`` the outer spikes are narrower than double
     precision can resolve next to ``u`` (a near-real pole).  The energies
@@ -65,8 +69,13 @@ from numpy.polynomial import legendre
 from scipy import optimize, special
 
 from .model import CouplingConfig, DimensionlessModel
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, _quad
-from .self_energy import ShiftWidth
+from .quadrature import (
+    DEFAULT_SETTINGS,
+    QuadratureSettings,
+    _quad,
+    integrate_adaptive,
+    pv_integrate,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -77,6 +86,8 @@ _PANEL_TOL = 1e-15  # per-panel Kronrod-Gauss difference, relative to int |K|
 _BLOCK = 1 << 18  # matrix elements per evaluation block
 _MAX_PANELS = 1 << 14  # bisection stops when this many panels are pending
 _ROUNDOFF = 16 * np.finfo(float).eps
+_POINTS_PER_FWHM = 20  # grid spacing around a resonance: its FWHM / 20
+_MAX_REFINED_PEAKS = 16  # refinement centres per grid; more mark it incomplete
 
 
 class DegeneratePointError(ArithmeticError):
@@ -112,18 +123,35 @@ class SigmaStats:
             self.max_error = max(self.max_error, float(errors.max()))
 
 
-def _stable_sigma2(d: np.ndarray, l2: float) -> np.ndarray:
-    """``4 L_2 D(d) - 2i sqrt(pi) L_2 e^{-d^2}`` from ``dawsn`` and ``exp``.
+def _gaussian_sigma(x, strength: float) -> np.ndarray:
+    """``4 L D(x) - 2i sqrt(pi) L e^{-x^2}``, the self-energy of a Gaussian
+    continuum of strength ``L``, from ``dawsn`` and ``exp``.
 
-    The Faddeeva form ``-2i sqrt(pi) L_2 w(d)`` agrees to ~1e-16, but the
+    The Faddeeva form ``-2i sqrt(pi) L w(x)`` agrees to ~1e-16, but the
     parabolic peak heights of ``find_peaks`` on the narrow stable doublet
-    move by 4e-4 relative with that last digit, so the stable values keep
-    this arithmetic.
+    move by 4e-4 relative with that last digit, so every route keeps this
+    arithmetic.
     """
-    value = np.empty(d.shape, dtype=complex)
-    value.real = 4.0 * l2 * special.dawsn(d)
-    value.imag = -2.0 * SQRT_PI * l2 * np.exp(-(d**2))
+    x = np.asarray(x, dtype=float)
+    value = np.empty(x.shape, dtype=complex)
+    value.real = 4.0 * strength * special.dawsn(x)
+    value.imag = -2.0 * SQRT_PI * strength * np.exp(-(x**2))
     return value
+
+
+def sigma1(y, w, m: DimensionlessModel, c: CouplingConfig):
+    """First-level self-energy ``Delta_1(y, w) - i Gamma_1(y, w)/2``.
+
+    It depends on the energy ``y`` and the photon frequency ``w`` only
+    through ``y - w``; ``Gamma_1 = 2 pi g_1^2(y - w)``.  The closed form
+    extends the lower bound of the underlying PV integral to minus infinity,
+    which at ``a >= 10`` is far below double precision (``delta1_pv`` keeps
+    the exact bound for checks).  Zero when ``v1_enabled`` is off.
+    """
+    x = np.asarray(y, dtype=float) - np.asarray(w, dtype=float) - m.a
+    if not c.v1_enabled:
+        return np.zeros(x.shape, dtype=complex)[()]
+    return _gaussian_sigma(x, c.l1)[()]
 
 
 @functools.lru_cache(maxsize=64)
@@ -178,7 +206,7 @@ def _kernel(x, l1: float):
     propagator, and a bound on its rounding error: the denominator carries
     an absolute error of a few ulps of ``|x| + |Sigma_1|``, which near a
     narrow spike is a large part of its size."""
-    sigma1 = -2j * SQRT_PI * l1 * special.wofz(x)
+    sigma1 = _gaussian_sigma(x, l1)
     k = 1.0 / (x - sigma1)
     return k, _ROUNDOFF * (np.abs(x) + np.abs(sigma1)) * np.abs(k) ** 2
 
@@ -250,6 +278,37 @@ def _node_set(l1: float, tail_cutoff: float) -> _NodeSet:
     )
 
 
+def delta1_pv(
+    y: float,
+    w: float,
+    m: DimensionlessModel,
+    c: CouplingConfig,
+    s: QuadratureSettings = DEFAULT_SETTINGS,
+    *,
+    extended: bool = True,
+) -> float:
+    """First-level shift by generic PV quadrature (verification route).
+
+    ``extended=True`` integrates over the whole real line, matching the
+    Dawson closed form; ``extended=False`` keeps the physical lower bound at
+    zero frequency.
+    """
+    if not c.v1_enabled:
+        return 0.0
+    pole = y - w
+    pref = 2.0 * c.l1 / SQRT_PI
+    a = m.a
+
+    def integrand(t):
+        return pref * math.exp(-((t - a) ** 2)) / (pole - t)
+
+    lo = -math.inf if extended else 0.0
+    # pole far below the Gaussian support: integrand is regular on the domain
+    if pole <= lo + 1e-12 or (not extended and pole <= 0):
+        return integrate_adaptive(integrand, lo, math.inf, s, gaussian_center=a)
+    return pv_integrate(integrand, pole, lo, math.inf, s)
+
+
 def _full_integrals(d: float, c: CouplingConfig, s: QuadratureSettings):
     """Raw shift and width integrals (without prefactors) for FULL coupling at
     detuning ``d = y - b``, by adaptive ``quad``, with their error estimates.
@@ -299,7 +358,7 @@ def _full_sigma2(d: np.ndarray, c: CouplingConfig, s: QuadratureSettings):
     number of points that fell back to ``quad``."""
     if c.l1 == 0.0 or c.l2 == 0.0:
         # L1 = 0 is the exact limit K(x) = 1/(x + i0): the stable form
-        return _stable_sigma2(d, c.l2), np.zeros(d.shape), 0
+        return _gaussian_sigma(d, c.l2), np.zeros(d.shape), 0
     nodes = _node_set(c.l1, s.tail_cutoff)
     value = np.empty(d.shape, dtype=complex)
     error = np.empty(d.shape)
@@ -343,7 +402,7 @@ def sigma2(
     d = np.atleast_1d(np.asarray(y, dtype=float)) - m.b
     fallbacks = 0
     if regime is Regime.STABLE:
-        value, error = _stable_sigma2(d, c.l2), np.zeros(d.shape)
+        value, error = _gaussian_sigma(d, c.l2), np.zeros(d.shape)
     elif regime is Regime.WEAK:
         const, err, fell_back = _full_sigma2(np.zeros(1), c, s)
         value, error = np.full(d.shape, const[0]), np.full(d.shape, err[0])
@@ -353,43 +412,6 @@ def sigma2(
     if stats is not None:
         stats.record(error, fallbacks)
     return value if np.ndim(y) else complex(value[0])
-
-
-def level2_shift_width(
-    y: float, m: DimensionlessModel, c: CouplingConfig, s: QuadratureSettings = DEFAULT_SETTINGS
-) -> ShiftWidth:
-    """Second-level (shift, width) pair at energy ``y`` with full coupling."""
-    value = sigma2(float(y), m, c, Regime.FULL, s)
-    return ShiftWidth(shift=value.real, width=max(-2.0 * value.imag, 0.0))
-
-
-def delta2_stable(y, m: DimensionlessModel, c: CouplingConfig):
-    """Second-level shift with a stable intermediate level."""
-    return _stable_sigma2(np.asarray(y, dtype=float) - m.b, c.l2).real
-
-
-def gamma2_stable(y, m: DimensionlessModel, c: CouplingConfig):
-    """Second-level width with a stable intermediate level."""
-    return -2.0 * _stable_sigma2(np.asarray(y, dtype=float) - m.b, c.l2).imag
-
-
-def delta2_full(
-    y: float, m: DimensionlessModel, c: CouplingConfig, s: QuadratureSettings = DEFAULT_SETTINGS
-) -> float:
-    return level2_shift_width(y, m, c, s).shift
-
-
-def gamma2_full(
-    y: float, m: DimensionlessModel, c: CouplingConfig, s: QuadratureSettings = DEFAULT_SETTINGS
-) -> float:
-    return level2_shift_width(y, m, c, s).width
-
-
-def shift_width_weak(
-    m: DimensionlessModel, c: CouplingConfig, s: QuadratureSettings = DEFAULT_SETTINGS
-) -> ShiftWidth:
-    """Weak-coupling constants: the full self-energy frozen at ``y = b``."""
-    return level2_shift_width(m.b, m, c, s)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +473,7 @@ class SpectralGrid:
             raise ValueError("u_ff and gamma2 must be non-negative")
 
 
-def _peak_width_estimate(y_p, width_p, slope):
+def _peak_width_estimate(width_p, slope):
     # FWHM of a locally Lorentzian peak when the shift is locally linear
     return max(width_p / max(abs(1.0 - slope), 1e-3), 1e-6)
 
@@ -464,18 +486,16 @@ def build_grid(
     s: QuadratureSettings = DEFAULT_SETTINGS,
     *,
     coarse_step: float | None = None,
-    points_per_fwhm: int = 20,
-    max_refined_peaks: int = 16,
     stats: SigmaStats | None = None,
 ) -> SpectralGrid:
     """Coarse scan plus local refinement around every resonance.
 
     Refinement centres are the sign changes of ``F(y) = y - b - Delta_2(y)``
-    and the local maxima of the coarse spectral function.  Around each centre
-    points are laid with spacing ``FWHM / points_per_fwhm`` in a linear core
-    and geometric tails, so narrow peaks are resolved without a dense global
-    grid.  The minimum local step is 1e-6.  ``stats`` accumulates the
-    ``sigma2`` diagnostics.
+    and the local maxima of the coarse spectral function; beyond the 16
+    tallest, the grid is marked incomplete.  Around each centre points are
+    laid with spacing ``FWHM / 20`` in a linear core and geometric tails, so
+    narrow peaks are resolved without a dense global grid.  The minimum
+    local step is 1e-6.  ``stats`` accumulates the ``sigma2`` diagnostics.
     """
 
     def columns(ys):
@@ -504,8 +524,8 @@ def build_grid(
     centers.extend(ys[local_max])
 
     complete = True
-    if len(centers) > max_refined_peaks:
-        centers = sorted(centers, key=lambda yc: -np.interp(yc, ys, u))[:max_refined_peaks]
+    if len(centers) > _MAX_REFINED_PEAKS:
+        centers = sorted(centers, key=lambda yc: -np.interp(yc, ys, u))[:_MAX_REFINED_PEAKS]
         complete = False
 
     new_points: list[np.ndarray] = []
@@ -514,8 +534,8 @@ def build_grid(
         w_c = float(np.interp(y_c, ys, width))
         # local slope of the shift from the coarse grid
         slope = float((shift[i + 1] - shift[i - 1]) / (ys[i + 1] - ys[i - 1]))
-        fw = _peak_width_estimate(y_c, w_c, slope)
-        core = np.linspace(0.0, 6.0 * fw, 6 * points_per_fwhm + 1)[1:]
+        fw = _peak_width_estimate(w_c, slope)
+        core = np.linspace(0.0, 6.0 * fw, 6 * _POINTS_PER_FWHM + 1)[1:]
         outer_span = min(5.0, hi - y_c, y_c - lo)
         if outer_span > 6.0 * fw:
             tail = np.geomspace(6.0 * fw, outer_span, 140)[1:]

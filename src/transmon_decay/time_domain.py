@@ -23,6 +23,8 @@ import numpy as np
 
 from .spectrum import SpectralGrid
 
+_SIGNIFICANCE = 1e-9  # share of the peak height below which U is negligible
+
 
 class TimeHorizonError(ValueError):
     """Requested times exceed the resolvable horizon of the grid."""
@@ -70,14 +72,14 @@ class RabiMetrics:
     n_maxima: int
 
 
-def grid_horizon(grid: SpectralGrid, significance: float = 1e-9) -> float:
+def grid_horizon(grid: SpectralGrid) -> float:
     """Largest reliably resolvable dimensionless time for this grid.
 
     Limited by the coarsest energy spacing inside the region where the
     spectral function is non-negligible.
     """
     u = grid.u_ff
-    thresh = significance * float(u.max())
+    thresh = _SIGNIFICANCE * float(u.max())
     steps = np.diff(grid.energies)
     significant = (u[:-1] > thresh) | (u[1:] > thresh)
     if not significant.any():
@@ -121,35 +123,25 @@ def rabi_metrics(series: SurvivalSeries) -> RabiMetrics:
     interior = interior[mag[interior] > 1e-12]
 
     if len(interior) >= 3:
-        t_max = t[interior]
-        spacing = float(np.mean(np.diff(t_max)))
+        fit = interior
+        spacing = float(np.mean(np.diff(t[interior])))
         # alternating phase at successive maxima means the magnitude repeats
         # at half the true beat period
         overlap = np.real(amp[interior[:-1]] * np.conj(amp[interior[1:]]))
         alternating = np.mean(overlap < 0) > 0.5
         period = 2.0 * spacing if alternating else spacing
-        # probability e-folding time from the envelope of amplitude maxima
-        coeffs = np.polyfit(t_max, np.log(mag[interior]), 1)
-        slope = float(coeffs[0])
-        decay = math.inf if slope >= 0 else 1.0 / (2.0 * abs(slope))
-        return RabiMetrics(
-            rabi_period=period,
-            maxima_spacing=spacing,
-            decay_time=decay,
-            angular_rabi_frequency=2.0 * math.pi / period,
-            n_maxima=int(len(interior)),
-        )
-
-    ok = mag > 1e-12
-    if ok.sum() < 2:
-        raise ValueError("series too short or fully decayed; cannot fit a decay time")
-    coeffs = np.polyfit(t[ok], np.log(mag[ok]), 1)
-    slope = float(coeffs[0])
-    decay = math.inf if slope >= 0 else 1.0 / (2.0 * abs(slope))
+    else:
+        fit = mag > 1e-12
+        if fit.sum() < 2:
+            raise ValueError("series too short or fully decayed; cannot fit a decay time")
+        spacing = period = None
+    # probability e-folding time from a log-linear fit of the magnitude
+    # (of its maxima, when it oscillates)
+    slope = float(np.polyfit(t[fit], np.log(mag[fit]), 1)[0])
     return RabiMetrics(
-        rabi_period=None,
-        maxima_spacing=None,
-        decay_time=decay,
-        angular_rabi_frequency=None,
+        rabi_period=period,
+        maxima_spacing=spacing,
+        decay_time=math.inf if slope >= 0 else 1.0 / (2.0 * abs(slope)),
+        angular_rabi_frequency=None if period is None else 2.0 * math.pi / period,
         n_maxima=int(len(interior)),
     )

@@ -13,28 +13,25 @@ import math
 import numpy as np
 import pytest
 from scipy import optimize
+from scipy.special import dawsn as dawson
 
 from transmon_decay import (
     CouplingConfig,
     Regime,
     convergence_report,
-    dawson,
-    delta1,
     delta1_pv,
-    delta2_stable,
     find_peaks,
     find_roots,
     fwhm,
-    gamma2_full,
-    gamma2_stable,
     pv_integrate,
     rabi_metrics,
-    shift_width_weak,
+    sigma1,
+    sigma2,
     spectral_callable,
     survival_amplitude,
     sweep_coupling,
 )
-from transmon_decay.spectrum import SpectralGrid, level2_shift_width
+from transmon_decay.spectrum import SpectralGrid
 
 from conftest import coupling_for
 
@@ -162,18 +159,10 @@ class TestCriterion4:
                 c = coupling_for(l2, regime)
 
                 def shift(y):
-                    if regime is Regime.STABLE:
-                        return float(delta2_stable(y, model, c))
-                    if regime is Regime.WEAK:
-                        return shift_width_weak(model, c, settings).shift
-                    return level2_shift_width(y, model, c, settings).shift
+                    return sigma2(y, model, c, regime, settings).real
 
                 def width(y):
-                    if regime is Regime.STABLE:
-                        return float(gamma2_stable(y, model, c))
-                    if regime is Regime.WEAK:
-                        return shift_width_weak(model, c, settings).width
-                    return gamma2_full(y, model, c, settings)
+                    return -2.0 * sigma2(y, model, c, regime, settings).imag
 
                 center = abs(shift(model.b))
                 odd = max(
@@ -223,7 +212,7 @@ class TestCriterion6:
             worst1 = max(
                 worst1,
                 abs(
-                    float(delta1(y, w, model, c))
+                    sigma1(y, w, model, c).real
                     - delta1_pv(y, w, model, c, settings)
                 ),
             )
@@ -239,7 +228,8 @@ class TestCriterion6:
             pv = pv_integrate(
                 lambda v: pref * math.exp(-v * v) / (x - v), x, -math.inf, math.inf, settings
             )
-            worst2 = max(worst2, abs(float(delta2_stable(model.b + x, model, cs)) - pv))
+            stable = sigma2(model.b + x, model, cs, Regime.STABLE).real
+            worst2 = max(worst2, abs(stable - pv))
         checks.append(("Delta2 stable routes", worst2 < 1e-8, f"max diff {worst2:.2e}"))
         _report(6, checks)
 

@@ -68,6 +68,14 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spacings", ["0.01 0.05", "0.05 0.05", "0.05 -0.01", ","])
+    def test_bad_oracle_spacings_are_config_errors(self, tmp_path, capsys, spacings):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[coupling]\nl2 = 1\n[oracle]\nspacings = {spacings}\n")
+        code = run("oracle", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert "spacings" in capsys.readouterr().err
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run("spectrum")  # --config missing

@@ -6,13 +6,12 @@ import pytest
 from transmon_decay import (
     CouplingConfig,
     DiscretizationSpec,
+    Regime,
     convergence_report,
-    delta1,
-    delta2_stable,
     discrete_self_energy_1,
     discrete_self_energy_2,
-    gamma1,
-    gamma2_stable,
+    sigma1,
+    sigma2,
 )
 
 
@@ -54,8 +53,9 @@ class TestFirstLevelSum:
         spec = DiscretizationSpec.for_model(model, 0.01)
         y, w = model.b + 0.3, model.center(1) - 0.2
         got = discrete_self_energy_1(y, w, spec, model, c)
-        assert got.shift == pytest.approx(float(delta1(y, w, model, c)), abs=0.02)
-        assert got.width == pytest.approx(float(gamma1(y, w, model, c)), rel=0.02)
+        want = sigma1(y, w, model, c)
+        assert got.real == pytest.approx(want.real, abs=0.02)
+        assert got.imag == pytest.approx(want.imag, rel=0.02)
 
     def test_band_coverage_enforced(self, model):
         c = CouplingConfig.transmon_ratio(1.0)
@@ -70,14 +70,15 @@ class TestSecondLevelSum:
         spec = DiscretizationSpec.for_model(model, 0.01)
         y = model.b + 0.4
         got = discrete_self_energy_2(y, spec, model, c)
-        assert got.shift == pytest.approx(float(delta2_stable(y, model, c)), abs=0.05)
-        assert got.width == pytest.approx(float(gamma2_stable(y, model, c)), rel=0.05)
+        want = sigma2(y, model, c, Regime.STABLE)
+        assert got.real == pytest.approx(want.real, abs=0.05)
+        assert got.imag == pytest.approx(want.imag, rel=0.05)
 
     def test_width_nonnegative(self, model):
         c = CouplingConfig.transmon_ratio(1.0)
         spec = DiscretizationSpec.for_model(model, 0.02)
         for y in (model.b - 6.0, model.b, model.b + 6.0):
-            assert discrete_self_energy_2(y, spec, model, c).width >= 0.0
+            assert discrete_self_energy_2(y, spec, model, c).imag <= 0.0
 
 
 class TestConvergenceReport:

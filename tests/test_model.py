@@ -94,3 +94,15 @@ class TestCouplingConfig:
         w = model.center(2)
         assert coupling_sq(model, c, 2, w) == pytest.approx(3.0 * model.density(2, w))
         assert coupling_sq(model, c, 1, w) == pytest.approx(2.0 * model.density(1, w))
+
+    def test_sqrt_pi_scaling_is_the_peak_normalised_density(self, model):
+        # the diagnosis behind acceptance criteria 1, 2 and 8: scaling L by
+        # sqrt(pi)/2 turns the default (2/sqrt(pi)) e^{-(w-c)^2} density into
+        # the peak-normalised L e^{-(w-c)^2}
+        strength = 2.0
+        scaled_l = strength * math.sqrt(math.pi) / 2
+        scaled = CouplingConfig(l1=scaled_l, l2=scaled_l)
+        w = np.linspace(40.0, 60.0, 41)
+        for i in (1, 2):
+            want = strength * np.exp(-((w - model.center(i)) ** 2))
+            np.testing.assert_allclose(coupling_sq(model, scaled, i, w), want, rtol=1e-15)

@@ -38,6 +38,16 @@ class TestFindRoots:
         assert all(r.height > 0 for r in roots)
         assert roots[0].height == pytest.approx(roots[2].height, rel=1e-6)
 
+    def test_peak_normalised_doublet_sits_in_reference_window(self, model, settings):
+        # with the peak-normalised density (L2 scaled by sqrt(pi)/2) the stable
+        # doublet lands at the Dawson fixed point 3.346043, inside the
+        # 3.34-3.35 window of acceptance criterion 1
+        c = CouplingConfig.stable_second_level(6.0 * math.sqrt(math.pi) / 2)
+        roots = find_roots(model, c, Regime.STABLE, settings)
+        assert len(roots) == 3
+        for r in (roots[0], roots[2]):
+            assert abs(r.y_r - model.b) == pytest.approx(3.34604, abs=1e-4)
+
     def test_boundary_crossing_raises(self, model, settings):
         c = CouplingConfig.stable_second_level(6.0)
         # outer root at b+3.54 sits in the last scan cell of this range
@@ -87,7 +97,7 @@ class TestFwhm:
             return math.exp(-((y - 1.0) ** 2)) + (0.9 if y > 1.0 else 0.0)
 
         rec = ResonanceRecord(y_r=1.0, kind="peak", height=1.0)
-        res = fwhm(rec, u, search_span=4.0)
+        res = fwhm(rec, u)
         assert not res.complete
         assert res.width > 0
 

@@ -1,16 +1,11 @@
+"""The first-level self-energy ``sigma1`` and its PV verification route."""
+
 import math
 
 import numpy as np
 import pytest
 
-from transmon_decay import (
-    CouplingConfig,
-    ShiftWidth,
-    coupling_sq,
-    delta1,
-    delta1_pv,
-    gamma1,
-)
+from transmon_decay import CouplingConfig, coupling_sq, delta1_pv, sigma1
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -24,34 +19,35 @@ class TestClosedForms:
     def test_width_is_coupling_density(self, model, coupling):
         # Gamma_1(y, w) = 2 pi g_1^2(y - w): the golden-rule identity
         for y, w in [(98.5, 48.0), (99.0, 50.0), (95.0, 47.3)]:
-            got = float(gamma1(y, w, model, coupling))
+            got = -2.0 * sigma1(y, w, model, coupling).imag
             want = 2.0 * math.pi * float(coupling_sq(model, coupling, 1, y - w))
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_shift_antisymmetric_about_center(self, model, coupling):
         for x in (0.5, 1.0, 3.0):
-            up = float(delta1(model.a + x + 48.0, 48.0, model, coupling))
-            dn = float(delta1(model.a - x + 48.0, 48.0, model, coupling))
+            up = sigma1(model.a + x + 48.0, 48.0, model, coupling).real
+            dn = sigma1(model.a - x + 48.0, 48.0, model, coupling).real
             assert up == pytest.approx(-dn, abs=1e-14)
 
     def test_shift_zero_on_resonance(self, model, coupling):
-        assert float(delta1(model.a + 48.5, 48.5, model, coupling)) == 0.0
+        assert sigma1(model.a + 48.5, 48.5, model, coupling).real == 0.0
 
     def test_vectorized(self, model, coupling):
         y = np.array([97.0, 98.5, 100.0])
-        out = delta1(y, 48.5, model, coupling)
+        out = sigma1(y, 48.5, model, coupling)
         assert out.shape == (3,)
+        assert np.array_equal(out, [sigma1(v, 48.5, model, coupling) for v in y])
 
     def test_disabled_coupling_is_zero(self, model):
         c = CouplingConfig.stable_second_level(6.0)
-        assert float(delta1(99.0, 48.0, model, c)) == 0.0
-        assert float(gamma1(99.0, 48.0, model, c)) == 0.0
+        assert sigma1(99.0, 48.0, model, c) == 0.0
+        assert sigma1(np.array([97.0, 99.0]), 48.0, model, c).shape == (2,)
 
 
 class TestPvVerificationRoute:
     def test_matches_closed_form(self, model, coupling, settings):
         for y, w in [(98.5, 48.5), (99.3, 48.0), (96.1, 47.0), (102.0, 50.5)]:
-            closed = float(delta1(y, w, model, coupling))
+            closed = sigma1(y, w, model, coupling).real
             pv = delta1_pv(y, w, model, coupling, settings)
             assert pv == pytest.approx(closed, abs=1e-8)
 
@@ -65,13 +61,3 @@ class TestPvVerificationRoute:
         c = CouplingConfig.stable_second_level(1.0)
         assert delta1_pv(99.0, 48.0, model, c, settings) == 0.0
 
-
-class TestShiftWidth:
-    def test_rejects_negative_width(self):
-        with pytest.raises(ValueError, match="width"):
-            ShiftWidth(shift=0.0, width=-1e-3)
-
-    def test_frozen(self):
-        sw = ShiftWidth(shift=1.0, width=2.0)
-        with pytest.raises(Exception):
-            sw.shift = 3.0

@@ -14,7 +14,6 @@ from transmon_decay import (
     Regime,
     SigmaStats,
     build_grid,
-    level2_shift_width,
     sigma2,
     spectral_function,
 )
@@ -58,18 +57,16 @@ class TestAgainstQuad:
         # applied abs_tol before the width prefactor and was 5x off in the tail
         c = CouplingConfig.transmon_ratio(l2)
         ds = np.append(np.linspace(-12.0, 12.0, 97), 7.44658)
-        got = []
-        for d in ds:
-            sw = level2_shift_width(model.b + d, model, c)
-            got.append(complex(sw.shift, -0.5 * sw.width))
+        got = sigma2(model.b + ds, model, c, Regime.FULL)
         want = np.array([quad_sigma2((model.b + d) - model.b, c) for d in ds])
         scale = np.abs(want).max()
-        assert np.abs(np.array(got) - want).max() <= 1e-12 * scale
+        assert np.abs(got - want).max() <= 1e-12 * scale
 
     def test_tail_width_at_reference_point(self, model):
         c = CouplingConfig.transmon_ratio(6.0)
         y = model.b + 7.44658
-        assert level2_shift_width(y, model, c).width == pytest.approx(2.729e-8, rel=1e-3)
+        width = -2.0 * sigma2(y, model, c, Regime.FULL).imag
+        assert width == pytest.approx(2.729e-8, rel=1e-3)
 
     def test_fallback_route_meets_tolerance_after_prefactors(self, model, settings):
         # abs_tol bounds the error of Sigma_2, not of the raw integrals

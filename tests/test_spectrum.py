@@ -2,19 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import dawsn as dawson
 
 from transmon_decay import (
     CouplingConfig,
     Regime,
     SpectralGrid,
     build_grid,
-    dawson,
-    delta2_full,
-    delta2_stable,
-    gamma2_full,
-    gamma2_stable,
-    level2_shift_width,
-    shift_width_weak,
+    sigma2,
     spectral_function,
 )
 from transmon_decay.spectrum import _resonant_offsets, regime_for
@@ -26,19 +21,19 @@ class TestStableClosedForms:
     def test_shift_is_scaled_dawson(self, model):
         c = CouplingConfig.stable_second_level(6.0)
         for x in (-3.0, -0.5, 0.0, 1.2, 4.0):
-            got = float(delta2_stable(model.b + x, model, c))
+            got = sigma2(model.b + x, model, c, Regime.STABLE).real
             assert got == pytest.approx(24.0 * float(dawson(x)), rel=1e-14)
 
     def test_width_is_scaled_gaussian(self, model):
         c = CouplingConfig.stable_second_level(6.0)
         for x in (-2.0, 0.0, 1.5):
-            got = float(gamma2_stable(model.b + x, model, c))
+            got = -2.0 * sigma2(model.b + x, model, c, Regime.STABLE).imag
             assert got == pytest.approx(24.0 * SQRT_PI * math.exp(-x * x), rel=1e-14)
 
     def test_vectorized(self, model):
         c = CouplingConfig.stable_second_level(1.0)
         ys = np.linspace(model.b - 2, model.b + 2, 7)
-        assert delta2_stable(ys, model, c).shape == (7,)
+        assert sigma2(ys, model, c, Regime.STABLE).shape == (7,)
 
 
 class TestRegimes:
@@ -49,35 +44,32 @@ class TestRegimes:
     def test_full_requires_enabled_first_level(self, model, settings):
         c = CouplingConfig.stable_second_level(1.0)
         with pytest.raises(ValueError, match="v1_enabled"):
-            level2_shift_width(model.b, model, c, settings)
+            sigma2(model.b, model, c, Regime.FULL, settings)
 
     def test_weak_constants_equal_full_at_center(self, model, settings):
         c = CouplingConfig.transmon_ratio(1.0)
-        weak = shift_width_weak(model, c, settings)
-        full = level2_shift_width(model.b, model, c, settings)
-        assert weak.shift == pytest.approx(full.shift, abs=1e-12)
-        assert weak.width == pytest.approx(full.width, abs=1e-12)
+        weak = sigma2(model.b + 2.0, model, c, Regime.WEAK, settings)
+        full = sigma2(model.b, model, c, Regime.FULL, settings)
+        assert weak == pytest.approx(full, abs=1e-12)
 
 
 class TestFullCouplingSymmetry:
     def test_shift_vanishes_at_center(self, model, settings):
         c = CouplingConfig.transmon_ratio(6.0)
-        assert abs(delta2_full(model.b, model, c, settings)) < 1e-10
+        assert abs(sigma2(model.b, model, c, Regime.FULL, settings).real) < 1e-10
 
     def test_shift_odd_width_even(self, model, settings):
         c = CouplingConfig.transmon_ratio(6.0)
         for x in (0.7, 2.0):
-            dp = delta2_full(model.b + x, model, c, settings)
-            dm = delta2_full(model.b - x, model, c, settings)
-            gp = gamma2_full(model.b + x, model, c, settings)
-            gm = gamma2_full(model.b - x, model, c, settings)
-            assert dp == pytest.approx(-dm, abs=1e-9)
-            assert gp == pytest.approx(gm, abs=1e-9)
+            plus = sigma2(model.b + x, model, c, Regime.FULL, settings)
+            minus = sigma2(model.b - x, model, c, Regime.FULL, settings)
+            assert plus.real == pytest.approx(-minus.real, abs=1e-9)
+            assert -2.0 * plus.imag == pytest.approx(-2.0 * minus.imag, abs=1e-9)
 
     def test_width_nonnegative(self, model, settings):
         c = CouplingConfig.transmon_ratio(6.0)
         for x in (-8.0, -1.0, 0.0, 3.0, 8.0):
-            assert gamma2_full(model.b + x, model, c, settings) >= 0.0
+            assert sigma2(model.b + x, model, c, Regime.FULL, settings).imag <= 0.0
 
 
 class TestResonantOffsets:
@@ -99,8 +91,8 @@ class TestSpectralFunction:
     def test_lorentzian_shape_in_stable_regime(self, model):
         c = CouplingConfig.stable_second_level(0.1)
         y = model.b
-        g = float(gamma2_stable(y, model, c))
-        d = float(delta2_stable(y, model, c))
+        value = sigma2(y, model, c, Regime.STABLE)
+        g, d = -2.0 * value.imag, value.real
         want = (g / (2 * math.pi)) / ((y - model.b - d) ** 2 + 0.25 * g * g)
         got = float(spectral_function(y, model, c, Regime.STABLE))
         assert got == pytest.approx(want, rel=1e-12)
