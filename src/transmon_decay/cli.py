@@ -234,6 +234,11 @@ def _cmd_timedomain(cfg: RunConfig, out: Path, fmt: str) -> int:
             "n_maxima": metrics.n_maxima,
         },
         "sigma2": _sigma2_info(stats),
+        "time_domain": {
+            "horizon": _jnum(series.horizon),
+            "energies": len(grid.energies),
+            "times": len(series.times),
+        },
     }
     if cfg.mode == "physical":
         d = cfg.delta_rad_s

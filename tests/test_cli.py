@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -194,21 +195,34 @@ class TestSelfEnergyDiagnostics:
         out = tmp_path / "out"
         assert run("spectrum", "--config", full_config, "--out", str(out)) == EXIT_OK
         assert run("resonances", "--config", full_config, "--out", str(out)) == EXIT_OK
+        assert run("timedomain", "--config", full_config, "--out", str(out)) == EXIT_OK
         meta = json.loads((out / "spectrum.meta.json").read_text())
         spectrum = meta["sigma2"]
         resonances = json.loads((out / "resonances.json").read_text())["sigma2"]
+        timedomain = json.loads((out / "timedomain.meta.json").read_text())
         assert spectrum["energies"] == meta["n_points"]
         assert resonances["energies"] > spectrum["energies"]
+        assert timedomain["sigma2"] == spectrum
         for info in (spectrum, resonances):
             assert info["fallbacks"] == 0
             assert 0.0 < info["max_error_estimate"] < 1e-10
+        record = timedomain["time_domain"]
+        assert record["energies"] == meta["n_points"]
+        assert record["times"] == timedomain["config"]["time"]["steps"]
+        assert timedomain["config"]["time"]["t_max"] < record["horizon"] < math.inf
 
     def test_full_reruns_are_byte_identical(self, full_config, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
-            for command in ("spectrum", "resonances"):
+            for command in ("spectrum", "resonances", "timedomain"):
                 assert run(command, "--config", full_config, "--out", str(out)) == EXIT_OK
-        for name in ("spectrum.csv", "spectrum.meta.json", "resonances.json"):
+        for name in (
+            "spectrum.csv",
+            "spectrum.meta.json",
+            "resonances.json",
+            "timedomain.csv",
+            "timedomain.meta.json",
+        ):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_stable_sidecar_has_no_quadrature_error(self, config_path, tmp_path):

@@ -1,11 +1,23 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
-from transmon_decay import SurvivalSeries, rabi_metrics, survival_amplitude
+from transmon_decay import (
+    Regime,
+    SurvivalSeries,
+    build_grid,
+    rabi_metrics,
+    survival_amplitude,
+)
+from transmon_decay.config import load_config
 from transmon_decay.spectrum import SpectralGrid
 from transmon_decay.time_domain import TimeHorizonError, grid_horizon
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def lorentzian_grid(gamma: float, y0: float = 98.5, span: float = 400.0, n: int = 40001):
@@ -22,10 +34,10 @@ def lorentzian_grid(gamma: float, y0: float = 98.5, span: float = 400.0, n: int 
     )
 
 
-def doublet_grid(split: float, gamma: float, y0: float = 98.5):
+def doublet_grid(split: float, gamma: float, y0: float = 98.5, n: int = 40001):
     """Two equal Lorentzians at ``y0 +- split/2``: a pure beat spectrum."""
     span = max(60.0 * gamma + split, 4.0 * split)
-    y = np.linspace(y0 - span, y0 + span, 40001)
+    y = np.linspace(y0 - span, y0 + span, n)
     u = np.zeros_like(y)
     for s in (-0.5 * split, 0.5 * split):
         u += 0.5 * (gamma / (2 * math.pi)) / ((y - y0 - s) ** 2 + 0.25 * gamma * gamma)
@@ -37,6 +49,111 @@ def doublet_grid(split: float, gamma: float, y0: float = 98.5):
         refinement_level=np.zeros(len(y), dtype=int),
         y_ref=y0,
     )
+
+
+def config_grid(name: str):
+    """The CLI's energy grid and time grid for ``configs/<name>.ini``."""
+    cfg = load_config(str(CONFIGS / f"{name}.ini"))
+    b = cfg.model.b
+    grid = build_grid(
+        cfg.model,
+        cfg.coupling,
+        cfg.regime,
+        (b - cfg.grid_span, b + cfg.grid_span),
+        cfg.quadrature,
+        coarse_step=cfg.coarse_step,
+    )
+    return grid, np.linspace(0.0, cfg.t_max, cfg.t_steps)
+
+
+def direct_sum(grid: SpectralGrid, times) -> np.ndarray:
+    """Reference route: one complex exponential per (time, energy) term,
+    ``exp(-i outer(t, y)) @ (w u)`` with trapezoid weights, 200 times a block."""
+    y = grid.energies - grid.y_ref
+    dy = np.diff(y)
+    w = np.zeros_like(y)
+    w[:-1] += 0.5 * dy
+    w[1:] += 0.5 * dy
+    wu = w * grid.u_ff
+    times = np.asarray(times, dtype=float)
+    blocks = [times[i : i + 200] for i in range(0, len(times), 200)]
+    return np.concatenate([np.exp(-1j * np.outer(t, y)) @ wu for t in blocks])
+
+
+class TestFactorisedSum:
+    """``survival_amplitude`` against the direct outer-product sum."""
+
+    @pytest.mark.parametrize("name", ["stable_l2_6", "full_l2_6", "oracle_l2_1"])
+    def test_config_grids_match_direct_sum(self, name):
+        grid, times = config_grid(name)
+        series = survival_amplitude(grid, times)
+        assert np.max(np.abs(series.amplitude - direct_sum(grid, times))) <= 1e-13
+        assert np.array_equal(series.magnitude, np.abs(series.amplitude))
+        assert series.horizon == grid_horizon(grid)
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            np.linspace(5.0, 20.0, 3001),  # offset start, as in criterion 8's tail
+            np.linspace(0.0, 15.0, 2399),  # prime T: the last block is partial
+            np.linspace(0.0, 15.0, 2401),  # T = 49^2: square blocks, no padding
+            np.arange(500) * 0.03,  # uniform but not from linspace
+        ],
+    )
+    def test_full_grid_matches_direct_sum(self, grids, times):
+        grid = grids.get(6.0, Regime.FULL)
+        series = survival_amplitude(grid, times)
+        assert np.max(np.abs(series.amplitude - direct_sum(grid, times))) <= 1e-13
+
+    def test_single_time(self):
+        grid = lorentzian_grid(0.05, n=2001)
+        series = survival_amplitude(grid, np.array([0.0]))
+        assert series.amplitude.shape == (1,)
+        assert abs(series.amplitude[0] - direct_sum(grid, [0.0])[0]) <= 1e-15
+        assert series.magnitude[0] == pytest.approx(1.0, abs=1e-3)
+
+    def test_no_times(self):
+        grid = lorentzian_grid(0.05, n=2001)
+        series = survival_amplitude(grid, np.array([]))
+        assert series.times.shape == series.amplitude.shape == series.magnitude.shape == (0,)
+        assert series.amplitude.dtype == complex
+        assert series.horizon == grid_horizon(grid)
+
+    @pytest.mark.parametrize("kind", ["geomspace", "moved"])
+    def test_nonuniform_times_rejected(self, kind):
+        grid = lorentzian_grid(0.05, n=2001)
+        if kind == "geomspace":
+            times = np.geomspace(1e-3, 5.0, 101)
+        else:
+            times = np.linspace(0.0, 5.0, 101)
+            times[37] += 1e-6
+        with pytest.raises(ValueError, match="uniform grid"):
+            survival_amplitude(grid, times)
+
+    @hyp_settings(max_examples=25, deadline=None)
+    @given(
+        st.floats(min_value=0.0, max_value=10.0),
+        st.floats(min_value=0.0, max_value=20.0, exclude_min=True),
+        st.integers(min_value=1, max_value=700),
+    )
+    def test_direct_sum_agreement_property(self, t0, span, n):
+        grid = doublet_grid(split=2.0, gamma=0.02, n=4001)
+        times = np.linspace(t0, t0 + span, n)
+        series = survival_amplitude(grid, times)
+        assert np.max(np.abs(series.amplitude - direct_sum(grid, times))) <= 1e-12
+        if t0 == 0.0:
+            assert abs(series.magnitude[0] - 1.0) <= 1e-3
+
+    def test_allocation_peak_stays_below_64_mb(self):
+        # guards against a T x N temporary: 4000 x 14311 complex values are 916 MB
+        grid, times = config_grid("stable_l2_6")
+        tracemalloc.start()
+        try:
+            survival_amplitude(grid, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestSurvivalAmplitude:
