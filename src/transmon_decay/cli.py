@@ -87,7 +87,6 @@ def _sigma2_info(stats: SigmaStats) -> dict:
     """Deterministic self-energy diagnostics for a sidecar."""
     return {
         "energies": stats.energies,
-        "fallbacks": stats.fallbacks,
         "max_error_estimate": _jnum(stats.max_error),
     }
 

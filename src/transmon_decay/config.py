@@ -29,7 +29,7 @@ _SCHEMA: dict[str, set[str]] = {
     "model": {"mode", "a", "b", "e_e_ghz", "e_f_ghz", "delta_mhz"},
     "coupling": {"l1", "l2", "v1_enabled", "regime"},
     "grid": {"span", "coarse_step"},
-    "quadrature": {"abs_tol", "rel_tol", "tail_cutoff", "max_subdivisions"},
+    "quadrature": {"abs_tol", "rel_tol", "tail_cutoff"},
     "time": {"t_max", "steps"},
     "sweep": {"l2_min", "l2_max", "steps"},
     "oracle": {"spacings", "energies", "pole_offset"},
@@ -165,7 +165,6 @@ def load_config(path: str) -> RunConfig:
             abs_tol=_get(parser, "quadrature", "abs_tol", float, default=1e-10),
             rel_tol=_get(parser, "quadrature", "rel_tol", float, default=1e-9),
             tail_cutoff=_get(parser, "quadrature", "tail_cutoff", float, default=10.0),
-            max_subdivisions=_get(parser, "quadrature", "max_subdivisions", int, default=200),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid quadrature settings: {exc}") from exc
@@ -230,7 +229,6 @@ def _resolved_dict(cfg: RunConfig) -> dict:
             "abs_tol": cfg.quadrature.abs_tol,
             "rel_tol": cfg.quadrature.rel_tol,
             "tail_cutoff": cfg.quadrature.tail_cutoff,
-            "max_subdivisions": cfg.quadrature.max_subdivisions,
         },
         "time": {"t_max": cfg.t_max, "steps": cfg.t_steps},
         "sweep": {

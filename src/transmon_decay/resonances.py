@@ -118,7 +118,7 @@ def find_roots(
             roots.append(float(ys[i]))
             continue
         roots.append(optimize.brentq(resfun, ys[i], ys[i + 1], xtol=_ROOT_TOL))
-    roots.sort()
+    roots = sorted(set(roots))  # an exact zero also ends the bracket before it
 
     records: list[ResonanceRecord] = []
     cluster: list[float] = []

@@ -24,29 +24,23 @@ whole array of energies.
         Sigma_2(y) = (2 L_2/sqrt(pi)) int dx e^{-(d - x)^2} K(x),
         K(x) = 1 / (x - Sigma_1(x)),   Sigma_1(x) = -2i sqrt(pi) L_1 w(x).
 
-    The kernel ``K`` depends on ``L_1`` only, not on the energy.  Its narrow
-    Lorentzian spikes sit at the fixed points of ``u = 4 L_1 D(u)``.  One
-    Gauss-Kronrod node set per ``(L_1, tail_cutoff)`` resolves ``K``: unit
-    panels over ``|x| <= 24 + tail_cutoff``, break points at the fixed
-    points, and panels bisected until the embedded 10-point Gauss rule
-    agrees with the 21-point Kronrod rule, or differs from it only by the
-    rounding error of ``K``.  The set is built on first use and cached.
-    ``Sigma_2`` at every energy is then one row sum of
-    ``e^{-(d - x_j)^2} w_j K(x_j)``, evaluated in blocks.  Each energy's
-    error estimate is the Kronrod-Gauss difference, summed in magnitude over
-    panels, plus the rounding bound of ``K``.
-
-    Energies whose estimate misses ``max(abs_tol, rel_tol |Sigma_2|)``, or
-    that lie beyond ``|y - b| = 24``, fall back to adaptive ``scipy.quad``
-    on the two real integrals (``_full_integrals``); a point that fails
-    there too raises ``QuadratureError``.  That route also serves as the
-    independent reference in the tests, as ``delta1_pv`` does for the first
-    level.
-
-    Known limit: at ``L_2 >~ 20`` the outer spikes are narrower than double
-    precision can resolve next to ``u`` (a near-real pole).  The energies
-    the spike reaches then fall back, and ``quad`` raises or returns a value
-    that can miss the spike's weight.  Subtracting the pole is the cure.
+    The kernel ``K`` depends on ``L_1`` only.  Its narrow Lorentzian spikes
+    sit at the fixed points of ``u = 4 L_1 D(u)``, at a pole pair ``z``,
+    ``-conj(z)`` that nears the real axis fast with ``L_1`` (``Im z`` is
+    ``-1.2e-3`` at ``L_2 = 6``, ``-3.6e-11`` at ``L_2 = 20``).  One cached
+    Gauss-Kronrod node set per ``(L_1, tail_cutoff, cover)`` serves every
+    energy with ``|y - b| <= cover`` (24, else the next multiple of 24):
+    unit panels, break points at the fixed points, bisected until the
+    embedded Gauss rule agrees with the Kronrod rule on ``K`` without its
+    pole.  The weights keep ``K``; the rule's own error on the pole term
+    is one constant ``c``, added back as ``c e^{-(d - z)^2}`` and its mirror.
+    ``Sigma_2`` is then one row sum of ``e^{-(d - x_j)^2} w_j K(x_j)`` plus
+    that term.  Its error estimate is the Kronrod-Gauss difference, summed
+    in magnitude over panels, plus the rounding bound of ``K``; an energy
+    whose estimate misses ``max(abs_tol, rel_tol |Sigma_2|)`` raises
+    ``QuadratureError``.  Adaptive ``quad`` on the two real integrals
+    (``_full_integrals``) is the independent reference in the tests, as
+    ``delta1_pv`` is for the first level.
 
 ``WEAK``
     The FULL self-energy frozen at ``y = b``; the spectral function is then
@@ -62,7 +56,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -71,6 +65,7 @@ from scipy import optimize, special
 from .model import CouplingConfig, DimensionlessModel
 from .quadrature import (
     DEFAULT_SETTINGS,
+    QuadratureError,
     QuadratureSettings,
     _quad,
     integrate_adaptive,
@@ -80,12 +75,12 @@ from .quadrature import (
 SQRT_PI = math.sqrt(math.pi)
 
 _GAUSS_ORDER = 10  # Gauss points per panel; the Kronrod rule adds 11
-_COVER = 24.0  # |y - b| covered by the FULL node set
+_COVER = 24.0  # |y - b| covered by one FULL node set; farther energies use multiples
 _PANEL = 1.0  # widest panel: resolves the unit Gaussian e^{-(d - x)^2}
 _PANEL_TOL = 1e-15  # per-panel Kronrod-Gauss difference, relative to int |K|
 _BLOCK = 1 << 18  # matrix elements per evaluation block
-_MAX_PANELS = 1 << 14  # bisection stops when this many panels are pending
 _ROUNDOFF = 16 * np.finfo(float).eps
+_NEWTON_STEPS = 64  # complex Newton steps taken for the kernel pole (<= 45 needed)
 _POINTS_PER_FWHM = 20  # grid spacing around a resonance: its FWHM / 20
 _MAX_REFINED_PEAKS = 16  # refinement centres per grid; more mark it incomplete
 
@@ -107,20 +102,15 @@ def regime_for(c: CouplingConfig) -> Regime:
 
 @dataclass
 class SigmaStats:
-    """Diagnostics accumulated over ``sigma2`` calls: energies evaluated,
-    energies that fell back to per-point ``quad``, and the worst absolute
-    error estimate of any returned ``Sigma_2`` value."""
+    """Diagnostics accumulated over ``sigma2`` calls: energies evaluated and
+    the worst absolute error estimate of any returned ``Sigma_2`` value."""
 
     energies: int = 0
-    fallbacks: int = 0
     max_error: float = 0.0
 
-    def record(self, errors, fallbacks: int) -> None:
-        errors = np.asarray(errors, dtype=float)
+    def record(self, errors: np.ndarray) -> None:
         self.energies += errors.size
-        self.fallbacks += int(fallbacks)
-        if errors.size:
-            self.max_error = max(self.max_error, float(errors.max()))
+        self.max_error = max(self.max_error, float(errors.max(initial=0.0)))
 
 
 def _gaussian_sigma(x, strength: float) -> np.ndarray:
@@ -158,17 +148,42 @@ def sigma1(y, w, m: DimensionlessModel, c: CouplingConfig):
 def _resonant_offsets(l1: float) -> tuple[float, ...]:
     """Fixed points of ``u = 4 l1 D(u)``: offsets where the inner denominator
     of the full-coupling integrand is resonant.  ``u = 0`` always; a symmetric
-    pair exists once ``4 l1 > 1``."""
-    if l1 <= 0:
-        return (0.0,)
+    pair exists once ``4 l1 > 1``, below ``2.2 l1`` since ``D <= 0.541``."""
     if 4.0 * l1 <= 1.0:
         return (0.0,)
     f = lambda u: u - 4.0 * l1 * special.dawsn(u)
-    hi = 2.0
-    while f(hi) < 0:
-        hi *= 2.0
-    u_r = optimize.brentq(f, 1e-9, hi, xtol=1e-13)
+    u_r = optimize.brentq(f, 1e-9, 2.2 * l1, xtol=1e-13)
     return (-u_r, 0.0, u_r)
+
+
+def _faddeeva(z: complex) -> complex:
+    """``w(z)``; within 1e-5 of the real axis, where ``wofz`` is off by up to
+    ~100 ulps, from its Taylor series about ``Re z`` to second order."""
+    if abs(z.imag) > 1e-5:
+        return special.wofz(z)
+    w0 = special.wofz(z.real)
+    w1 = 2j / SQRT_PI - 2.0 * z.real * w0
+    return w0 + 1j * z.imag * w1 + z.imag**2 * (w0 + z.real * w1)
+
+
+@functools.lru_cache(maxsize=64)
+def _kernel_pole(l1: float) -> tuple[complex, complex] | None:
+    """Pole ``z`` of ``K`` next to the fixed point ``u > 0`` and its residue
+    ``r = 1/h'(z)`` (the mirror pole ``-conj(z)`` has ``conj(r)``), by
+    complex Newton on ``h(x) = x - Sigma_1(x)`` from ``u``, all steps taken
+    (converged iterates move only within the rounding noise of ``h``).  None
+    without fixed points, or if Newton has not settled (only within ~1e-12
+    of ``4 l1 = 1``, where ``Im z = -0.36``)."""
+    z = complex(_resonant_offsets(l1)[-1])
+    if z == 0.0:
+        return None
+    for _ in range(_NEWTON_STEPS):
+        w = _faddeeva(z)
+        dh = 1.0 - 4.0 * l1 - 4j * SQRT_PI * l1 * z * w  # w' = 2i/sqrt(pi) - 2 z w
+        step = (z + 2j * SQRT_PI * l1 * w) / dh
+        z -= step
+    z = complex(z.real, min(z.imag, -1e-250))  # from L2 ~ 440 on, Im z would underflow in c
+    return (z, 1.0 / dh) if abs(step) <= 1e-8 * abs(z) else None
 
 
 # ---------------------------------------------------------------------------
@@ -213,29 +228,33 @@ def _kernel(x, l1: float):
 
 @dataclass(frozen=True)
 class _NodeSet:
-    """Nodes ``x`` (ascending, symmetric about 0, ``panels`` groups of 21)
-    with the kernel folded into five real weight rows: ``w_Kronrod K`` (real,
-    imaginary), ``(w_Kronrod - w_Gauss) K`` (real, imaginary) and the
-    rounding bound ``w_Kronrod |dK|``."""
+    """Nodes ``x`` (ascending, symmetric about 0, in panels of 21) and five
+    real weight rows: ``w_Kronrod K`` and ``(w_Kronrod - w_Gauss) S`` (real,
+    imaginary) and the rounding bound ``w_Kronrod |dK|``.  ``pole`` is ``z``
+    and ``correction`` is ``c``, both as in ``_node_set``."""
 
     x: np.ndarray
     weights: np.ndarray
-    panels: int
+    pole: complex
+    correction: complex
 
 
 @functools.lru_cache(maxsize=64)
-def _node_set(l1: float, tail_cutoff: float) -> _NodeSet:
-    """Panels on ``[0, _COVER + tail_cutoff]``, bisected until each panel's
-    Kronrod-Gauss difference is below ``_PANEL_TOL`` times ``int |K|`` or
-    within the rounding error of ``K``, then mirrored with
-    ``K(-x) = -conj K(x)``.  A panel that cannot get there (a spike narrower
-    than the spacing of doubles) keeps its difference, which then shows in
-    the error estimate of every energy it reaches."""
+def _node_set(l1: float, tail_cutoff: float, cover: float) -> _NodeSet:
+    """Panels on ``[0, X]``, ``X = cover + tail_cutoff``, bisected until the
+    Kronrod-Gauss difference of ``S = K - r/(x - z)`` is below ``_PANEL_TOL``
+    times ``int |K|`` or within the rounding error of ``K``, then mirrored
+    with ``K(-x) = -conj K(x)``.  The weights keep ``K`` (full relative
+    precision in the tails of ``Im Sigma_2``); the pole term, whose spike can
+    be narrower than the spacing of doubles, enters as the rule's error on
+    it, ``c = r [log((X - z)/(-z)) - sum_j w_j/(x_j - z)]``."""
     t, wk, wg = _kronrod_rule()
-    n_unit = int(math.ceil((_COVER + tail_cutoff) / _PANEL))
-    breaks = np.union1d(
-        np.arange(n_unit + 1) * _PANEL, [u for u in _resonant_offsets(l1) if u >= 0]
-    )
+    n_unit = int(math.ceil((cover + tail_cutoff) / _PANEL))
+    u, unit = _resonant_offsets(l1)[-1], np.arange(n_unit + 1) * _PANEL
+    # panels next to u are at least half a unit wide: no node where dK peaks
+    near = (unit > 0) & (np.abs(unit - u) < 0.5 * _PANEL)
+    breaks = np.union1d(np.where(near, u + np.copysign(0.5 * _PANEL, unit - u), unit), [u])
+    z, r = _kernel_pole(l1) or (0j, 0j)
     lo, hi = breaks[:-1], breaks[1:]
     done: list[tuple[np.ndarray, ...]] = []
     scale = None
@@ -243,38 +262,30 @@ def _node_set(l1: float, tail_cutoff: float) -> _NodeSet:
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         x = mid[:, None] + half[:, None] * t
         k, dk = _kernel(x, l1)
-        diff = np.abs((half[:, None] * (wk - wg) * k).sum(axis=1))
+        smooth = k - r / (x - z)
+        diff = np.abs((half[:, None] * (wk - wg) * smooth).sum(axis=1))
         if scale is None:
             scale = float(np.abs((half[:, None] * wk * k).sum(axis=1)).sum())
         noise = (half[:, None] * np.abs(wk - wg) * dk).sum(axis=1)
-        ok = (
-            (diff <= np.maximum(_PANEL_TOL * scale, noise))
-            | (half <= _ROUNDOFF * np.maximum(mid, 1.0))
-            | (lo.size > _MAX_PANELS)
-        )
-        done.append((x[ok], half[ok], k[ok], dk[ok]))
+        ok = diff <= np.maximum(_PANEL_TOL * scale, noise)
+        done.append((x[ok], half[ok], k[ok], smooth[ok], dk[ok]))
         lo, hi = np.concatenate([lo[~ok], mid[~ok]]), np.concatenate([mid[~ok], hi[~ok]])
-    x, half, k, dk = (np.concatenate(parts) for parts in zip(*done))
+    x, half, k, smooth, dk = (np.concatenate(parts) for parts in zip(*done))
     order = np.argsort(x[:, 0])
-    x, half, k, dk = x[order], half[order, None], k[order], dk[order]
+    x, half, k, smooth, dk = x[order], half[order, None], k[order], smooth[order], dk[order]
+    correction = r * (np.log(1.0 - breaks[-1] / z) - np.sum(half * wk / (x - z))) if r else 0j
 
     def mirrored(w):
         return np.concatenate([-np.conj(w.ravel()[::-1]), w.ravel()])
 
-    kronrod, diff = mirrored(half * wk * k), mirrored(half * (wk - wg) * k)
-    rounding = half * wk * dk
+    kronrod, diff = mirrored(half * wk * k), mirrored(half * (wk - wg) * smooth)
+    rounding = (half * wk * dk).ravel()
+    rounding = np.concatenate([rounding[::-1], rounding])
     return _NodeSet(
         x=np.concatenate([-x.ravel()[::-1], x.ravel()]),
-        weights=np.stack(
-            [
-                kronrod.real,
-                kronrod.imag,
-                diff.real,
-                diff.imag,
-                np.concatenate([rounding.ravel()[::-1], rounding.ravel()]),
-            ]
-        ),
-        panels=2 * len(x),
+        weights=np.stack([kronrod.real, kronrod.imag, diff.real, diff.imag, rounding]),
+        pole=z,
+        correction=complex(correction),
     )
 
 
@@ -342,43 +353,37 @@ def _full_integrals(d: float, c: CouplingConfig, s: QuadratureSettings):
     return shift, width, shift_err, width_err
 
 
-def _full_sigma2_quad(d: float, c: CouplingConfig, s: QuadratureSettings) -> tuple[complex, float]:
-    """Per-point fallback: ``Sigma_2`` and its error estimate from ``quad``.
-    ``abs_tol`` bounds the error of ``Sigma_2``, so the raw integrals get it
-    divided by the larger of their prefactors."""
-    shift_pref, width_pref = 2.0 * c.l2 / SQRT_PI, 4.0 * c.l1 * c.l2
-    raw = replace(s, abs_tol=s.abs_tol / max(shift_pref, width_pref))
-    shift, width, shift_err, width_err = _full_integrals(d, c, raw)
-    value = complex(shift_pref * shift, -width_pref * width)
-    return value, math.hypot(shift_pref * shift_err, width_pref * width_err)
-
-
 def _full_sigma2(d: np.ndarray, c: CouplingConfig, s: QuadratureSettings):
-    """FULL ``Sigma_2`` at detunings ``d``, their error estimates, and the
-    number of points that fell back to ``quad``."""
+    """FULL ``Sigma_2`` at detunings ``d`` and their error estimates; each
+    energy uses only the node set of its cover, whatever else is in ``d``."""
     if c.l1 == 0.0 or c.l2 == 0.0:
         # L1 = 0 is the exact limit K(x) = 1/(x + i0): the stable form
-        return _gaussian_sigma(d, c.l2), np.zeros(d.shape), 0
-    nodes = _node_set(c.l1, s.tail_cutoff)
+        return _gaussian_sigma(d, c.l2), np.zeros(d.shape)
     value = np.empty(d.shape, dtype=complex)
     error = np.empty(d.shape)
-    rows = max(1, _BLOCK // nodes.x.size)
-    for i in range(0, d.size, rows):
-        g = np.exp(-np.square(d[i : i + rows, None] - nodes.x))
-        re, im, d_re, d_im, rounding = (g * w for w in nodes.weights)
-        block = slice(i, i + rows)
-        value[block] = re.sum(axis=1) + 1j * im.sum(axis=1)
-        panels = (len(g), nodes.panels, -1)
-        d_re, d_im = d_re.reshape(panels).sum(axis=2), d_im.reshape(panels).sum(axis=2)
-        error[block] = np.hypot(d_re, d_im).sum(axis=1) + rounding.sum(axis=1)
+    covers = _COVER * np.maximum(np.ceil(np.abs(d) / _COVER), 1.0)
+    for cover in np.unique(covers):
+        nodes = _node_set(c.l1, s.tail_cutoff, float(cover))
+        at = np.flatnonzero(covers == cover)
+        rows = max(1, _BLOCK // nodes.x.size)
+        for block in np.split(at, range(rows, at.size, rows)):
+            g = np.exp(-np.square(d[block, None] - nodes.x))
+            re, im, d_re, d_im, rounding = (g * w for w in nodes.weights)
+            value[block] = re.sum(axis=1) + 1j * im.sum(axis=1)
+            panels = (len(g), -1, 2 * _GAUSS_ORDER + 1)
+            d_re, d_im = d_re.reshape(panels).sum(axis=2), d_im.reshape(panels).sum(axis=2)
+            error[block] = np.hypot(d_re, d_im).sum(axis=1) + rounding.sum(axis=1)
+        c_z, z = nodes.correction, nodes.pole
+        mirror = np.conj(c_z) * np.exp(-np.square(d[at] + np.conj(z)))  # analytic in d
+        value[at] += c_z * np.exp(-np.square(d[at] - z)) - mirror
     pref = 2.0 * c.l2 / SQRT_PI
-    value *= pref
-    error *= pref
-    passed = error <= np.maximum(s.abs_tol, s.rel_tol * np.abs(value))
-    bad = ~(passed & (np.abs(d) <= _COVER))
-    for i in np.flatnonzero(bad):
-        value[i], error[i] = _full_sigma2_quad(float(d[i]), c, s)
-    return value, error, int(bad.sum())
+    value, error = pref * value, pref * error
+    missed = ~(error <= np.maximum(s.abs_tol, s.rel_tol * np.abs(value)))  # NaN misses too
+    if missed.any():
+        i = np.argmax(np.where(missed, error, -1.0))
+        message = f"FULL self-energy at y - b = {d[i]:.6g}: error estimate {error[i]:.3g}"
+        raise QuadratureError(message + " misses the tolerance", estimate=float(error[i]))
+    return value, error
 
 
 def sigma2(
@@ -394,23 +399,21 @@ def sigma2(
 
     Vectorised over ``y``; a scalar call returns exactly the value the same
     energy gets inside an array.  ``stats``, when given, accumulates the
-    error estimates and fallback count.  Raises ``QuadratureError`` when a
-    FULL point fails both the Gauss-Kronrod sum and the ``quad`` fallback.
+    error estimates.  Raises ``QuadratureError`` when the error estimate of
+    a FULL energy misses ``max(abs_tol, rel_tol |Sigma_2|)``.
     """
     if regime is not Regime.STABLE and not c.v1_enabled:
         raise ValueError(f"{regime.value} self-energy needs v1_enabled=True")
     d = np.atleast_1d(np.asarray(y, dtype=float)) - m.b
-    fallbacks = 0
     if regime is Regime.STABLE:
         value, error = _gaussian_sigma(d, c.l2), np.zeros(d.shape)
     elif regime is Regime.WEAK:
-        const, err, fell_back = _full_sigma2(np.zeros(1), c, s)
+        const, err = _full_sigma2(np.zeros(1), c, s)
         value, error = np.full(d.shape, const[0]), np.full(d.shape, err[0])
-        fallbacks = fell_back * d.size
     else:
-        value, error, fallbacks = _full_sigma2(d, c, s)
+        value, error = _full_sigma2(d, c, s)
     if stats is not None:
-        stats.record(error, fallbacks)
+        stats.record(error)
     return value if np.ndim(y) else complex(value[0])
 
 

@@ -111,7 +111,7 @@ def survival_amplitude(grid: SpectralGrid, times) -> SurvivalSeries:
     """
     times = np.asarray(times, dtype=float)
     horizon = grid_horizon(grid)
-    if times.size and times.max() > horizon:
+    if times.size and np.abs(times).max() > horizon:
         raise TimeHorizonError(horizon)
 
     y = grid.energies - grid.y_ref

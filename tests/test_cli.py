@@ -69,6 +69,14 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_max_subdivisions_is_not_a_config_key(self, tmp_path, capsys):
+        # no CLI path runs quad, so the key would be silently ignored
+        bad = tmp_path / "bad.ini"
+        bad.write_text(FULL_FAST + "\n[quadrature]\nmax_subdivisions = 500\n", encoding="utf-8")
+        code = run("spectrum", "--config", str(bad), "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert "unknown config key [quadrature] max_subdivisions" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spacings", ["0.01 0.05", "0.05 0.05", "0.05 -0.01", ","])
     def test_bad_oracle_spacings_are_config_errors(self, tmp_path, capsys, spacings):
         cfg = tmp_path / "bad.ini"
@@ -191,7 +199,7 @@ class TestSelfEnergyDiagnostics:
         path.write_text(FULL_FAST, encoding="utf-8")
         return str(path)
 
-    def test_sidecars_report_error_estimate_and_fallbacks(self, full_config, tmp_path):
+    def test_sidecars_report_error_estimate(self, full_config, tmp_path):
         out = tmp_path / "out"
         assert run("spectrum", "--config", full_config, "--out", str(out)) == EXIT_OK
         assert run("resonances", "--config", full_config, "--out", str(out)) == EXIT_OK
@@ -204,7 +212,7 @@ class TestSelfEnergyDiagnostics:
         assert resonances["energies"] > spectrum["energies"]
         assert timedomain["sigma2"] == spectrum
         for info in (spectrum, resonances):
-            assert info["fallbacks"] == 0
+            assert set(info) == {"energies", "max_error_estimate"}
             assert 0.0 < info["max_error_estimate"] < 1e-10
         record = timedomain["time_domain"]
         assert record["energies"] == meta["n_points"]
@@ -229,5 +237,40 @@ class TestSelfEnergyDiagnostics:
         out = tmp_path / "out"
         assert run("spectrum", "--config", config_path, "--out", str(out)) == EXIT_OK
         info = json.loads((out / "spectrum.meta.json").read_text())["sigma2"]
-        assert info["fallbacks"] == 0
         assert info["max_error_estimate"] == 0.0
+
+
+STRONG = """\
+[model]
+a = 50
+b = 98.5
+
+[coupling]
+l2 = 20
+
+[time]
+t_max = 12
+steps = 1200
+"""
+
+
+class TestStrongCoupling:
+    def test_l2_20_runs_end_to_end(self, tmp_path):
+        # K's outer poles sit 3.6e-11 below the real axis here
+        config = tmp_path / "strong.ini"
+        config.write_text(STRONG, encoding="utf-8")
+        out = tmp_path / "out"
+        for command in ("spectrum", "resonances", "timedomain"):
+            assert run(command, "--config", str(config), "--out", str(out)) == EXIT_OK
+        meta = json.loads((out / "spectrum.meta.json").read_text())
+        assert meta["norm"] == pytest.approx(1.0, abs=1e-3)
+        records = json.loads((out / "resonances.json").read_text())["records"]
+        roots = sorted(r["y_r"] - 98.5 for r in records if r["kind"] == "root")
+        assert len(roots) == 5
+        assert roots == pytest.approx([-x for x in reversed(roots)], abs=1e-6)
+        outer = [r for r in records if r["kind"] == "peak" and abs(r["y_r"] - 98.5) > 8]
+        assert [r["y_r"] - 98.5 for r in outer] == pytest.approx([-8.304, 8.304], abs=1e-3)
+        for r in outer:
+            assert r["fwhm"] == pytest.approx(1.36e-3, rel=0.01)
+        record = json.loads((out / "timedomain.meta.json").read_text())["time_domain"]
+        assert record["horizon"] > 12

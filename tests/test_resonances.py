@@ -17,6 +17,13 @@ from transmon_decay.resonances import ScanRangeError
 
 
 class TestFindRoots:
+    def test_exact_zero_on_the_scan_is_one_root(self, model, settings):
+        # at L2 = 1 the FULL shift is exactly 0 at the scan point y = b, which
+        # also closes the bracket to its left; that is not a degenerate pair
+        c = CouplingConfig.transmon_ratio(1.0)
+        roots = find_roots(model, c, Regime.FULL, settings)
+        assert [(r.y_r, r.degenerate) for r in roots] == [(model.b, False)]
+
     def test_stable_strong_coupling_triplet(self, model, settings):
         c = CouplingConfig.stable_second_level(6.0)
         roots = find_roots(model, c, Regime.STABLE, settings)
@@ -130,6 +137,15 @@ class TestSweep:
         result = sweep_coupling(model, Regime.STABLE, [0.1, 6.0], settings)
         counts = [len(recs) for recs in result.records_per_l2]
         assert counts == [1, 3]
+
+    def test_full_sweep_into_strong_coupling(self, model, settings):
+        # up to L2 = 30, where K's outer poles are 1e-16 from the real axis
+        result = sweep_coupling(model, Regime.FULL, np.geomspace(0.05, 30.0, 12), settings)
+        assert [len(recs) for recs in result.records_per_l2] == [1] * 7 + [5] * 5
+        assert result.crossover_estimate == pytest.approx(2.0932, abs=2e-3)
+        for recs in result.records_per_l2:
+            roots = [r.y_r - model.b for r in recs]
+            assert roots == pytest.approx([-x for x in reversed(roots)], abs=1e-6)
 
     def test_rejects_nonpositive_values(self, model, settings):
         with pytest.raises(ValueError):

@@ -1,10 +1,14 @@
 """The complex second-level self-energy ``sigma2`` and its FULL-regime
-Gauss-Kronrod evaluator, checked against the per-point ``quad`` route."""
+Gauss-Kronrod evaluator, checked against adaptive ``quad`` where it
+converges, 30-digit ``mpmath`` quadrature at strong coupling and the closed
+form of the near-real pole's spike."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 from numpy.polynomial import legendre
 
 from transmon_decay import (
@@ -17,11 +21,12 @@ from transmon_decay import (
     sigma2,
     spectral_function,
 )
+from transmon_decay import quadrature
 from transmon_decay.spectrum import (
     _full_integrals,
-    _full_sigma2_quad,
     _kronrod_rule,
     _node_set,
+    _resonant_offsets,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -33,6 +38,46 @@ TIGHT = QuadratureSettings(abs_tol=1e-15, rel_tol=1e-13, max_subdivisions=1000)
 def quad_sigma2(d, c, s=TIGHT):
     shift, width, _, _ = _full_integrals(d, c, s)
     return complex(2.0 * c.l2 / SQRT_PI * shift, -4.0 * c.l1 * c.l2 * width)
+
+
+def mpmath_sigma2(d: float, l2: float) -> complex:
+    """FULL Sigma_2 at ``y - b = d`` by 30-digit tanh-sinh quadrature of
+    ``(2 L2/sqrt(pi)) int e^{-(d - x)^2} / (x - Sigma_1(x)) dx`` on
+    ``d +- 12``, split at the fixed points, where the spikes sit."""
+    with mpmath.workdps(30):
+        l1 = mpmath.mpf(2) * l2 / 3
+        root_pi = mpmath.sqrt(mpmath.pi)
+
+        def integrand(x):
+            sigma1 = 2 * root_pi * l1 * mpmath.exp(-x * x) * (mpmath.erfi(x) - 1j)
+            return mpmath.exp(-((d - x) ** 2)) / (x - sigma1)
+
+        splits = [u for u in _resonant_offsets(float(l1)) if abs(u - d) < 12.0]
+        value = mpmath.quad(integrand, [d - 12.0, *splits, d + 12.0])
+        return complex(2 * l2 / root_pi * value)
+
+
+def spike_im_sigma2(d: float, l2: float) -> float:
+    """``Im Sigma_2`` from the near-real pole pair alone: the pole ``z`` of
+    ``K`` next to the fixed point ``u`` (40-digit Newton) with residue ``r``
+    gives ``int e^{-(d - x)^2} r/(x - z) dx = -i pi r w(d - z)``, and the
+    mirror pole ``-conj(z)`` has residue ``conj(r)``.  Where the spike is
+    narrower than double precision and ``|d|`` is far from the support of
+    ``e^{-x^2}``, nothing else in ``K`` adds to ``Im Sigma_2``."""
+    with mpmath.workdps(40):
+        l1 = mpmath.mpf(2) * l2 / 3
+        root_pi = mpmath.sqrt(mpmath.pi)
+
+        def w(z):
+            return mpmath.exp(-z * z) * mpmath.erfc(-1j * z)
+
+        def h(z):
+            return z + 2j * root_pi * l1 * w(z)
+
+        z = mpmath.findroot(h, mpmath.mpc(_resonant_offsets(float(l1))[-1]))
+        r = 1 / (1 - 4 * l1 - 4j * root_pi * l1 * z * w(z))
+        spikes = r * w(d - z) + mpmath.conj(r) * w(d + mpmath.conj(z))
+        return float((2 * l2 / root_pi * -1j * mpmath.pi * spikes).imag)
 
 
 class TestKronrodRule:
@@ -68,33 +113,61 @@ class TestAgainstQuad:
         width = -2.0 * sigma2(y, model, c, Regime.FULL).imag
         assert width == pytest.approx(2.729e-8, rel=1e-3)
 
-    def test_fallback_route_meets_tolerance_after_prefactors(self, model, settings):
-        # abs_tol bounds the error of Sigma_2, not of the raw integrals
-        c = CouplingConfig.transmon_ratio(6.0)
-        for d in (-9.3, 7.44658, 11.0):
-            got, err = _full_sigma2_quad(d, c, settings)
-            want = quad_sigma2(d, c)
-            assert abs(got - want) <= max(settings.abs_tol, settings.rel_tol * abs(want))
-            assert err <= max(settings.abs_tol, settings.rel_tol * abs(want))
+    @pytest.mark.parametrize(
+        "l2, d, expected",
+        [
+            (20.0, -6.8, -17.59270063437 - 2.80924851565j),
+            (20.0, 2.0, -3.237012048010 - 0.247156578715j),
+            (20.0, 9.6, 6.006609187094 - 1.53737427768e-7j),
+            (12.0, -4.07, None),
+            (12.0, 1.0, None),
+            (12.0, 8.0, None),
+        ],
+        ids=["20:-6.8", "20:2", "20:9.6", "12:-4.07", "12:1", "12:8"],
+    )
+    def test_strong_coupling_matches_mpmath(self, model, settings, l2, d, expected):
+        # K's outer poles sit 3.6e-11 (L2 = 20) and 9e-7 (L2 = 12) below the
+        # real axis; quad misses the first one's weight
+        c = CouplingConfig.transmon_ratio(l2)
+        ys = model.b + np.array([d, -d])
+        got = sigma2(ys, model, c, Regime.FULL, settings)
+        want = mpmath_sigma2(ys[0] - model.b, l2)
+        if expected is not None:
+            assert want == pytest.approx(expected, rel=1e-11)
+        tol = max(settings.abs_tol, settings.rel_tol * abs(want))
+        for value in (got[0], -np.conj(got[1])):
+            assert abs(value - want) <= tol
+            assert abs(value.imag - want.imag) <= 1e-11 * abs(want.imag)
 
-    def test_near_real_pole_matches_quad_or_raises(self, model, settings):
-        # at L2 = 60 the outer spikes are ~1e-34 wide; no returned value may
-        # disagree with quad, and energies neither route resolves must raise
-        c = CouplingConfig.transmon_ratio(60.0)
-        returned = 0
-        for y in model.b + np.linspace(-12.0, 12.0, 61):
-            try:
-                got = sigma2(y, model, c, Regime.FULL, settings)
-            except QuadratureError:
-                continue
-            want, want_err = _full_sigma2_quad(y - model.b, c, settings)
-            tol = 10.0 * max(settings.abs_tol, settings.rel_tol * abs(want)) + want_err
-            assert abs(got - want) <= tol, f"y - b = {y - model.b}"
-            returned += 1
-        assert returned > 0
+    @pytest.mark.parametrize("l2, weight", [(40.0, -0.420598), (60.0, None)], ids=["40", "60"])
+    def test_spike_weight_beyond_double_precision(self, model, settings, l2, weight):
+        # at L2 = 40 the outer spikes are 1.9e-22 wide and mpmath's own
+        # quadrature misses them (-4e-7 at d = 9.6); the closed form does not
+        c = CouplingConfig.transmon_ratio(l2)
+        ys = model.b + np.array([9.6, -9.6, 10.5])
+        got = sigma2(ys, model, c, Regime.FULL, settings).imag
+        want = [spike_im_sigma2(y - model.b, l2) for y in ys]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        if weight is not None:
+            assert want[0] == pytest.approx(weight, rel=1e-5)
+
+    def test_pole_narrower_than_any_double(self, model, settings):
+        # Im z, below 1e-250 from L2 ~ 440 on, is held there; at L2 = 1000
+        # the fixed point u = 36.5 also lies past the default cover of 34
+        c = CouplingConfig.transmon_ratio(1000.0)
+        ys = model.b + np.array([36.0, 38.0, -38.0, 40.0])
+        got = sigma2(ys, model, c, Regime.FULL, settings).imag
+        want = [spike_im_sigma2(y - model.b, 1000.0) for y in ys]
+        np.testing.assert_allclose(got, want, rtol=1e-11)
 
     def test_node_set_stays_small_at_near_real_pole(self):
-        assert _node_set(40.0, 10.0).x.size < 20000
+        # the bisection judges K without its pole, so a spike narrower than
+        # the spacing of doubles costs no panels; 2310 nodes was the old
+        # size at L2 = 6
+        for l2 in (0.3751, 1.0, 6.0, 12.0, 20.0, 40.0, 60.0):
+            l1 = CouplingConfig.transmon_ratio(l2).l1
+            assert _node_set(l1, 10.0, 24.0).x.size <= 2310
+            assert _node_set(l1, 10.0, 48.0).x.size <= 2310 + 24 * 21 * 2
 
 
 class TestInvariants:
@@ -154,16 +227,52 @@ class TestInvariants:
             sigma2(model.b, model, CouplingConfig.stable_second_level(1.0), Regime.WEAK)
 
 
+class TestProperties:
+    @hyp_settings(max_examples=30, deadline=None)
+    @given(
+        st.floats(min_value=0.05, max_value=60.0),
+        st.lists(st.floats(min_value=-30.0, max_value=30.0), min_size=1, max_size=8),
+    )
+    @example(0.375, [0.5, 3.0])  # 4 L1 = 1: the fixed points merge, no pole
+    @example(0.3751, [0.5, 3.0])  # Newton starts at u = 0.02
+    @example(60.0, [8.3, 9.6])
+    def test_symmetric_nonpositive_width_and_bit_identical(self, model, settings, l2, xs):
+        c = CouplingConfig.transmon_ratio(l2)
+        # every array mixes energies inside |y - b| <= 24 and beyond it
+        xs = np.array(xs + [0.0, 24.0, -25.0, 30.0])
+        plus = sigma2(model.b + xs, model, c, Regime.FULL, settings)
+        minus = sigma2(model.b - xs, model, c, Regime.FULL, settings)
+        assert np.abs(minus + np.conj(plus)).max() <= 1e-13 * np.abs(plus).max()
+        assert np.all(plus.imag <= 0.0) and np.all(minus.imag <= 0.0)
+        scalar = [sigma2(float(y), model, c, Regime.FULL, settings) for y in model.b + xs]
+        assert np.array_equal(plus, scalar)
+        assert _node_set(c.l1, settings.tail_cutoff, 24.0).x.size <= 2310
+
+
 class TestDiagnostics:
-    def test_fallback_beyond_covered_range(self, model, settings):
+    def test_beyond_covered_range_matches_quad(self, model, settings, monkeypatch):
+        # |y - b| = 30 is summed on the node set that covers 48; quad is
+        # reliable there, far from the spikes, and sigma2 never calls it
         c = CouplingConfig.transmon_ratio(1.0)
-        stats = SigmaStats()
         ys = model.b + np.array([0.5, 30.0])
+        want = quad_sigma2(ys[1] - model.b, c)
+
+        def no_quad(*args, **kwargs):
+            raise AssertionError("sigma2 called quad")
+
+        monkeypatch.setattr(quadrature.integrate, "quad", no_quad)
+        stats = SigmaStats()
         value = sigma2(ys, model, c, Regime.FULL, settings, stats=stats)
         assert stats.energies == 2
-        assert stats.fallbacks == 1
         assert 0.0 < stats.max_error <= settings.rel_tol * abs(value[1]) + settings.abs_tol
-        assert value[1] == pytest.approx(quad_sigma2(ys[1] - model.b, c), abs=1e-10)
+        assert abs(value[1] - want) <= 1e-12 * abs(want)
+
+    def test_missed_tolerance_raises_with_estimate(self, model):
+        c = CouplingConfig.transmon_ratio(20.0)
+        strict = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-300)
+        with pytest.raises(QuadratureError, match="misses the tolerance") as err:
+            sigma2(model.b + 8.3, model, c, Regime.FULL, strict)
+        assert err.value.estimate > 0.0
 
     def test_grid_diagnostics_repeat_exactly(self, model, settings):
         c = CouplingConfig.transmon_ratio(1.0)
@@ -174,5 +283,4 @@ class TestDiagnostics:
             build_grid(model, c, Regime.FULL, (model.b - 4, model.b + 4), settings, stats=stats)
             runs.append(stats)
         assert runs[0] == runs[1]
-        assert runs[0].fallbacks == 0
         assert 0.0 < runs[0].max_error < settings.abs_tol

@@ -185,6 +185,15 @@ class TestSurvivalAmplitude:
             survival_amplitude(grid, np.array([0.0, 2.0 * horizon]))
         assert err.value.horizon == pytest.approx(horizon)
 
+    def test_horizon_enforced_for_negative_times(self):
+        # the horizon bounds |t|: here e^{-gamma |t|/2} <= 0.0197, while the
+        # aliased sum returns |U| up to 0.143
+        grid = lorentzian_grid(0.05, n=2001)
+        horizon = grid_horizon(grid)
+        assert horizon == pytest.approx(78.54, abs=0.01)
+        with pytest.raises(TimeHorizonError):
+            survival_amplitude(grid, np.linspace(-3.0 * horizon, -2.0 * horizon, 11))
+
     def test_underresolved_grid_rejected(self):
         # 11 samples cannot carry the unit spectral mass: t=0 validation trips
         grid = lorentzian_grid(0.05, span=2000.0, n=11)
