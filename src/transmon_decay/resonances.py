@@ -12,11 +12,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from .model import CouplingConfig, DimensionlessModel
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
-from .spectrum import Regime, SigmaStats, SpectralGrid, sigma2, spectral_function
+from .spectrum import Regime, SigmaStats, SpectralGrid, _brentq, sigma2, spectral_function
 
 _SCAN_STEP = 0.01  # root-scan spacing in y
 _ROOT_TOL = 1e-9  # Brent's absolute tolerance on a root
@@ -117,7 +116,7 @@ def find_roots(
         if vals[i] == 0.0:
             roots.append(float(ys[i]))
             continue
-        roots.append(optimize.brentq(resfun, ys[i], ys[i + 1], xtol=_ROOT_TOL))
+        roots.append(_brentq(resfun, ys[i], ys[i + 1], xtol=_ROOT_TOL))
     roots = sorted(set(roots))  # an exact zero also ends the bracket before it
 
     records: list[ResonanceRecord] = []
@@ -184,18 +183,21 @@ def fwhm(
     u,
     s: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> FwhmResult:
-    """Full width at half maximum of a peak by bisection on each flank.
+    """Full width at half maximum of a peak.
 
-    ``u`` is a scalar callable ``y -> U(y)``.  When a flank never falls to
-    half height within 6 of the peak (overlapping peaks), the attainable
-    half-width is doubled and flagged incomplete.  ``s`` is not used.
+    On each flank the step from the peak doubles, from 1e-6, until ``U``
+    falls below half height; Brent's method then locates the crossing inside
+    the last step.  ``u`` is a scalar callable ``y -> U(y)``.  When a flank
+    never falls to half height within 6 of the peak (overlapping peaks), the
+    attainable half-width is doubled and flagged incomplete.  ``s`` is not
+    used.
     """
     if record.height <= 0:
         raise ValueError("fwhm needs a peak with positive height")
     y_p, half = record.y_r, 0.5 * record.height
 
     def crossing(direction: int) -> float | None:
-        # expand outward until below half height, then bisect
+        # expand outward until below half height, then solve on the last step
         step = 1e-6
         prev = y_p
         while step <= _FWHM_SPAN:
@@ -203,7 +205,7 @@ def fwhm(
             if u(y_try) < half:
                 f = lambda y: u(y) - half
                 lo, hi = (prev, y_try) if direction > 0 else (y_try, prev)
-                return optimize.brentq(f, lo, hi, rtol=_FWHM_RTOL, xtol=1e-14)
+                return _brentq(f, lo, hi, rtol=_FWHM_RTOL, xtol=1e-14)
             prev = y_try
             step *= 2.0
         return None

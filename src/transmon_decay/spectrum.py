@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy import optimize, special
+from scipy import special
 
 from .model import CouplingConfig, DimensionlessModel
 from .quadrature import (
@@ -144,6 +144,73 @@ def sigma1(y, w, m: DimensionlessModel, c: CouplingConfig):
     return _gaussian_sigma(x, c.l1)[()]
 
 
+def _brentq(
+    f,
+    xa: float,
+    xb: float,
+    xtol: float = 2e-12,
+    rtol: float = 4 * np.finfo(float).eps,
+    maxiter: int = 100,
+) -> float:
+    """Root of the scalar ``f`` bracketed by ``[xa, xb]``, by Brent's method
+    (Brent 1973, *Algorithms for Minimization Without Derivatives*, ch. 4).
+
+    A line-for-line port of scipy's ``brentq`` (``Zeros/brentq.c``): the same
+    iterates, sign test, tolerance ``(xtol + rtol |x|)/2`` and step rules, so
+    it returns ``scipy.optimize.brentq``'s root bit for bit after the same
+    evaluations of ``f``.  That exactness is a contract until the
+    stable-doublet FWHM reference is refreshed (ROADMAP 5(b)): ``fwhm`` places
+    each flank only to its ``rtol``, and another solver would stop elsewhere
+    inside that bracket.  Raises ``ValueError`` when ``f`` returns NaN or the
+    bracket has no sign change, and ``RuntimeError`` after ``maxiter``
+    iterations without convergence.
+    """
+
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return float(fx)
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur!r}")
+
+
 @functools.lru_cache(maxsize=64)
 def _resonant_offsets(l1: float) -> tuple[float, ...]:
     """Fixed points of ``u = 4 l1 D(u)``: offsets where the inner denominator
@@ -152,7 +219,7 @@ def _resonant_offsets(l1: float) -> tuple[float, ...]:
     if 4.0 * l1 <= 1.0:
         return (0.0,)
     f = lambda u: u - 4.0 * l1 * special.dawsn(u)
-    u_r = optimize.brentq(f, 1e-9, 2.2 * l1, xtol=1e-13)
+    u_r = _brentq(f, 1e-9, 2.2 * l1, xtol=1e-13)
     return (-u_r, 0.0, u_r)
 
 
@@ -399,12 +466,16 @@ def sigma2(
 
     Vectorised over ``y``; a scalar call returns exactly the value the same
     energy gets inside an array.  ``stats``, when given, accumulates the
-    error estimates.  Raises ``QuadratureError`` when the error estimate of
-    a FULL energy misses ``max(abs_tol, rel_tol |Sigma_2|)``.
+    error estimates.  Raises ``ValueError`` for a non-finite energy, in every
+    regime, and ``QuadratureError`` when the error estimate of a FULL energy
+    misses ``max(abs_tol, rel_tol |Sigma_2|)``.
     """
     if regime is not Regime.STABLE and not c.v1_enabled:
         raise ValueError(f"{regime.value} self-energy needs v1_enabled=True")
     d = np.atleast_1d(np.asarray(y, dtype=float)) - m.b
+    # a scalar skips the array reduction (~1 us): Brent calls sigma2 one energy at a time
+    if not (math.isfinite(d[0]) if d.size == 1 else np.isfinite(d).all()):
+        raise ValueError("energies must be finite")
     if regime is Regime.STABLE:
         value, error = _gaussian_sigma(d, c.l2), np.zeros(d.shape)
     elif regime is Regime.WEAK:

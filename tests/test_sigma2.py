@@ -267,6 +267,14 @@ class TestDiagnostics:
         assert 0.0 < stats.max_error <= settings.rel_tol * abs(value[1]) + settings.abs_tol
         assert abs(value[1] - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy_raises_in_every_regime(self, model, settings, regime, bad):
+        c = CouplingConfig.transmon_ratio(6.0)
+        for y in (np.array([model.b, bad]), bad):
+            with pytest.raises(ValueError, match="energies must be finite"):
+                sigma2(y, model, c, regime, settings)
+
     def test_missed_tolerance_raises_with_estimate(self, model):
         c = CouplingConfig.transmon_ratio(20.0)
         strict = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-300)
