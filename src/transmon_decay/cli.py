@@ -95,13 +95,17 @@ def _sigma2_info(stats: SigmaStats) -> dict:
 # subcommands
 
 
+def _y_range(cfg: RunConfig) -> tuple[float, float]:
+    """Scanned energy window ``(b - grid_span, b + grid_span)``."""
+    return (cfg.model.b - cfg.grid_span, cfg.model.b + cfg.grid_span)
+
+
 def _build_cfg_grid(cfg: RunConfig, stats: SigmaStats):
-    b = cfg.model.b
     return build_grid(
         cfg.model,
         cfg.coupling,
         cfg.regime,
-        (b - cfg.grid_span, b + cfg.grid_span),
+        _y_range(cfg),
         cfg.quadrature,
         coarse_step=cfg.coarse_step,
         stats=stats,
@@ -138,7 +142,7 @@ def _resonance_payload(cfg: RunConfig):
         cfg.coupling,
         cfg.regime,
         cfg.quadrature,
-        y_range=(cfg.model.b - cfg.grid_span, cfg.model.b + cfg.grid_span),
+        y_range=_y_range(cfg),
         stats=stats,
     )
     peaks = find_peaks(grid, roots)
@@ -255,7 +259,7 @@ def _cmd_timedomain(cfg: RunConfig, out: Path, fmt: str) -> int:
 
 def _cmd_oracle(cfg: RunConfig, out: Path, fmt: str) -> int:
     report = convergence_report(
-        cfg.default_oracle_energies(),
+        cfg.oracle_energies,
         cfg.oracle_spacings,
         cfg.model,
         cfg.coupling,

@@ -30,12 +30,11 @@ class ScanRangeError(RuntimeError):
 
 @dataclass(frozen=True)
 class ResonanceRecord:
-    """One resonance: location, origin, height, and width when known."""
+    """One resonance: location, origin and height."""
 
     y_r: float
     kind: str  # "root" or "peak"
     height: float
-    fwhm: float | None = None
     degenerate: bool = False
     root_ref: float | None = None  # nearest root for peak records, when close
 
@@ -44,8 +43,6 @@ class ResonanceRecord:
             raise ValueError(f"kind must be 'root' or 'peak', got {self.kind!r}")
         if self.height < 0:
             raise ValueError("height must be non-negative")
-        if self.fwhm is not None and self.fwhm <= 0:
-            raise ValueError("fwhm must be positive when present")
 
 
 @dataclass(frozen=True)

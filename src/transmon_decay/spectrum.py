@@ -526,10 +526,9 @@ def spectral_function(
 class SpectralGrid:
     """Sampled spectral data over a strictly increasing energy grid.
 
-    ``refinement_level`` is 0 for coarse-scan points and counts how many
-    refinement passes have touched each point otherwise.  ``complete`` is
-    False when the refinement budget was exhausted before all peaks were
-    resolved.
+    ``refinement_level`` is 0 for coarse-scan points and 1 for points added
+    by the single local refinement pass.  ``complete`` is False when the
+    refinement budget was exhausted before all peaks were resolved.
     """
 
     energies: np.ndarray

@@ -90,6 +90,27 @@ class TestExitCodes:
             run("spectrum")  # --config missing
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("spectrum", "[model]\nmode = physical\ndelta_mhz = 0\n[coupling]\nl2 = 1\n"),
+            ("spectrum", "[coupling]\nl2 = 1\n[grid]\ncoarse_step = -0.01\n"),
+            ("spectrum", "[coupling]\nl2 = 1\n[grid]\ncoarse_step = 0\n"),
+            ("spectrum", "[coupling]\nl2 = nan\n"),
+            ("spectrum", "[coupling]\nl2 = inf\n"),
+            ("timedomain", "[coupling]\nl2 = 1\n[time]\nt_max = nan\n"),
+            ("oracle", "[coupling]\nl2 = 1\n[oracle]\nenergies = nan\n"),
+        ],
+        ids=["delta-0", "coarse-step-negative", "coarse-step-0", "l2-nan", "l2-inf",
+             "t-max-nan", "oracle-energy-nan"],
+    )
+    def test_bad_input_is_config_error(self, tmp_path, capsys, command, text):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text, encoding="utf-8")
+        assert run(command, "--config", str(cfg), "--out", str(tmp_path / "out")) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out").exists()
+
 
 class TestSpectrumCommand:
     def test_csv_and_sidecar(self, config_path, tmp_path):
