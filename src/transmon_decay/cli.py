@@ -273,7 +273,10 @@ def _cmd_oracle(cfg: RunConfig, out: Path, fmt: str) -> int:
     header = ["spacing", "max_abs_err_shift", "max_abs_err_width", "max_rel_err"]
     info = {
         "monotone": report.monotone,
-        "rows": [{k: _jnum(v) for k, v in zip(header, row)} for row in rows],
+        "rows": [
+            {**{k: _jnum(v) for k, v in zip(header, row)}, "modes": r.modes}
+            for row, r in zip(rows, report.rows)
+        ],
     }
     _write_json(out / "oracle.json", _meta(cfg, **info))
     if fmt == "csv":

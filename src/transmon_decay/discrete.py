@@ -1,4 +1,4 @@
-"""Brute-force discrete-mode sums: the anti-bug oracle for the continuum path.
+"""Discrete-mode sums: the anti-bug oracle for the continuum path.
 
 The continuum self-energies are the limit of sums over equally spaced modes
 with squared couplings ``g_i^2(omega_k) * spacing``.  Poles are regularized
@@ -11,9 +11,27 @@ principal-value kernel and delta functions become Lorentzians of width
 ``eps``.  The two finite-size self-terms of the first-level sums (which
 vanish in the continuum limit) are included with the same prescription.
 
-Everything here is deliberately independent of the quadrature module: it
-shares only the model definitions, so agreement with the continuum results
-checks both paths.
+The second-level sum needs the first-level self-energy at every photon mode,
+a double sum over mode pairs.  On the lattice ``mode_k = lo + (k + 1/2) dw``
+its pole offset ``x_kj = y - mode_k - mode_j`` depends on ``k + j`` only, so
+
+    shift_k = sum_j g1^2_j F(k + j),    width_k = 2 sum_j g1^2_j G(k + j),
+
+with ``F = x/(x^2 + eps^2)`` and ``G = eps/(x^2 + eps^2)`` on 2N - 1 values:
+two Hankel matrix-vector products, which one real-FFT correlation
+(``numpy.fft``) evaluates in O(N log N) time and O(N) memory instead of the
+N x N matrix.  Against the written-out double sum, at spacings 0.05 to
+0.005, the first-level values agree to 6.9e-13 of the largest value with
+``eps`` = spacing and to 4.0e-12 with ``eps`` = spacing / 2; the FFT itself
+adds ~1e-15, the rest is how each route rounds ``x``, amplified by 1/eps
+near the pole (``tests/test_discrete.py``).
+``discrete_self_energy_1`` asks for one off-lattice photon frequency and sums
+its single row directly.
+
+The sums are still independent of the continuum path: they share only the
+model definitions with it and import nothing from the quadrature or
+spectrum code (``convergence_report`` calls ``spectrum.sigma2`` only for the
+reference it compares against), so agreement checks both paths.
 """
 
 from __future__ import annotations
@@ -27,7 +45,6 @@ from .model import CouplingConfig, DimensionlessModel, coupling_sq
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 from .spectrum import regime_for, sigma2
 
-_CHUNK = 512
 _BAND_CUTOFF = 10.0  # Gaussian widths the default band reaches beyond both centres
 
 
@@ -50,8 +67,8 @@ class DiscretizationSpec:
     def __post_init__(self):
         if self.mode_spacing <= 0:
             raise ValueError(f"mode spacing must be positive, got {self.mode_spacing}")
-        if self.band[1] <= self.band[0]:
-            raise ValueError(f"empty band {self.band}")
+        if self.band[1] - self.band[0] < self.mode_spacing:
+            raise ValueError(f"band {self.band} holds no mode at spacing {self.mode_spacing}")
         if self.pole_offset == 0.0:
             object.__setattr__(self, "pole_offset", self.mode_spacing)
         if not (0.0 < self.pole_offset <= self.mode_spacing):
@@ -88,33 +105,35 @@ def _check_band(spec: DiscretizationSpec, m: DimensionlessModel):
         )
 
 
-def _sigma1(y: float, omegas, spec: DiscretizationSpec, m, c):
-    """First-level (shift, width) at photon frequencies ``omegas`` (vectorized).
+def _self_terms(y: float, omegas, g1sq_at, eps: float):
+    """Finite-size self-terms, one per photon mode: the pole at ``y = 2 omega``."""
+    xs = y - 2.0 * omegas
+    denom = xs * xs + eps * eps
+    return 0.5 * g1sq_at * xs / denom, g1sq_at * eps / denom
 
-    Implements the double sum with the intermediate-state energy ``y - omega``
-    probed against every mode, plus the degenerate self-terms.
+
+def _sigma1_at_modes(y: float, spec: DiscretizationSpec, m, c):
+    """First-level (shift, width) at every photon mode ``omega = mode_k``.
+
+    ``x_kj = y - mode_k - mode_j`` depends on ``k + j`` only, so both sums
+    are Hankel products of ``g1^2`` with 2N - 1 kernel values: one real-FFT
+    correlation of power-of-two length >= 2N - 1, which is long enough that
+    no wrap-around reaches the N outputs kept.
     """
     eps = spec.pole_offset
     dw = spec.mode_spacing
     modes = spec.modes()
+    n = len(modes)
     g1sq = np.asarray(coupling_sq(m, c, 1, modes)) * dw
 
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    shift = np.empty(len(omegas))
-    width = np.empty(len(omegas))
-    for i in range(0, len(omegas), _CHUNK):
-        om = omegas[i : i + _CHUNK]
-        x = y - om[:, None] - modes[None, :]
-        denom = x * x + eps * eps
-        shift[i : i + _CHUNK] = (g1sq[None, :] * x / denom).sum(axis=1)
-        width[i : i + _CHUNK] = 2.0 * (g1sq[None, :] * eps / denom).sum(axis=1)
-    # finite-size self-terms, one per photon mode: pole at y = 2*omega
-    g1sq_at = np.asarray(coupling_sq(m, c, 1, omegas)) * dw
-    xs = y - 2.0 * omegas
-    dself = xs * xs + eps * eps
-    shift += 0.5 * g1sq_at * xs / dself
-    width += g1sq_at * eps / dself
-    return shift, np.maximum(width, 0.0)
+    x = (y - 2.0 * modes[0]) - dw * np.arange(2 * n - 1)
+    denom = x * x + eps * eps
+    size = 1 << (2 * n - 2).bit_length()
+    kernels = np.fft.rfft(np.stack((x / denom, eps / denom)), size)
+    sums = np.fft.irfft(np.fft.rfft(g1sq[::-1], size) * kernels, size)
+    shift, width = sums[:, n - 1 : 2 * n - 1]
+    self_shift, self_width = _self_terms(y, modes, g1sq, eps)
+    return shift + self_shift, np.maximum(2.0 * width + self_width, 0.0)
 
 
 def discrete_self_energy_1(
@@ -125,10 +144,19 @@ def discrete_self_energy_1(
     c: CouplingConfig,
 ) -> complex:
     """Discrete first-level self-energy ``Delta_1 - i Gamma_1/2`` at one
-    ``(y, w)`` point."""
+    ``(y, w)`` point: a single row of the double sum, O(N)."""
     _check_band(spec, m)
-    shift, width = _sigma1(float(y), [float(w)], spec, m, c)
-    return complex(shift[0], -0.5 * width[0])
+    y, w = float(y), float(w)
+    eps = spec.pole_offset
+    dw = spec.mode_spacing
+    modes = spec.modes()
+    g1sq = np.asarray(coupling_sq(m, c, 1, modes)) * dw
+    x = y - w - modes
+    denom = x * x + eps * eps
+    self_shift, self_width = _self_terms(y, w, float(coupling_sq(m, c, 1, w)) * dw, eps)
+    shift = float((g1sq * x / denom).sum()) + self_shift
+    width = 2.0 * float((g1sq * eps / denom).sum()) + self_width
+    return complex(shift, -0.5 * max(width, 0.0))
 
 
 def discrete_self_energy_2(
@@ -145,17 +173,19 @@ def discrete_self_energy_2(
     dw = spec.mode_spacing
     modes = spec.modes()
     g2sq = np.asarray(coupling_sq(m, c, 2, modes)) * dw
-    if c.v1_enabled:
-        s1_shift, s1_width = _sigma1(y, modes, spec, m, c)
+    # Decided once per call, not from the computed widths: with L1 > 0 every
+    # first-level width is a sum of positive Lorentzian tails, so only a bare
+    # pole (V1 off or L1 = 0) needs the same i*eps regularization.
+    first_level = c.v1_enabled and c.l1 > 0
+    if first_level:
+        s1_shift, s1_width = _sigma1_at_modes(y, spec, m, c)
     else:
-        s1_shift = np.zeros_like(modes)
-        s1_width = np.zeros_like(modes)
+        s1_shift = s1_width = np.zeros_like(modes)
+    eps = 0.0 if first_level else spec.pole_offset
     x = y - m.a - modes - s1_shift
-    # with V1 off the bare pole needs the same i*eps regularization
-    eps_eff = np.where(s1_width > 0, 0.0, spec.pole_offset)
-    denom = x * x + 0.25 * s1_width**2 + eps_eff**2
+    denom = x * x + 0.25 * s1_width**2 + eps**2
     shift = float((g2sq * x / denom).sum())
-    width = float((g2sq * (s1_width + 2.0 * eps_eff) / denom).sum())
+    width = float((g2sq * (s1_width + 2.0 * eps) / denom).sum())
     return complex(shift, -0.5 * max(width, 0.0))
 
 
@@ -165,6 +195,7 @@ class ConvergenceRow:
     max_abs_err_shift: float
     max_abs_err_width: float
     max_rel_err: float
+    modes: int  # photon modes summed at this spacing: the oracle's work count
 
 
 @dataclass(frozen=True)
@@ -224,6 +255,7 @@ def convergence_report(
                 max_abs_err_shift=err_shift,
                 max_abs_err_width=err_width,
                 max_rel_err=max(err_shift, err_width) / scale,
+                modes=len(spec.modes()),
             )
         )
 

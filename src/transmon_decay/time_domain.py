@@ -39,6 +39,9 @@ from .spectrum import SpectralGrid
 
 _SIGNIFICANCE = 1e-9  # share of the peak height below which U is negligible
 _UNIFORM_ULPS = 8  # tolerance of the uniform-time check, in ulps of max|t|
+# Floor of that tolerance: np.linspace over a subnormal span misses the
+# lattice by whole subnormal ulps, and no offset this small moves a phase y*t.
+_UNIFORM_FLOOR = float(np.finfo(float).tiny)
 
 
 class TimeHorizonError(ValueError):
@@ -129,7 +132,8 @@ def survival_amplitude(grid: SpectralGrid, times) -> SurvivalSeries:
     t0 = float(times[0])
     dt = (float(times[-1]) - t0) / (n - 1) if n > 1 else 0.0
     lattice = t0 + dt * np.arange(n)
-    if not np.all(np.abs(times - lattice) <= _UNIFORM_ULPS * np.spacing(np.abs(times).max())):
+    tol = max(_UNIFORM_ULPS * float(np.spacing(np.abs(times).max())), _UNIFORM_FLOOR)
+    if not np.all(np.abs(times - lattice) <= tol):
         raise ValueError("times must lie on a uniform grid t_0 + i*dt")
 
     # t_{mK+k} = (t_0 + mK dt) + k dt: block phases times in-block phases

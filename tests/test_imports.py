@@ -1,6 +1,7 @@
-"""Import surface: production paths load ``scipy.special`` only, and the
-verification routes reach ``scipy.integrate`` through the module attribute
-``quadrature.integrate``, so a stand-in bound there sees every call."""
+"""Import surface: production paths load ``scipy.special`` only (the oracle's
+FFT correlation is ``numpy.fft``), and the verification routes reach
+``scipy.integrate`` through the module attribute ``quadrature.integrate``, so a
+stand-in bound there sees every call."""
 
 import math
 import os
@@ -25,7 +26,8 @@ out, configs = sys.argv[1], sys.argv[2:]
 for config in configs:
     for command in ("spectrum", "resonances", "sweep", "timedomain", "oracle"):
         assert cli.main([command, "--config", config, "--out", out]) == 0, (command, config)
-print("loaded:", *(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules))
+unwanted = ("scipy.optimize", "scipy.integrate", "scipy.fft", "scipy.signal")
+print("loaded:", *(m for m in unwanted if m in sys.modules))
 """
 
 

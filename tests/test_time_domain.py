@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from transmon_decay import (
     Regime,
@@ -136,6 +136,8 @@ class TestFactorisedSum:
         st.floats(min_value=0.0, max_value=20.0, exclude_min=True),
         st.integers(min_value=1, max_value=700),
     )
+    # subnormal span: linspace's last sample is 14 subnormal ulps off t0 + (n-1)*dt
+    @example(t0=0.0, span=2.225073858507e-311, n=39)
     def test_direct_sum_agreement_property(self, t0, span, n):
         grid = doublet_grid(split=2.0, gamma=0.02, n=4001)
         times = np.linspace(t0, t0 + span, n)
