@@ -8,14 +8,13 @@ full coupling some roots fall where the width is large and raise no peak.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import CouplingConfig, DimensionlessModel
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
-from .spectrum import Regime, SigmaStats, SpectralGrid, _brentq, sigma2, spectral_function
+from .spectrum import Regime, SigmaStats, SpectralGrid, _brentq, _scan, sigma2, spectral_function
 
 _SCAN_STEP = 0.01  # root-scan spacing in y
 _ROOT_TOL = 1e-9  # Brent's absolute tolerance on a root
@@ -84,54 +83,38 @@ def find_roots(
 ) -> list[ResonanceRecord]:
     """All roots of ``y - b - Delta_2(y)`` in the scan range, sorted by location.
 
-    Sign changes are bracketed on a uniform scan grid of step 0.01 and
-    refined by Brent bracketing; roots closer than 1e-5 are merged into one
-    record with a degeneracy flag.  Each record is annotated with the value of the
-    spectral function at the root.  The scan is one vector ``sigma2`` call;
-    Brent's scalar calls reproduce its values exactly.  ``stats``
-    accumulates the ``sigma2`` diagnostics.
+    Roots are bracketed on ``build_grid``'s coarse scan (``spectrum._scan``)
+    at step 0.01: ``y_range`` defaults to ``b +- 12`` and the scan holds
+    ``max(round(span/0.01), 16) + 1`` energies, one vector ``sigma2`` call.
+    A cell brackets a root when ``F`` changes sign across it or is exactly 0
+    at its left end; such an exact zero is the root itself, and Brent
+    bracketing refines the others (its scalar calls reproduce the scan's
+    values exactly).  A sign change in the first or last cell raises
+    ``ScanRangeError``.  Roots closer than 1e-5 are merged into one record
+    with a degeneracy flag.  Each record is annotated with the value of the
+    spectral function at the root.  ``stats`` accumulates the ``sigma2``
+    diagnostics.
     """
-    if y_range is None:
-        y_range = (m.b - 12.0, m.b + 12.0)
-    lo, hi = y_range
-    n = max(int(math.ceil((hi - lo) / _SCAN_STEP)), 8) + 1
-    ys = np.linspace(lo, hi, n)
+    ys, _, vals, cells = _scan(m, c, regime, s, y_range, _SCAN_STEP, stats)
+    if len(cells) and (cells[0] == 0 or cells[-1] == len(ys) - 2):
+        raise ScanRangeError(
+            f"sign change at scan boundary of [{ys[0]}, {ys[-1]}]; widen the range"
+        )
 
     def resfun(y):
         return float(y) - m.b - sigma2(float(y), m, c, regime, s, stats=stats).real
 
-    vals = ys - m.b - sigma2(ys, m, c, regime, s, stats=stats).real
-
-    crossings = np.nonzero(np.diff(np.signbit(vals)) | (vals[:-1] == 0.0))[0]
-    if len(crossings) and (crossings[0] == 0 or crossings[-1] == n - 2):
-        raise ScanRangeError(
-            f"sign change at scan boundary of [{lo}, {hi}]; widen the range"
-        )
-
-    roots: list[float] = []
-    for i in crossings:
-        if vals[i] == 0.0:
-            roots.append(float(ys[i]))
-            continue
-        roots.append(_brentq(resfun, ys[i], ys[i + 1], xtol=_ROOT_TOL))
-    roots = sorted(set(roots))  # an exact zero also ends the bracket before it
-
-    records: list[ResonanceRecord] = []
-    cluster: list[float] = []
-    for r in roots + [math.inf]:
-        if cluster and r - cluster[-1] >= _MERGE_TOL:
-            y_r = float(np.mean(cluster))
-            records.append(
-                ResonanceRecord(
-                    y_r=y_r,
-                    kind="root",
-                    height=float(spectral_function(y_r, m, c, regime, s, stats=stats)),
-                    degenerate=len(cluster) > 1,
-                )
-            )
-            cluster = []
-        if math.isfinite(r):
-            cluster.append(r)
+    roots = [
+        ys[i] if vals[i] == 0.0 else _brentq(resfun, ys[i], ys[i + 1], xtol=_ROOT_TOL)
+        for i in cells
+    ]
+    roots = np.unique(roots)  # an exact zero also ends the bracket before it
+    gaps = np.flatnonzero(np.diff(roots) >= _MERGE_TOL) + 1
+    records = []
+    for run in np.split(roots, gaps) if roots.size else []:
+        y_r = float(np.mean(run))
+        height = float(spectral_function(y_r, m, c, regime, s, stats=stats))
+        records.append(ResonanceRecord(y_r, "root", height, degenerate=run.size > 1))
     return records
 
 

@@ -551,6 +551,31 @@ def _peak_width_estimate(width_p, slope):
     return max(width_p / max(abs(1.0 - slope), 1e-3), 1e-6)
 
 
+def _scan(
+    m: DimensionlessModel,
+    c: CouplingConfig,
+    regime: Regime,
+    s: QuadratureSettings,
+    y_range: tuple[float, float] | None,
+    step: float,
+    stats: SigmaStats | None,
+):
+    """Uniform scan of the resonance function ``F(y) = y - b - Delta_2(y)``.
+
+    ``y_range`` defaults to ``(b - 12, b + 12)`` and holds
+    ``max(round((hi - lo)/step), 16) + 1`` evenly spaced energies, both ends
+    included; ``Sigma_2`` there is one vector ``sigma2`` call.  Returns the
+    energies, ``Sigma_2`` and ``F`` at them, and the cells ``i`` whose
+    interval ``[y_i, y_{i+1}]`` brackets a root: ``F`` changes sign across it
+    or ``F(y_i)`` is exactly 0.
+    """
+    lo, hi = (m.b - 12.0, m.b + 12.0) if y_range is None else y_range
+    ys = np.linspace(lo, hi, max(int(round((hi - lo) / step)), 16) + 1)
+    value = sigma2(ys, m, c, regime, s, stats=stats)
+    f = ys - m.b - value.real
+    return ys, value, f, np.flatnonzero(np.diff(np.signbit(f)) | (f[:-1] == 0.0))
+
+
 def build_grid(
     m: DimensionlessModel,
     c: CouplingConfig,
@@ -563,45 +588,39 @@ def build_grid(
 ) -> SpectralGrid:
     """Coarse scan plus local refinement around every resonance.
 
-    Refinement centres are the sign changes of ``F(y) = y - b - Delta_2(y)``
+    The coarse scan is ``_scan``, the one ``find_roots`` brackets its roots
+    on: ``y_range`` defaults to ``b +- 12`` and the scan holds
+    ``max(round(span/coarse_step), 16) + 1`` energies (``coarse_step`` 0.01
+    in FULL, else 0.002).  Refinement centres are one point per root cell of
+    ``F(y) = y - b - Delta_2(y)`` (the secant crossing, or ``y_i`` itself
+    where ``F(y_i)`` is exactly 0; cells that give the same point count once)
     and the local maxima of the coarse spectral function; beyond the 16
     tallest, the grid is marked incomplete.  Around each centre points are
     laid with spacing ``FWHM / 20`` in a linear core and geometric tails, so
     narrow peaks are resolved without a dense global grid.  The minimum
     local step is 1e-6.  ``stats`` accumulates the ``sigma2`` diagnostics.
     """
-
-    def columns(ys):
-        value = sigma2(ys, m, c, regime, s, stats=stats)
-        u, width = _lineshape(ys - m.b, value)
-        return u, width, value.real
-
-    if y_range is None:
-        y_range = (m.b - 12.0, m.b + 12.0)
-    lo, hi = y_range
     if coarse_step is None:
         coarse_step = 0.01 if regime is Regime.FULL else 0.002
-    n_coarse = max(int(round((hi - lo) / coarse_step)), 16) + 1
-    ys = np.linspace(lo, hi, n_coarse)
-    u, width, shift = columns(ys)
+    ys, value, resfun, cells = _scan(m, c, regime, s, y_range, coarse_step, stats)
+    lo, hi = ys[0], ys[-1]
+    u, width = _lineshape(ys - m.b, value)
+    shift = value.real
 
-    # refinement centres: roots of the resonance function and local maxima of U
-    resfun = ys - m.b - shift
-    centers: list[float] = []
-    sign_change = np.nonzero(np.diff(np.signbit(resfun)))[0]
-    for i in sign_change:
-        # secant estimate of the crossing inside the bracket
-        f0, f1 = resfun[i], resfun[i + 1]
-        centers.append(ys[i] + (ys[i + 1] - ys[i]) * f0 / (f0 - f1))
+    # secant estimate of each crossing; an exact zero of F is its own
+    # estimate, so the two cells that meet there give one centre, and a cell
+    # with F = 0 at both ends never divides 0 by 0
+    y0, y1, f0, f1 = ys[cells], ys[cells + 1], resfun[cells], resfun[cells + 1]
+    secant = y0 + (y1 - y0) * f0 / np.where(f0 == f1, 1.0, f0 - f1)
+    crossings = np.select([f0 == 0.0, f1 == 0.0], [y0, y1], secant)
     local_max = np.nonzero((u[1:-1] > u[:-2]) & (u[1:-1] > u[2:]))[0] + 1
-    centers.extend(ys[local_max])
+    centers = np.concatenate([np.unique(crossings), ys[local_max]])
+    complete = len(centers) <= _MAX_REFINED_PEAKS
+    if not complete:
+        tallest = np.argsort(-np.interp(centers, ys, u), kind="stable")
+        centers = centers[tallest[:_MAX_REFINED_PEAKS]]
 
-    complete = True
-    if len(centers) > _MAX_REFINED_PEAKS:
-        centers = sorted(centers, key=lambda yc: -np.interp(yc, ys, u))[:_MAX_REFINED_PEAKS]
-        complete = False
-
-    new_points: list[np.ndarray] = []
+    new_points = [centers]
     for y_c in centers:
         i = int(np.clip(np.searchsorted(ys, y_c), 1, len(ys) - 2))
         w_c = float(np.interp(y_c, ys, width))
@@ -617,36 +636,22 @@ def build_grid(
             offsets = core
         new_points.append(y_c + offsets)
         new_points.append(y_c - offsets)
-        new_points.append(np.array([y_c]))
 
-    if new_points:
-        extra = np.concatenate(new_points)
-        extra = extra[(extra > lo) & (extra < hi)]
-        merged = np.union1d(ys, extra)
-        # drop near-duplicates that would break strict monotonicity
-        keep = np.concatenate([[True], np.diff(merged) > 1e-12])
-        merged = merged[keep]
-        is_old = np.isin(merged, ys)
-        is_new = ~is_old
-        u_m = np.empty_like(merged)
-        w_m = np.empty_like(merged)
-        d_m = np.empty_like(merged)
-        src = np.searchsorted(ys, merged[is_old])
-        u_m[is_old], w_m[is_old], d_m[is_old] = u[src], width[src], shift[src]
-        if is_new.any():
-            u_new, w_new, d_new = columns(merged[is_new])
-            u_m[is_new], w_m[is_new], d_m[is_new] = u_new, w_new, d_new
-        level = np.where(is_new, 1, 0)
-        ys, u, width, shift = merged, u_m, w_m, d_m
-    else:
-        level = np.zeros(len(ys), dtype=int)
-
+    extra = np.concatenate(new_points)
+    merged = np.union1d(ys, extra[(extra > lo) & (extra < hi)])
+    # drop near-duplicates that would break strict monotonicity
+    merged = merged[np.concatenate([[True], np.diff(merged) > 1e-12])]
+    is_new = ~np.isin(merged, ys)
+    sigma = np.empty(merged.shape, dtype=complex)
+    sigma[~is_new] = value[np.searchsorted(ys, merged[~is_new])]
+    sigma[is_new] = sigma2(merged[is_new], m, c, regime, s, stats=stats)
+    u, width = _lineshape(merged - m.b, sigma)
     return SpectralGrid(
-        energies=ys,
+        energies=merged,
         u_ff=np.maximum(u, 0.0),
         gamma2=np.maximum(width, 0.0),
-        delta2=shift,
-        refinement_level=np.asarray(level, dtype=int),
+        delta2=sigma.real,
+        refinement_level=is_new.astype(int),
         y_ref=m.b,
         complete=complete,
     )

@@ -3,16 +3,18 @@ FFT correlation is ``numpy.fft``), and the verification routes reach
 ``scipy.integrate`` through the module attribute ``quadrature.integrate``, so a
 stand-in bound there sees every call."""
 
+import importlib
 import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import transmon_decay
-from transmon_decay import quadrature
+from transmon_decay import Regime, quadrature, sweep_coupling
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(transmon_decay.__file__).resolve().parents[1]
@@ -71,3 +73,21 @@ def test_quad_goes_through_the_module_attribute(monkeypatch):
     value = quadrature.pv_integrate(lambda t: 1.0 / t, 0.0, -1.0, 2.0)
     assert abs(value - math.log(2.0)) < 1e-12
     assert counting.calls == 4
+
+
+def test_benchmark_trace_patches_resolve(model):
+    # perfbench/tracing.py wraps library functions at the module names they
+    # are called through; a refactor that renames or stops importing one of
+    # them breaks the traced benchmark run and nothing else.  The file is
+    # read and executed, never imported, so no bytecode is written next to it.
+    path = ROOT / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("perfbench_tracing")
+    exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+    for module_name, attr, _ in tracing.PATCHES:
+        assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
+    assert callable(quadrature.integrate.quad)
+
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer):
+        sweep_coupling(model, Regime.STABLE, [6.0])
+    assert "resonances.sweep_find_roots" in tracer.names

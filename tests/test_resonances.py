@@ -7,10 +7,12 @@ from transmon_decay import (
     CouplingConfig,
     Regime,
     ResonanceRecord,
+    build_grid,
     find_peaks,
     find_roots,
     fwhm,
     spectral_callable,
+    spectrum,
     sweep_coupling,
 )
 from transmon_decay.resonances import ScanRangeError
@@ -63,6 +65,94 @@ class TestFindRoots:
                 model, c, Regime.STABLE, settings,
                 y_range=(model.b + 1.0, model.b + 3.545),
             )
+
+
+def record_vector_calls(monkeypatch):
+    """Energies of every array call to ``spectrum.sigma2``, in call order."""
+    calls = []
+    original = spectrum.sigma2
+
+    def recording(y, *args, **kwargs):
+        if np.ndim(y):
+            calls.append(np.array(y))
+        return original(y, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "sigma2", recording)
+    return calls
+
+
+def fake_sigma2(g):
+    """``sigma2`` stand-in with ``F(y) = y - b - Delta_2`` equal to ``g(y - b)``
+    (exactly 0 where ``g`` is) and a width so large, and growing with ``y``,
+    that ``U`` has no local maximum."""
+
+    def sigma(y, m, c, regime, s, *, stats=None):
+        d = np.asarray(y, dtype=float) - m.b
+        return (d - g(d)) - 5000j * np.exp(d)
+
+    return sigma
+
+
+class TestOneScan:
+    """``build_grid`` and ``find_roots`` bracket roots on one scan."""
+
+    def test_grid_coarse_points_are_the_root_scan(self, model, settings, grids, monkeypatch):
+        grid = grids.get(6.0, Regime.FULL)
+        calls = record_vector_calls(monkeypatch)
+        find_roots(model, CouplingConfig.transmon_ratio(6.0), Regime.FULL, settings)
+        coarse = grid.energies[grid.refinement_level == 0]
+        assert calls[0].size == coarse.size == 2401
+        assert np.array_equal(calls[0], coarse)
+
+    @pytest.mark.parametrize("regime, l2", [(Regime.FULL, 1.0), (Regime.STABLE, 6.0)])
+    def test_default_window_is_b_plus_minus_12(self, model, settings, grids, regime, l2):
+        if regime is Regime.STABLE:
+            c = CouplingConfig.stable_second_level(l2)
+        else:
+            c = CouplingConfig.transmon_ratio(l2)
+        window = (model.b - 12.0, model.b + 12.0)
+        grid = build_grid(model, c, regime, window, settings)
+        default = grids.get(l2, regime)
+        for field in ("energies", "u_ff", "gamma2", "delta2", "refinement_level"):
+            assert np.array_equal(getattr(grid, field), getattr(default, field)), field
+        assert grid.complete == default.complete
+        roots = find_roots(model, c, regime, settings, y_range=window)
+        assert roots == find_roots(model, c, regime, settings)
+
+    def test_point_count_when_the_step_does_not_divide_the_span(self, model, settings, monkeypatch):
+        # 2.543 / 0.01 is 254.3 cells: both scans round it to 254 (a ceiling
+        # would give 255); the outer root at b + 3.5429 is in the last cell
+        c = CouplingConfig.stable_second_level(6.0)
+        window = (model.b + 1.0, model.b + 3.543)
+        calls = record_vector_calls(monkeypatch)
+        with pytest.raises(ScanRangeError):
+            find_roots(model, c, Regime.STABLE, settings, y_range=window)
+        grid = build_grid(model, c, Regime.STABLE, window, settings, coarse_step=0.01)
+        assert calls[0].size == 255
+        assert np.array_equal(calls[0], grid.energies[grid.refinement_level == 0])
+
+    def test_exact_zero_crossing_gives_one_centre(self, model, settings, monkeypatch):
+        # F is exactly 0 at the eleven scan points y - b = -5..5 and changes
+        # sign there.  The six where it rises (F = +0 ends a negative cell) are
+        # flagged by both cells that meet there, but each gives one refinement
+        # centre: eleven centres, within the cap of 16, not seventeen
+        def g(d):
+            return np.where(np.abs(d - np.round(d)) < 1e-9, 0.0, -np.sin(np.pi * d))
+
+        monkeypatch.setattr(spectrum, "sigma2", fake_sigma2(g))
+        window = (model.b - 5.5, model.b + 5.5)
+        _, _, f, cells = spectrum._scan(model, None, Regime.FULL, settings, window, 0.01, None)
+        assert np.count_nonzero(f == 0.0) == 11 and cells.size == 17
+        assert build_grid(model, None, Regime.FULL, window, settings).complete
+
+    def test_zero_run_divides_nothing_by_zero(self, model, settings, monkeypatch):
+        # F = 0 at every scan point: every cell brackets a root, and their
+        # centres are the scan points themselves, beyond the cap
+        monkeypatch.setattr(spectrum, "sigma2", fake_sigma2(np.zeros_like))
+        window = (model.b - 4.5, model.b + 4.5)
+        with np.errstate(divide="raise", invalid="raise"):
+            grid = build_grid(model, None, Regime.FULL, window, settings)
+        assert not grid.complete
 
 
 class TestFindPeaks:
