@@ -5,9 +5,9 @@ Subcommands: ``spectrum``, ``resonances``, ``sweep``, ``timedomain``,
 an output directory; runs with identical inputs produce byte-identical files
 (no timestamps, fixed float formatting, sorted JSON keys).
 
-Exit codes: 0 on success, 1 on a numerical failure (quadrature breakdown,
-scan-range or time-horizon violations, a non-converging oracle), 2 on a
-configuration or usage error.
+Exit codes: 0 on success, 1 on a ``NumericalError`` or a non-converging
+oracle, 2 on a configuration or usage error.  Any other exception is a bug
+and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
 from .discrete import convergence_report
-from .quadrature import QuadratureError
-from .resonances import ScanRangeError, find_peaks, find_roots, fwhm, spectral_callable, sweep_coupling
-from .spectrum import DegeneratePointError, SigmaStats, build_grid
-from .time_domain import TimeHorizonError, rabi_metrics, survival_amplitude
+from .model import NumericalError
+from .resonances import find_peaks, find_roots, fwhm, spectral_callable, sweep_coupling
+from .spectrum import SigmaStats, build_grid
+from .time_domain import rabi_metrics, survival_amplitude
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -334,14 +334,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _COMMANDS[args.command](cfg, out, args.format)
-    except (
-        QuadratureError,
-        ScanRangeError,
-        TimeHorizonError,
-        DegeneratePointError,
-        ValueError,
-        ArithmeticError,
-    ) as exc:
+    except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -16,6 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
 
+from .discrete import DiscretizationSpec
 from .model import CouplingConfig, DimensionlessModel, PhysicalParams
 from .quadrature import QuadratureSettings
 from .spectrum import Regime, regime_for
@@ -207,6 +208,8 @@ def load_config(path: str) -> RunConfig:
     spacings = cfg.oracle_spacings
     if not spacings or spacings[-1] <= 0 or any(b >= a for a, b in zip(spacings, spacings[1:])):
         raise ConfigError(f"[oracle] spacings must be positive and decreasing: {list(spacings)}")
+    with _invalid("[oracle] spacings"):  # the widest spacing must fit the oracle's band
+        DiscretizationSpec.for_model(model, spacings[0])
     if cfg.oracle_pole_offset is not None and not 0.0 < cfg.oracle_pole_offset <= spacings[-1]:
         raise ConfigError(
             "[oracle] pole_offset must satisfy 0 < pole_offset <= every spacing, "

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CouplingConfig, DimensionlessModel, coupling_sq
+from .model import CouplingConfig, DimensionlessModel, NumericalError, coupling_sq
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 from .spectrum import regime_for, sigma2
 
@@ -100,7 +100,7 @@ def _check_band(spec: DiscretizationSpec, m: DimensionlessModel):
     lo, hi = spec.band
     span = 8.0  # minimum Gaussian coverage for a meaningful oracle
     if lo > min(m.center(1), m.center(2)) - span or hi < max(m.center(1), m.center(2)) + span:
-        raise ValueError(
+        raise NumericalError(
             f"band {spec.band} does not cover both coupling Gaussians +- {span} widths"
         )
 

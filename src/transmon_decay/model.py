@@ -32,6 +32,10 @@ class ModelError(ValueError):
     """Invalid physical or dimensionless model parameters."""
 
 
+class NumericalError(ArithmeticError):
+    """A valid run that cannot be computed to the requested accuracy (exit 1)."""
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Emitter levels and continuum width in angular-frequency units (rad/s).

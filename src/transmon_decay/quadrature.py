@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import NumericalError
+
 
 def __getattr__(name: str):
     if name == "integrate":
@@ -33,7 +35,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(NumericalError):
     """Adaptive integration failed to reach the requested tolerance.
 
     Carries the achieved absolute-error estimate in ``estimate``.

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import CouplingConfig, DimensionlessModel
+from .model import CouplingConfig, DimensionlessModel, NumericalError
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 from .spectrum import Regime, SigmaStats, SpectralGrid, _brentq, _scan, sigma2, spectral_function
 
@@ -23,7 +23,7 @@ _FWHM_SPAN = 6.0  # farthest flank search from a peak
 _FWHM_RTOL = 1e-8  # Brent's relative tolerance on a flank crossing
 
 
-class ScanRangeError(RuntimeError):
+class ScanRangeError(NumericalError):
     """A sign change touched the scan boundary; widen the range."""
 
 
@@ -170,7 +170,7 @@ def fwhm(
     the last step.  ``u`` is a scalar callable ``y -> U(y)``.  When a flank
     never falls to half height within 6 of the peak (overlapping peaks), the
     attainable half-width is doubled and flagged incomplete.  ``s`` is not
-    used.
+    used.  ``U(y_r)`` below half height raises ``NumericalError`` (under-resolved peak).
     """
     if record.height <= 0:
         raise ValueError("fwhm needs a peak with positive height")
@@ -183,6 +183,11 @@ def fwhm(
         while step <= _FWHM_SPAN:
             y_try = y_p + direction * step
             if u(y_try) < half:
+                if prev == y_p and (u_p := u(y_p)) < half:
+                    raise NumericalError(
+                        f"peak at y = {y_p:.8g}: U = {u_p:.6g} is below half its height "
+                        f"{record.height:.6g}; the grid under-resolves this peak"
+                    )
                 f = lambda y: u(y) - half
                 lo, hi = (prev, y_try) if direction > 0 else (y_try, prev)
                 return _brentq(f, lo, hi, rtol=_FWHM_RTOL, xtol=1e-14)

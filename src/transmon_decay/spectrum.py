@@ -62,7 +62,7 @@ import numpy as np
 from numpy.polynomial import legendre
 from scipy import special
 
-from .model import CouplingConfig, DimensionlessModel
+from .model import CouplingConfig, DimensionlessModel, NumericalError
 from .quadrature import (
     DEFAULT_SETTINGS,
     QuadratureError,
@@ -83,10 +83,6 @@ _ROUNDOFF = 16 * np.finfo(float).eps
 _NEWTON_STEPS = 64  # complex Newton steps taken for the kernel pole (<= 45 needed)
 _POINTS_PER_FWHM = 20  # grid spacing around a resonance: its FWHM / 20
 _MAX_REFINED_PEAKS = 16  # refinement centres per grid; more mark it incomplete
-
-
-class DegeneratePointError(ArithmeticError):
-    """Width underflowed to zero exactly at a resonance point."""
 
 
 class Regime(enum.Enum):
@@ -497,7 +493,7 @@ def _lineshape(d: np.ndarray, value: np.ndarray):
     width = np.maximum(-2.0 * value.imag, 0.0)
     denom = (d - value.real) ** 2 + 0.25 * width**2
     if np.any((denom == 0.0) & (width == 0.0)):
-        raise DegeneratePointError(
+        raise NumericalError(
             "width underflowed to zero exactly at a resonance point; "
             "the spectral function is a delta distribution there"
         )

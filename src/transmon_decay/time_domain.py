@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import NumericalError
 from .spectrum import SpectralGrid
 
 _SIGNIFICANCE = 1e-9  # share of the peak height below which U is negligible
@@ -44,7 +45,7 @@ _UNIFORM_ULPS = 8  # tolerance of the uniform-time check, in ulps of max|t|
 _UNIFORM_FLOOR = float(np.finfo(float).tiny)
 
 
-class TimeHorizonError(ValueError):
+class TimeHorizonError(NumericalError):
     """Requested times exceed the resolvable horizon of the grid."""
 
     def __init__(self, horizon: float):
@@ -57,7 +58,7 @@ class TimeHorizonError(ValueError):
 
 @dataclass(frozen=True)
 class SurvivalSeries:
-    """Survival amplitude samples on a uniform time grid."""
+    """Survival amplitude samples; ``|U(0)|`` off 1 by over 1e-3 is a ``NumericalError``."""
 
     times: np.ndarray
     amplitude: np.ndarray  # complex, relative to the global phase e^{-i y_ref t}
@@ -67,7 +68,7 @@ class SurvivalSeries:
     def __post_init__(self):
         if len(self.times) and abs(self.times[0]) < 1e-15:
             if not math.isclose(float(self.magnitude[0]), 1.0, abs_tol=1e-3):
-                raise ValueError(
+                raise NumericalError(
                     f"t=0 magnitude {self.magnitude[0]:.6f} deviates from 1 beyond "
                     "the spectral-normalization tolerance; the grid under-resolves a peak"
                 )

@@ -1,9 +1,16 @@
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 
 import pytest
 
-from transmon_decay.cli import EXIT_CONFIG, EXIT_OK, main
+import transmon_decay
+from transmon_decay import cli
+from transmon_decay.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from transmon_decay.config import ConfigError
+from transmon_decay.model import ModelError, NumericalError
 
 STABLE_FAST = """\
 [model]
@@ -77,7 +84,7 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "unknown config key [quadrature] max_subdivisions" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spacings", ["0.01 0.05", "0.05 0.05", "0.05 -0.01", ","])
+    @pytest.mark.parametrize("spacings", ["0.01 0.05", "0.05 0.05", "0.05 -0.01", ",", "1000"])
     def test_bad_oracle_spacings_are_config_errors(self, tmp_path, capsys, spacings):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(f"[coupling]\nl2 = 1\n[oracle]\nspacings = {spacings}\n")
@@ -110,6 +117,89 @@ class TestExitCodes:
         assert run(command, "--config", str(cfg), "--out", str(tmp_path / "out")) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out").exists()
+
+
+# One valid config per numerical failure a run can reach, with the start of its message.
+NUMERICAL_FAILURES = {
+    "time-horizon": (
+        "timedomain",
+        "[coupling]\nl2 = 1\n[grid]\nspan = 6\n[time]\nt_max = 200\nsteps = 50\n",
+        "requested times exceed the aliasing horizon",
+    ),
+    "t0-magnitude": (
+        "timedomain",
+        "[coupling]\nl2 = 6\nv1_enabled = false\n[grid]\nspan = 3\ncoarse_step = 3\n"
+        "[time]\nt_max = 3\nsteps = 50\n",
+        "t=0 magnitude 0.049157 deviates from 1",
+    ),
+    "oracle-band": (
+        "oracle",
+        "[model]\nb = 57\n[coupling]\nl2 = 1\n[oracle]\nspacings = 0.05\n",
+        "band (0.0, 60.0) does not cover both coupling Gaussians",
+    ),
+    "fwhm-under-resolved": (
+        "resonances",
+        "[coupling]\nl2 = 6\nv1_enabled = false\n[grid]\ncoarse_step = 3\n",
+        "peak at y = 102.04277: U = 370.484 is below half its height 2567.55; "
+        "the grid under-resolves this peak",
+    ),
+    "quadrature-tolerance": (
+        "spectrum",
+        "[coupling]\nl2 = 6\n[grid]\nspan = 3\n[quadrature]\nabs_tol = 1e-30\nrel_tol = 1e-30\n",
+        "FULL self-energy at y - b = -2.93",
+    ),
+    "scan-range": (
+        "resonances",
+        "[coupling]\nl2 = 6\nv1_enabled = false\n[grid]\nspan = 3.55\n",
+        "sign change at scan boundary",
+    ),
+}
+
+
+class TestNumericalFailures:
+    @pytest.mark.parametrize("name", list(NUMERICAL_FAILURES))
+    def test_valid_config_that_cannot_be_computed_exits_1(self, tmp_path, capsys, name):
+        command, text, message = NUMERICAL_FAILURES[name]
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text, encoding="utf-8")
+        assert run(command, "--config", str(cfg), "--out", str(tmp_path / "out")) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith(f"numerical error: {message}")
+
+    def test_non_monotone_oracle_exits_1(self, tmp_path, capsys):
+        # L2 = 6.4771 lies in the window where the finest spacing's error grows
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[coupling]\nl2 = 6.4771\n", encoding="utf-8")
+        assert run("oracle", "--config", str(cfg), "--out", str(tmp_path / "out")) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("oracle error: ")
+
+    @pytest.mark.parametrize("error", [ValueError, ZeroDivisionError, RuntimeError])
+    def test_programming_error_propagates(self, config_path, tmp_path, monkeypatch, error):
+        def broken(*args, **kwargs):
+            raise error("bug")
+
+        monkeypatch.setattr(cli, "build_grid", broken)
+        with pytest.raises(error, match="bug"):
+            run("spectrum", "--config", config_path, "--out", str(tmp_path / "out"))
+
+    def test_every_library_exception_is_numerical_or_a_caller_fault(self):
+        # the CLI catches NumericalError alone: a new failure class must derive from it
+        defined = set()
+        for info in pkgutil.iter_modules(transmon_decay.__path__):
+            module = importlib.import_module(f"transmon_decay.{info.name}")
+            defined.update(
+                obj
+                for obj in vars(module).values()
+                if inspect.isclass(obj)
+                and issubclass(obj, Exception)
+                and obj.__module__ == module.__name__
+            )
+        assert {NumericalError, ModelError, ConfigError} <= defined
+        stray = [
+            cls.__qualname__
+            for cls in defined
+            if not issubclass(cls, NumericalError) and cls not in (ModelError, ConfigError)
+        ]
+        assert stray == []
 
 
 class TestSpectrumCommand:

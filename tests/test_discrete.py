@@ -17,7 +17,7 @@ from transmon_decay import (
 )
 from transmon_decay.cli import EXIT_OK, main
 from transmon_decay.discrete import _sigma1_at_modes
-from transmon_decay.model import coupling_sq
+from transmon_decay.model import NumericalError, coupling_sq
 
 ORACLE_INI = Path(__file__).resolve().parents[1] / "configs" / "oracle_l2_1.ini"
 LATTICE_SPACINGS = (0.05, 0.02, 0.01, 0.005)
@@ -113,7 +113,7 @@ class TestFirstLevelSum:
     def test_band_coverage_enforced(self, model):
         c = CouplingConfig.transmon_ratio(1.0)
         spec = DiscretizationSpec(mode_spacing=0.05, band=(47.0, 53.0))
-        with pytest.raises(ValueError, match="cover"):
+        with pytest.raises(NumericalError, match="cover"):
             discrete_self_energy_1(model.b, model.center(1), spec, model, c)
 
 

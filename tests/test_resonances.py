@@ -15,6 +15,7 @@ from transmon_decay import (
     spectrum,
     sweep_coupling,
 )
+from transmon_decay.model import NumericalError
 from transmon_decay.resonances import ScanRangeError
 
 
@@ -197,6 +198,15 @@ class TestFwhm:
         res = fwhm(rec, u)
         assert not res.complete
         assert res.width > 0
+
+    def test_overshot_height_is_a_numerical_error(self):
+        # a record taller than twice U at its location: no flank brackets half height
+        def u(y):
+            return 1.0 / (1.0 + (y - 1.0) ** 2)
+
+        rec = ResonanceRecord(y_r=1.0, kind="peak", height=2.5)
+        with pytest.raises(NumericalError, match="under-resolves this peak"):
+            fwhm(rec, u)
 
     def test_rejects_flat_record(self):
         rec = ResonanceRecord(y_r=0.0, kind="peak", height=0.0)

@@ -14,6 +14,7 @@ from transmon_decay import (
     survival_amplitude,
 )
 from transmon_decay.config import load_config
+from transmon_decay.model import NumericalError
 from transmon_decay.spectrum import SpectralGrid
 from transmon_decay.time_domain import TimeHorizonError, grid_horizon
 
@@ -199,7 +200,7 @@ class TestSurvivalAmplitude:
     def test_underresolved_grid_rejected(self):
         # 11 samples cannot carry the unit spectral mass: t=0 validation trips
         grid = lorentzian_grid(0.05, span=2000.0, n=11)
-        with pytest.raises(ValueError, match="magnitude"):
+        with pytest.raises(NumericalError, match="magnitude"):
             survival_amplitude(grid, np.array([0.0]))
 
 
