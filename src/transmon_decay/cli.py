@@ -87,6 +87,7 @@ def _sigma2_info(stats: SigmaStats) -> dict:
     """Deterministic self-energy diagnostics for a sidecar."""
     return {
         "energies": stats.energies,
+        "terms": stats.terms,
         "max_error_estimate": _jnum(stats.max_error),
     }
 

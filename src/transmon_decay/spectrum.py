@@ -29,18 +29,23 @@ whole array of energies.
     ``-conj(z)`` that nears the real axis fast with ``L_1`` (``Im z`` is
     ``-1.2e-3`` at ``L_2 = 6``, ``-3.6e-11`` at ``L_2 = 20``).  One cached
     Gauss-Kronrod node set per ``(L_1, tail_cutoff, cover)`` serves every
-    energy with ``|y - b| <= cover`` (24, else the next multiple of 24):
-    unit panels, break points at the fixed points, bisected until the
-    embedded Gauss rule agrees with the Kronrod rule on ``K`` without its
-    pole.  The weights keep ``K``; the rule's own error on the pole term
-    is one constant ``c``, added back as ``c e^{-(d - z)^2}`` and its mirror.
-    ``Sigma_2`` is then one row sum of ``e^{-(d - x_j)^2} w_j K(x_j)`` plus
-    that term.  Its error estimate is the Kronrod-Gauss difference, summed
-    in magnitude over panels, plus the rounding bound of ``K``; an energy
-    whose estimate misses ``max(abs_tol, rel_tol |Sigma_2|)`` raises
-    ``QuadratureError``.  Adaptive ``quad`` on the two real integrals
-    (``_full_integrals``) is the independent reference in the tests, as
-    ``delta1_pv`` is for the first level.
+    energy of the unit bins ``[k, k + 1)`` within the cover (24, else the
+    next multiple of 24): unit panels, break points at the fixed points,
+    bisected until the embedded Gauss rule agrees with the Kronrod rule on
+    ``K`` without its pole.  The weights keep ``K``; the rule's own error on
+    the pole term is one constant ``c``, added back as ``c e^{-(d - z)^2}``
+    and its mirror.  ``Sigma_2`` is then one row sum of
+    ``e^{-(d - x_j)^2} w_j K(x_j)`` plus that term.  The row sum runs over
+    the whole panels within ``sqrt(746)`` of the energy's bin only: beyond
+    that ``(d - x)^2 > 745.14`` and ``e^{-(d - x)^2}`` rounds to exactly
+    0.0 in doubles, so the columns left out add nothing to the full sum and
+    only the order of summation changes.  Its error estimate is the
+    Kronrod-Gauss difference, summed in magnitude over panels, plus the
+    rounding bound of ``K``; an energy whose estimate misses
+    ``max(abs_tol, rel_tol |Sigma_2|)`` raises ``QuadratureError``, and so
+    does a node set with a non-finite weight.  Adaptive ``quad`` on the two
+    real integrals (``_full_integrals``) is the independent reference in the
+    tests, as ``delta1_pv`` is for the first level.
 
 ``WEAK``
     The FULL self-energy frozen at ``y = b``; the spectral function is then
@@ -78,7 +83,9 @@ _GAUSS_ORDER = 10  # Gauss points per panel; the Kronrod rule adds 11
 _COVER = 24.0  # |y - b| covered by one FULL node set; farther energies use multiples
 _PANEL = 1.0  # widest panel: resolves the unit Gaussian e^{-(d - x)^2}
 _PANEL_TOL = 1e-15  # per-panel Kronrod-Gauss difference, relative to int |K|
-_BLOCK = 1 << 18  # matrix elements per evaluation block
+_PANEL_NODES = 2 * _GAUSS_ORDER + 1
+_REACH = math.sqrt(746.0)  # e^{-t^2} rounds to exactly 0.0 for t^2 > 745.14
+_BLOCK = 1 << 15  # elements of each reused block buffer; 2^13 to 2^16 time alike, 2^17 up slower
 _ROUNDOFF = 16 * np.finfo(float).eps
 _NEWTON_STEPS = 64  # complex Newton steps taken for the kernel pole (<= 45 needed)
 _POINTS_PER_FWHM = 20  # grid spacing around a resonance: its FWHM / 20
@@ -98,14 +105,17 @@ def regime_for(c: CouplingConfig) -> Regime:
 
 @dataclass
 class SigmaStats:
-    """Diagnostics accumulated over ``sigma2`` calls: energies evaluated and
-    the worst absolute error estimate of any returned ``Sigma_2`` value."""
+    """Diagnostics accumulated over ``sigma2`` calls: energies evaluated,
+    FULL node terms summed (rows times window width; 0 for STABLE) and the
+    worst absolute error estimate of any returned ``Sigma_2`` value."""
 
     energies: int = 0
+    terms: int = 0
     max_error: float = 0.0
 
-    def record(self, errors: np.ndarray) -> None:
+    def record(self, errors: np.ndarray, terms: int) -> None:
         self.energies += errors.size
+        self.terms += terms
         self.max_error = max(self.max_error, float(errors.max(initial=0.0)))
 
 
@@ -310,7 +320,9 @@ def _node_set(l1: float, tail_cutoff: float, cover: float) -> _NodeSet:
     with ``K(-x) = -conj K(x)``.  The weights keep ``K`` (full relative
     precision in the tails of ``Im Sigma_2``); the pole term, whose spike can
     be narrower than the spacing of doubles, enters as the rule's error on
-    it, ``c = r [log((X - z)/(-z)) - sum_j w_j/(x_j - z)]``."""
+    it, ``c = r [log((X - z)/(-z)) - sum_j w_j/(x_j - z)]``.  A non-finite
+    weight raises ``QuadratureError``: summed over every column it would make
+    each energy NaN, but the window of ``_full_sigma2`` can leave it out."""
     t, wk, wg = _kronrod_rule()
     n_unit = int(math.ceil((cover + tail_cutoff) / _PANEL))
     u, unit = _resonant_offsets(l1)[-1], np.arange(n_unit + 1) * _PANEL
@@ -344,9 +356,12 @@ def _node_set(l1: float, tail_cutoff: float, cover: float) -> _NodeSet:
     kronrod, diff = mirrored(half * wk * k), mirrored(half * (wk - wg) * smooth)
     rounding = (half * wk * dk).ravel()
     rounding = np.concatenate([rounding[::-1], rounding])
+    weights = np.stack([kronrod.real, kronrod.imag, diff.real, diff.imag, rounding])
+    if not np.isfinite(weights).all():
+        raise QuadratureError(f"FULL node set for L1 = {l1:.6g}: non-finite node weight")
     return _NodeSet(
         x=np.concatenate([-x.ravel()[::-1], x.ravel()]),
-        weights=np.stack([kronrod.real, kronrod.imag, diff.real, diff.imag, rounding]),
+        weights=weights,
         pole=z,
         correction=complex(correction),
     )
@@ -416,26 +431,61 @@ def _full_integrals(d: float, c: CouplingConfig, s: QuadratureSettings):
     return shift, width, shift_err, width_err
 
 
+def _window(x: np.ndarray, k: float) -> tuple[int, int]:
+    """Columns ``[lo, hi)`` of the whole panels of nodes ``x`` that come
+    within ``_REACH`` of the bin ``[k, k + 1)``; every node outside gives
+    ``e^{-(d - x)^2} == 0.0`` for every ``d`` in the bin."""
+    lo = np.searchsorted(x[_PANEL_NODES - 1 :: _PANEL_NODES], k - _REACH)
+    hi = np.searchsorted(x[::_PANEL_NODES], k + 1.0 + _REACH, side="right")
+    return int(lo) * _PANEL_NODES, int(hi) * _PANEL_NODES
+
+
 def _full_sigma2(d: np.ndarray, c: CouplingConfig, s: QuadratureSettings):
-    """FULL ``Sigma_2`` at detunings ``d`` and their error estimates; each
-    energy uses only the node set of its cover, whatever else is in ``d``."""
+    """FULL ``Sigma_2`` at detunings ``d``, their error estimates and the
+    number of node terms summed.
+
+    Energies are grouped by the unit bin ``k = floor(d)``.  The bin picks the
+    node set (cover ``24 ceil(max(-k, k + 1)/24)``) and the window of whole
+    panels within ``_REACH`` of ``[k, k + 1)``.  Every column left out is
+    ``e^{-(d - x)^2} = 0.0`` exactly in doubles, so the sums differ from the
+    full row sums only in the order of summation, and each energy's value
+    depends on its own ``d`` alone: a scalar call is bit-identical to the
+    same energy inside any array.
+    """
     if c.l1 == 0.0 or c.l2 == 0.0:
         # L1 = 0 is the exact limit K(x) = 1/(x + i0): the stable form
-        return _gaussian_sigma(d, c.l2), np.zeros(d.shape)
+        return _gaussian_sigma(d, c.l2), np.zeros(d.shape), 0
     value = np.empty(d.shape, dtype=complex)
     error = np.empty(d.shape)
-    covers = _COVER * np.maximum(np.ceil(np.abs(d) / _COVER), 1.0)
-    for cover in np.unique(covers):
-        nodes = _node_set(c.l1, s.tail_cutoff, float(cover))
-        at = np.flatnonzero(covers == cover)
-        rows = max(1, _BLOCK // nodes.x.size)
-        for block in np.split(at, range(rows, at.size, rows)):
-            g = np.exp(-np.square(d[block, None] - nodes.x))
-            re, im, d_re, d_im, rounding = (g * w for w in nodes.weights)
-            value[block] = re.sum(axis=1) + 1j * im.sum(axis=1)
-            panels = (len(g), -1, 2 * _GAUSS_ORDER + 1)
-            d_re, d_im = d_re.reshape(panels).sum(axis=2), d_im.reshape(panels).sum(axis=2)
-            error[block] = np.hypot(d_re, d_im).sum(axis=1) + rounding.sum(axis=1)
+    terms = 0
+    bins = np.floor(d)
+    order = np.argsort(bins, kind="stable")
+    bins = bins[order]
+    bounds = [0, *(np.flatnonzero(bins[1:] != bins[:-1]) + 1).tolist(), d.size]
+    for first, end in zip(bounds[:-1], bounds[1:]):
+        at, k = order[first:end], float(bins[first])
+        nodes = _node_set(c.l1, s.tail_cutoff, _COVER * math.ceil(max(-k, k + 1.0) / _COVER))
+        lo, hi = _window(nodes.x, k)
+        x, weights = nodes.x[lo:hi], nodes.weights[:, lo:hi]
+        rows = max(1, _BLOCK // x.size)
+        g = np.empty((min(rows, at.size), x.size))  # e^{-(d - x)^2}
+        t = np.empty_like(g)  # g times one weight row
+        for start in range(0, at.size, rows):
+            block = at[start : start + rows]
+            gb, tb = g[: block.size], t[: block.size]
+            np.subtract(d[block, None], x, out=gb)
+            np.square(gb, out=gb)
+            np.negative(gb, out=gb)
+            np.exp(gb, out=gb)
+            re, im = (np.multiply(gb, w, out=tb).sum(axis=1) for w in weights[:2])
+            value[block] = re + 1j * im
+            panels = (block.size, -1, _PANEL_NODES)
+            d_re, d_im = (
+                np.multiply(gb, w, out=tb).reshape(panels).sum(axis=2) for w in weights[2:4]
+            )
+            rounding = np.multiply(gb, weights[4], out=tb).sum(axis=1)
+            error[block] = np.hypot(d_re, d_im).sum(axis=1) + rounding
+        terms += at.size * x.size
         c_z, z = nodes.correction, nodes.pole
         mirror = np.conj(c_z) * np.exp(-np.square(d[at] + np.conj(z)))  # analytic in d
         value[at] += c_z * np.exp(-np.square(d[at] - z)) - mirror
@@ -446,7 +496,7 @@ def _full_sigma2(d: np.ndarray, c: CouplingConfig, s: QuadratureSettings):
         i = np.argmax(np.where(missed, error, -1.0))
         message = f"FULL self-energy at y - b = {d[i]:.6g}: error estimate {error[i]:.3g}"
         raise QuadratureError(message + " misses the tolerance", estimate=float(error[i]))
-    return value, error
+    return value, error, terms
 
 
 def sigma2(
@@ -473,14 +523,14 @@ def sigma2(
     if not (math.isfinite(d[0]) if d.size == 1 else np.isfinite(d).all()):
         raise ValueError("energies must be finite")
     if regime is Regime.STABLE:
-        value, error = _gaussian_sigma(d, c.l2), np.zeros(d.shape)
+        value, error, terms = _gaussian_sigma(d, c.l2), np.zeros(d.shape), 0
     elif regime is Regime.WEAK:
-        const, err = _full_sigma2(np.zeros(1), c, s)
+        const, err, terms = _full_sigma2(np.zeros(1), c, s)
         value, error = np.full(d.shape, const[0]), np.full(d.shape, err[0])
     else:
-        value, error = _full_sigma2(d, c, s)
+        value, error, terms = _full_sigma2(d, c, s)
     if stats is not None:
-        stats.record(error)
+        stats.record(error, terms)
     return value if np.ndim(y) else complex(value[0])
 
 

@@ -323,7 +323,7 @@ class TestSelfEnergyDiagnostics:
         assert resonances["energies"] > spectrum["energies"]
         assert timedomain["sigma2"] == spectrum
         for info in (spectrum, resonances):
-            assert set(info) == {"energies", "max_error_estimate"}
+            assert set(info) == {"energies", "terms", "max_error_estimate"}
             assert 0.0 < info["max_error_estimate"] < 1e-10
         record = timedomain["time_domain"]
         assert record["energies"] == meta["n_points"]
@@ -343,6 +343,19 @@ class TestSelfEnergyDiagnostics:
             "timedomain.meta.json",
         ):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_sidecars_count_node_terms(self, full_config, config_path, tmp_path):
+        full, stable = tmp_path / "full", tmp_path / "stable"
+        for path, out in ((full_config, full), (config_path, stable)):
+            for command in ("spectrum", "resonances"):
+                assert run(command, "--config", path, "--out", str(out)) == EXIT_OK
+        grid_info = json.loads((full / "spectrum.meta.json").read_text())["sigma2"]
+        roots_info = json.loads((full / "resonances.json").read_text())["sigma2"]
+        # each FULL energy sums at most one node set of 1470 nodes
+        assert 0 < grid_info["terms"] < 1470 * grid_info["energies"]
+        assert roots_info["terms"] > grid_info["terms"]
+        for name in ("spectrum.meta.json", "resonances.json"):
+            assert json.loads((stable / name).read_text())["sigma2"]["terms"] == 0
 
     def test_stable_sidecar_has_no_quadrature_error(self, config_path, tmp_path):
         out = tmp_path / "out"

@@ -21,15 +21,18 @@ from transmon_decay import (
     sigma2,
     spectral_function,
 )
-from transmon_decay import quadrature
+from transmon_decay import quadrature, spectrum
 from transmon_decay.spectrum import (
     _full_integrals,
+    _full_sigma2,
     _kronrod_rule,
     _node_set,
     _resonant_offsets,
+    _window,
 )
 
 SQRT_PI = math.sqrt(math.pi)
+SCAN_TERMS = 2886492  # node terms of the 2401-energy FULL scan on b +- 12 at L2 = 6
 # tight enough that quad's own error stays well below 1e-12 of max |Sigma_2|;
 # at (1e-13, 1e-12) quad is itself off by 1.3e-12 of it at L2 = 6, y - b = 2.25
 TIGHT = QuadratureSettings(abs_tol=1e-15, rel_tol=1e-13, max_subdivisions=1000)
@@ -38,6 +41,31 @@ TIGHT = QuadratureSettings(abs_tol=1e-15, rel_tol=1e-13, max_subdivisions=1000)
 def quad_sigma2(d, c, s=TIGHT):
     shift, width, _, _ = _full_integrals(d, c, s)
     return complex(2.0 * c.l2 / SQRT_PI * shift, -4.0 * c.l1 * c.l2 * width)
+
+
+def bin_cover(d: float) -> float:
+    """The cover of the node set the FULL sum uses at detuning ``d``."""
+    k = math.floor(d)
+    return 24.0 * math.ceil(max(-k, k + 1) / 24.0)
+
+
+def full_width_sigma2(ds, c, s):
+    """FULL ``Sigma_2`` and its error estimate summed over every node of
+    each energy's node set: ``e^{-(d - x)^2}`` at every column, the five
+    weighted row sums, the panel Kronrod-Gauss differences and the pole
+    term, written out without any window."""
+    value, error = np.empty(ds.shape, dtype=complex), np.empty(ds.shape)
+    for i, d in enumerate(ds):
+        nodes = _node_set(c.l1, s.tail_cutoff, bin_cover(d))
+        g = np.exp(-((d - nodes.x) ** 2))
+        re, im, d_re, d_im, rounding = (g * w for w in nodes.weights)
+        pole = nodes.correction * np.exp(-((d - nodes.pole) ** 2))
+        mirror = np.conj(nodes.correction) * np.exp(-((d + np.conj(nodes.pole)) ** 2))
+        value[i] = re.sum() + 1j * im.sum() + pole - mirror
+        panels = np.hypot(d_re.reshape(-1, 21).sum(axis=1), d_im.reshape(-1, 21).sum(axis=1))
+        error[i] = panels.sum() + rounding.sum()
+    pref = 2.0 * c.l2 / SQRT_PI
+    return pref * value, pref * error
 
 
 def mpmath_sigma2(d: float, l2: float) -> complex:
@@ -176,7 +204,19 @@ class TestInvariants:
     )
     def test_scalar_and_vector_calls_bit_identical(self, model, settings, regime, l2):
         c = CouplingConfig.transmon_ratio(l2)
-        ys = np.concatenate([np.linspace(model.b - 12.0, model.b + 12.0, 241), [model.b]])
+        # the FULL sum groups energies by floor(y - b): put some on and next to
+        # the bin edges, and on both sides of the cover edges at +-24
+        edges = model.b + np.array([-24.0, 24.0])
+        edges = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        ys = np.concatenate(
+            [
+                np.linspace(model.b - 12.0, model.b + 12.0, 241),
+                [model.b],
+                model.b + np.arange(-12.0, 13.0),
+                edges,
+                model.b + np.array([-25.0, 30.0]),
+            ]
+        )
         vector = sigma2(ys, model, c, regime, settings)
         scalar = np.array([sigma2(float(y), model, c, regime, settings) for y in ys])
         assert np.array_equal(vector, scalar)
@@ -225,6 +265,75 @@ class TestInvariants:
     def test_requires_enabled_first_level(self, model):
         with pytest.raises(ValueError, match="v1_enabled"):
             sigma2(model.b, model, CouplingConfig.stable_second_level(1.0), Regime.WEAK)
+
+
+class TestWindow:
+    """The FULL sum skips whole panels whose ``e^{-(d - x)^2}`` is exactly
+    0.0 in doubles for every energy of a unit bin; nothing else changes."""
+
+    @pytest.mark.parametrize("l2", [0.05, 1.0, 6.0, 20.0])
+    def test_window_sum_matches_full_width_sum(self, settings, l2):
+        c = CouplingConfig.transmon_ratio(l2)
+        far = [24.0, -24.0, 30.0, -30.0, 60.0, -60.0]
+        ds = np.concatenate([np.linspace(-12.0, 12.0, 2401), far])
+        got, got_error, _ = _full_sigma2(ds, c, settings)
+        want, want_error = full_width_sigma2(ds, c, settings)
+        # the same terms, summed in another order
+        assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+        assert np.all(np.abs(got.imag - want.imag) <= 2e-15 * np.abs(want.imag))
+        assert np.all(np.abs(got_error - want_error) <= 2e-15 * want_error)
+
+    @pytest.mark.parametrize("l2", [1.0, 20.0])
+    def test_left_out_nodes_underflow_to_zero(self, settings, l2):
+        l1 = CouplingConfig.transmon_ratio(l2).l1
+        for k in range(-61, 61):
+            x = _node_set(l1, settings.tail_cutoff, bin_cover(k)).x
+            lo, hi = _window(x, float(k))
+            assert lo % 21 == 0 and hi % 21 == 0 and lo < hi
+            left_out = np.concatenate([x[:lo], x[hi:]])
+            for d in (float(k), np.nextafter(k + 1.0, -np.inf)):
+                assert np.all(np.exp(-((d - left_out) ** 2)) == 0.0)
+
+    def test_scan_term_count(self, model, settings):
+        # a 2401-energy scan on b +- 12 at L2 = 6 sums ~80% of the full node
+        # set's terms; summing every column again would fail the bound
+        c = CouplingConfig.transmon_ratio(6.0)
+        stats = SigmaStats()
+        ys = np.linspace(model.b - 12.0, model.b + 12.0, 2401)
+        sigma2(ys, model, c, Regime.FULL, settings, stats=stats)
+        nodes = _node_set(c.l1, settings.tail_cutoff, 24.0).x.size
+        assert stats.terms == SCAN_TERMS
+        assert stats.terms < 0.85 * 2401 * nodes
+
+    def test_terms_per_regime(self, model, settings):
+        c = CouplingConfig.transmon_ratio(6.0)
+        ys = model.b + np.array([-3.0, 0.5, 2.0])
+        counts = {}
+        for regime in Regime:
+            stats = SigmaStats()
+            coupling = CouplingConfig.stable_second_level(6.0) if regime is Regime.STABLE else c
+            sigma2(ys, model, coupling, regime, settings, stats=stats)
+            counts[regime] = stats.terms
+        x = _node_set(c.l1, settings.tail_cutoff, 24.0).x
+        # WEAK sums one row, at y = b, on each call
+        widths = [hi - lo for lo, hi in (_window(x, k) for k in (-3.0, 0.0, 2.0))]
+        assert counts == {Regime.STABLE: 0, Regime.WEAK: widths[1], Regime.FULL: sum(widths)}
+
+    def test_non_finite_node_weight_raises(self, model, settings, monkeypatch):
+        # without the check, the window would leave the infinite column out of
+        # y - b = 40 and return a finite value there
+        kernel = spectrum._kernel
+
+        def one_infinite(x, l1):
+            k, dk = kernel(x, l1)
+            k.flat[0] = np.inf
+            return k, dk
+
+        monkeypatch.setattr(spectrum, "_kernel", one_infinite)
+        # an L1 no other test builds a node set for
+        c = CouplingConfig(l1=1.23456789, l2=2.0, v1_enabled=True)
+        with np.errstate(invalid="ignore"), pytest.raises(QuadratureError, match="non-finite"):
+            sigma2(model.b + 40.0, model, c, Regime.FULL, settings)
 
 
 class TestProperties:
