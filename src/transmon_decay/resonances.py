@@ -14,7 +14,15 @@ import numpy as np
 
 from .model import CouplingConfig, DimensionlessModel, NumericalError
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
-from .spectrum import Regime, SigmaStats, SpectralGrid, _brentq, _scan, sigma2, spectral_function
+from .spectrum import (
+    Regime,
+    SigmaStats,
+    SpectralGrid,
+    _brentq,
+    _root_scan,
+    sigma2,
+    spectral_function,
+)
 
 _SCAN_STEP = 0.01  # root-scan spacing in y
 _ROOT_TOL = 1e-9  # Brent's absolute tolerance on a root
@@ -86,16 +94,20 @@ def find_roots(
     Roots are bracketed on ``build_grid``'s coarse scan (``spectrum._scan``)
     at step 0.01: ``y_range`` defaults to ``b +- 12`` and the scan holds
     ``max(round(span/0.01), 16) + 1`` energies, one vector ``sigma2`` call.
+    When the last ``build_grid`` call scanned the same energies with the same
+    model, coupling, regime and settings, that scan is used as it is, with
+    no energy evaluated again; otherwise this call makes its own scan.
     A cell brackets a root when ``F`` changes sign across it or is exactly 0
     at its left end; such an exact zero is the root itself, and Brent
     bracketing refines the others (its scalar calls reproduce the scan's
     values exactly).  A sign change in the first or last cell raises
     ``ScanRangeError``.  Roots closer than 1e-5 are merged into one record
     with a degeneracy flag.  Each record is annotated with the value of the
-    spectral function at the root.  ``stats`` accumulates the ``sigma2``
-    diagnostics.
+    spectral function at the root.  ``stats`` accumulates the diagnostics of
+    the ``sigma2`` energies this call evaluates: a scan taken over from
+    ``build_grid`` is counted there, not here.
     """
-    ys, _, vals, cells = _scan(m, c, regime, s, y_range, _SCAN_STEP, stats)
+    ys, _, vals, cells = _root_scan(m, c, regime, s, y_range, _SCAN_STEP, stats)
     if len(cells) and (cells[0] == 0 or cells[-1] == len(ys) - 2):
         raise ScanRangeError(
             f"sign change at scan boundary of [{ys[0]}, {ys[-1]}]; widen the range"

@@ -39,7 +39,11 @@ whole array of energies.
     the whole panels within ``sqrt(746)`` of the energy's bin only: beyond
     that ``(d - x)^2 > 745.14`` and ``e^{-(d - x)^2}`` rounds to exactly
     0.0 in doubles, so the columns left out add nothing to the full sum and
-    only the order of summation changes.  Its error estimate is the
+    only the order of summation changes.  Inside the window, an entry with
+    ``(d - x)^2 > _FLUSH`` (708.396), where ``exp`` would return a subnormal
+    number or 0.0 at many times its usual cost, is stored as 0.0 without
+    calling ``exp``; that moves ``Sigma_2`` by at most ``2.3e-308 sum |w_j|``
+    (``w_j`` the node's weight in the sum).  Its error estimate is the
     Kronrod-Gauss difference, summed in magnitude over panels, plus the
     rounding bound of ``K``; an energy whose estimate misses
     ``max(abs_tol, rel_tol |Sigma_2|)`` raises ``QuadratureError``, and so
@@ -85,6 +89,7 @@ _PANEL = 1.0  # widest panel: resolves the unit Gaussian e^{-(d - x)^2}
 _PANEL_TOL = 1e-15  # per-panel Kronrod-Gauss difference, relative to int |K|
 _PANEL_NODES = 2 * _GAUSS_ORDER + 1
 _REACH = math.sqrt(746.0)  # e^{-t^2} rounds to exactly 0.0 for t^2 > 745.14
+_FLUSH = -math.log(np.finfo(float).tiny)  # 708.396: e^{-t^2} stored as 0.0 for t^2 beyond
 _BLOCK = 1 << 15  # elements of each reused block buffer; 2^13 to 2^16 time alike, 2^17 up slower
 _ROUNDOFF = 16 * np.finfo(float).eps
 _NEWTON_STEPS = 64  # complex Newton steps taken for the kernel pole (<= 45 needed)
@@ -105,9 +110,12 @@ def regime_for(c: CouplingConfig) -> Regime:
 
 @dataclass
 class SigmaStats:
-    """Diagnostics accumulated over ``sigma2`` calls: energies evaluated,
-    FULL node terms summed (rows times window width; 0 for STABLE) and the
-    worst absolute error estimate of any returned ``Sigma_2`` value."""
+    """Diagnostics accumulated over the ``sigma2`` calls a caller makes:
+    energies evaluated, FULL node terms summed (rows times window width; 0
+    for STABLE) and the worst absolute error estimate of any returned
+    ``Sigma_2`` value.  A value a call takes over instead of evaluating it,
+    such as ``find_roots`` bracketing on ``build_grid``'s scan, is not
+    counted again."""
 
     energies: int = 0
     terms: int = 0
@@ -448,7 +456,8 @@ def _full_sigma2(d: np.ndarray, c: CouplingConfig, s: QuadratureSettings):
     node set (cover ``24 ceil(max(-k, k + 1)/24)``) and the window of whole
     panels within ``_REACH`` of ``[k, k + 1)``.  Every column left out is
     ``e^{-(d - x)^2} = 0.0`` exactly in doubles, so the sums differ from the
-    full row sums only in the order of summation, and each energy's value
+    full row sums only in the order of summation, besides the entries below
+    the smallest normal double that are stored as 0.0.  Each energy's value
     depends on its own ``d`` alone: a scalar call is bit-identical to the
     same energy inside any array.
     """
@@ -470,13 +479,16 @@ def _full_sigma2(d: np.ndarray, c: CouplingConfig, s: QuadratureSettings):
         rows = max(1, _BLOCK // x.size)
         g = np.empty((min(rows, at.size), x.size))  # e^{-(d - x)^2}
         t = np.empty_like(g)  # g times one weight row
+        keep = np.empty(g.shape, dtype=bool)  # entries not flushed: (d - x)^2 <= _FLUSH
         for start in range(0, at.size, rows):
             block = at[start : start + rows]
-            gb, tb = g[: block.size], t[: block.size]
+            gb, tb, kb = g[: block.size], t[: block.size], keep[: block.size]
             np.subtract(d[block, None], x, out=gb)
             np.square(gb, out=gb)
             np.negative(gb, out=gb)
-            np.exp(gb, out=gb)
+            np.greater_equal(gb, -_FLUSH, out=kb)
+            np.exp(gb, out=gb, where=kb)
+            np.putmask(gb, ~kb, 0.0)
             re, im = (np.multiply(gb, w, out=tb).sum(axis=1) for w in weights[:2])
             value[block] = re + 1j * im
             panels = (block.size, -1, _PANEL_NODES)
@@ -597,6 +609,17 @@ def _peak_width_estimate(width_p, slope):
     return max(width_p / max(abs(1.0 - slope), 1e-3), 1e-6)
 
 
+# build_grid's latest coarse scan as (key, (ys, Sigma_2, F, cells)), the key
+# from _scan_key; find_roots brackets on it when its own key matches
+_last_scan: tuple | None = None
+
+
+def _scan_key(m, c, regime, s, y_range, step) -> tuple:
+    """Every input of ``_scan``: ``(m, c, regime, s, lo, hi, point count)``."""
+    lo, hi = (m.b - 12.0, m.b + 12.0) if y_range is None else y_range
+    return m, c, regime, s, lo, hi, max(int(round((hi - lo) / step)), 16) + 1
+
+
 def _scan(
     m: DimensionlessModel,
     c: CouplingConfig,
@@ -613,13 +636,27 @@ def _scan(
     included; ``Sigma_2`` there is one vector ``sigma2`` call.  Returns the
     energies, ``Sigma_2`` and ``F`` at them, and the cells ``i`` whose
     interval ``[y_i, y_{i+1}]`` brackets a root: ``F`` changes sign across it
-    or ``F(y_i)`` is exactly 0.
+    or ``F(y_i)`` is exactly 0.  The arrays are read-only, so one scan can be
+    handed from ``build_grid`` to ``find_roots`` (``_root_scan``).
     """
-    lo, hi = (m.b - 12.0, m.b + 12.0) if y_range is None else y_range
-    ys = np.linspace(lo, hi, max(int(round((hi - lo) / step)), 16) + 1)
+    *_, lo, hi, points = _scan_key(m, c, regime, s, y_range, step)
+    ys = np.linspace(lo, hi, points)
     value = sigma2(ys, m, c, regime, s, stats=stats)
     f = ys - m.b - value.real
-    return ys, value, f, np.flatnonzero(np.diff(np.signbit(f)) | (f[:-1] == 0.0))
+    scan = ys, value, f, np.flatnonzero(np.diff(np.signbit(f)) | (f[:-1] == 0.0))
+    for array in scan:
+        array.flags.writeable = False
+    return scan
+
+
+def _root_scan(m, c, regime, s, y_range, step, stats):
+    """``_scan`` for ``find_roots``: the one ``build_grid`` made last when
+    every input matches (its energies are then not evaluated again, and
+    ``stats`` records none of them), else a new scan, which is not kept."""
+    last = _last_scan
+    if last is not None and last[0] == _scan_key(m, c, regime, s, y_range, step):
+        return last[1]
+    return _scan(m, c, regime, s, y_range, step, stats)
 
 
 def build_grid(
@@ -637,7 +674,10 @@ def build_grid(
     The coarse scan is ``_scan``, the one ``find_roots`` brackets its roots
     on: ``y_range`` defaults to ``b +- 12`` and the scan holds
     ``max(round(span/coarse_step), 16) + 1`` energies (``coarse_step`` 0.01
-    in FULL, else 0.002).  Refinement centres are one point per root cell of
+    in FULL, else 0.002).  The scan is kept until the next ``build_grid``
+    call, and a ``find_roots`` call that would scan the same energies with
+    the same inputs brackets on it instead of scanning again.  Refinement
+    centres are one point per root cell of
     ``F(y) = y - b - Delta_2(y)`` (the secant crossing, or ``y_i`` itself
     where ``F(y_i)`` is exactly 0; cells that give the same point count once)
     and the local maxima of the coarse spectral function; beyond the 16
@@ -646,9 +686,12 @@ def build_grid(
     narrow peaks are resolved without a dense global grid.  The minimum
     local step is 1e-6.  ``stats`` accumulates the ``sigma2`` diagnostics.
     """
+    global _last_scan
     if coarse_step is None:
         coarse_step = 0.01 if regime is Regime.FULL else 0.002
-    ys, value, resfun, cells = _scan(m, c, regime, s, y_range, coarse_step, stats)
+    scan = _scan(m, c, regime, s, y_range, coarse_step, stats)
+    _last_scan = (_scan_key(m, c, regime, s, y_range, coarse_step), scan)
+    ys, value, resfun, cells = scan
     lo, hi = ys[0], ys[-1]
     u, width = _lineshape(ys - m.b, value)
     shift = value.real

@@ -2,7 +2,9 @@
 
 Adaptively refined full-coupling grids are the most expensive objects in the
 suite, so they are built once per (l2, regime) pair and shared between the
-unit tests and the acceptance module.
+unit tests and the acceptance module.  Every test starts without the coarse
+scan that ``build_grid`` keeps for ``find_roots``, so a test that counts
+``sigma2`` energies does not depend on which test built a grid before it.
 """
 
 from __future__ import annotations
@@ -16,10 +18,16 @@ from transmon_decay import (
     Regime,
     SpectralGrid,
     build_grid,
+    spectrum,
 )
 
 A_REF = 50.0
 B_REF = 98.5
+
+
+@pytest.fixture(autouse=True)
+def no_kept_scan():
+    spectrum._last_scan = None
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from transmon_decay import cli
 from transmon_decay.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from transmon_decay.config import ConfigError
 from transmon_decay.model import ModelError, NumericalError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 STABLE_FAST = """\
 [model]
@@ -356,6 +359,30 @@ class TestSelfEnergyDiagnostics:
         assert roots_info["terms"] > grid_info["terms"]
         for name in ("spectrum.meta.json", "resonances.json"):
             assert json.loads((stable / name).read_text())["sigma2"]["terms"] == 0
+
+    @pytest.mark.parametrize(
+        "config, counts",
+        [
+            # FULL: the resonances command brackets its roots on the grid's
+            # 2401-energy scan, so it evaluates those energies once
+            ("full_l2_6", {"spectrum": (5398, 6566553), "resonances": (5581, 6793290)}),
+            # STABLE: the grid scans at step 0.002 and find_roots at 0.01
+            ("stable_l2_6", {"spectrum": (14311, 0), "resonances": (16833, 0)}),
+        ],
+    )
+    def test_shipped_config_work_counts(self, tmp_path, config, counts):
+        path = str(CONFIGS / f"{config}.ini")
+        sidecars = {
+            "spectrum": "spectrum.meta.json",
+            "resonances": "resonances.json",
+            "timedomain": "timedomain.meta.json",
+        }
+        found = {}
+        for command, name in sidecars.items():
+            assert run(command, "--config", path, "--out", str(tmp_path)) == EXIT_OK
+            info = json.loads((tmp_path / name).read_text())["sigma2"]
+            found[command] = (info["energies"], info["terms"])
+        assert found == {**counts, "timedomain": counts["spectrum"]}
 
     def test_stable_sidecar_has_no_quadrature_error(self, config_path, tmp_path):
         out = tmp_path / "out"

@@ -5,8 +5,10 @@ import pytest
 
 from transmon_decay import (
     CouplingConfig,
+    QuadratureSettings,
     Regime,
     ResonanceRecord,
+    SigmaStats,
     build_grid,
     find_peaks,
     find_roots,
@@ -99,6 +101,7 @@ class TestOneScan:
 
     def test_grid_coarse_points_are_the_root_scan(self, model, settings, grids, monkeypatch):
         grid = grids.get(6.0, Regime.FULL)
+        spectrum._last_scan = None  # find_roots makes its own scan
         calls = record_vector_calls(monkeypatch)
         find_roots(model, CouplingConfig.transmon_ratio(6.0), Regime.FULL, settings)
         coarse = grid.energies[grid.refinement_level == 0]
@@ -154,6 +157,56 @@ class TestOneScan:
         with np.errstate(divide="raise", invalid="raise"):
             grid = build_grid(model, None, Regime.FULL, window, settings)
         assert not grid.complete
+
+    def test_find_roots_takes_over_the_grid_scan(self, model, settings):
+        c = CouplingConfig.transmon_ratio(6.0)
+        build_grid(model, c, Regime.FULL, s=settings)
+        handed = SigmaStats()
+        roots = find_roots(model, c, Regime.FULL, settings, stats=handed)
+        spectrum._last_scan = None
+        own = SigmaStats()
+        assert find_roots(model, c, Regime.FULL, settings, stats=own) == roots
+        assert handed.energies < 2401
+        assert own.energies - handed.energies == 2401
+        assert own.terms - handed.terms == 2886492  # the scan's node terms
+
+    @pytest.mark.parametrize(
+        "change",
+        ["y_range", "coarse_step", "coupling", "regime", "tail_cutoff"],
+    )
+    def test_any_other_scan_input_rescans(self, model, settings, change):
+        c = CouplingConfig.transmon_ratio(6.0)
+        args = {"m": model, "c": c, "regime": Regime.FULL, "s": settings}
+        if change == "y_range":
+            args["y_range"] = (model.b - 12.0, model.b + 12.5)
+        elif change == "coarse_step":
+            args["coarse_step"] = 0.005
+        elif change == "coupling":
+            args["c"] = CouplingConfig.transmon_ratio(6.001)
+        elif change == "regime":
+            args.update(regime=Regime.WEAK, coarse_step=0.01)
+        else:
+            args["s"] = QuadratureSettings(tail_cutoff=settings.tail_cutoff + 1.0)
+        build_grid(**args)
+        stats = SigmaStats()
+        find_roots(model, c, Regime.FULL, settings, stats=stats)
+        assert stats.energies > 2401
+
+    def test_find_roots_keeps_no_scan_of_its_own(self, model, settings):
+        c = CouplingConfig.transmon_ratio(6.0)
+        for _ in range(2):
+            stats = SigmaStats()
+            find_roots(model, c, Regime.FULL, settings, stats=stats)
+            assert stats.energies > 2401
+        assert spectrum._last_scan is None
+
+    def test_kept_scan_is_read_only(self, model, settings):
+        build_grid(model, CouplingConfig.stable_second_level(1.0), Regime.STABLE, s=settings)
+        _, scan = spectrum._last_scan
+        for array in scan:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
 
 
 class TestFindPeaks:

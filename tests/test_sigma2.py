@@ -294,6 +294,19 @@ class TestWindow:
             for d in (float(k), np.nextafter(k + 1.0, -np.inf)):
                 assert np.all(np.exp(-((d - left_out) ** 2)) == 0.0)
 
+    @pytest.mark.parametrize("l2", [0.05, 1.0, 6.0, 20.0])
+    def test_flushed_exponentials_move_no_bit(self, settings, monkeypatch, l2):
+        # e^{-(d - x)^2} below the smallest normal double is stored as 0.0
+        # without calling exp; each such term is below 2.3e-308 |w_j|, and on
+        # the scan and out to |y - b| = 60 no value or estimate moves
+        c = CouplingConfig.transmon_ratio(l2)
+        ds = np.concatenate([np.linspace(-12.0, 12.0, 2401), np.linspace(-60.0, 60.0, 4801)])
+        flushed = _full_sigma2(ds, c, settings)
+        monkeypatch.setattr(spectrum, "_FLUSH", math.inf)
+        exact = _full_sigma2(ds, c, settings)
+        for got, want in zip(flushed, exact):
+            assert np.array_equal(got, want)
+
     def test_scan_term_count(self, model, settings):
         # a 2401-energy scan on b +- 12 at L2 = 6 sums ~80% of the full node
         # set's terms; summing every column again would fail the bound
