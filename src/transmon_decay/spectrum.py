@@ -35,21 +35,21 @@ whole array of energies.
     ``K`` without its pole.  The weights keep ``K``; the rule's own error on
     the pole term is one constant ``c``, added back as ``c e^{-(d - z)^2}``
     and its mirror.  ``Sigma_2`` is then one row sum of
-    ``e^{-(d - x_j)^2} w_j K(x_j)`` plus that term.  The row sum runs over
-    the whole panels within ``sqrt(746)`` of the energy's bin only: beyond
-    that ``(d - x)^2 > 745.14`` and ``e^{-(d - x)^2}`` rounds to exactly
-    0.0 in doubles, so the columns left out add nothing to the full sum and
-    only the order of summation changes.  Inside the window, an entry with
-    ``(d - x)^2 > _FLUSH`` (708.396), where ``exp`` would return a subnormal
-    number or 0.0 at many times its usual cost, is stored as 0.0 without
-    calling ``exp``; that moves ``Sigma_2`` by at most ``2.3e-308 sum |w_j|``
-    (``w_j`` the node's weight in the sum).  Its error estimate is the
-    Kronrod-Gauss difference, summed in magnitude over panels, plus the
-    rounding bound of ``K``; an energy whose estimate misses
-    ``max(abs_tol, rel_tol |Sigma_2|)`` raises ``QuadratureError``, and so
-    does a node set with a non-finite weight.  Adaptive ``quad`` on the two
-    real integrals (``_full_integrals``) is the independent reference in the
-    tests, as ``delta1_pv`` is for the first level.
+    ``e^{-(d - x_j)^2} w_j K(x_j)`` plus that term, one BLAS ``ddot`` per
+    energy.  The row sum runs over the whole panels within ``sqrt(746)`` of
+    the energy's bin only: beyond that ``(d - x)^2 > 745.14`` and
+    ``e^{-(d - x)^2}`` rounds to exactly 0.0 in doubles, so the columns left
+    out add nothing to the full sum and only the order of summation changes.
+    Inside the window, an entry with ``(d - x)^2 > _FLUSH`` (708.396), where
+    ``exp`` would return a subnormal number or 0.0 at many times its usual
+    cost, is stored as 0.0 without calling ``exp``; that moves ``Sigma_2`` by
+    at most ``2.3e-308 sum |w_j|`` (``w_j`` the node's weight in the sum).
+    Its error estimate is the Kronrod-Gauss difference, summed in magnitude
+    over panels, plus the rounding bound of ``K``; an energy whose estimate
+    misses ``max(abs_tol, rel_tol |Sigma_2|)`` raises ``QuadratureError``,
+    and so does a node set with a non-finite weight.  Adaptive ``quad`` on
+    the two real integrals (``_full_integrals``) is the independent
+    reference in the tests, as ``delta1_pv`` is for the first level.
 
 ``WEAK``
     The FULL self-energy frozen at ``y = b``; the spectral function is then
@@ -457,9 +457,17 @@ def _full_sigma2(d: np.ndarray, c: CouplingConfig, s: QuadratureSettings):
     panels within ``_REACH`` of ``[k, k + 1)``.  Every column left out is
     ``e^{-(d - x)^2} = 0.0`` exactly in doubles, so the sums differ from the
     full row sums only in the order of summation, besides the entries below
-    the smallest normal double that are stored as 0.0.  Each energy's value
-    depends on its own ``d`` alone: a scalar call is bit-identical to the
-    same energy inside any array.
+    the smallest normal double that are stored as 0.0.
+
+    Rows of ``e^{-(d - x)^2}`` are filled in blocks of up to ``_BLOCK``
+    elements.  The three row sums (Re and Im of ``w_K K`` and the rounding
+    bound) are ``np.vecdot``, one ``ddot`` of a row with a contiguous weight
+    row each, whose order of summation depends on the window's width alone;
+    a matrix product (``@``, ``gemv``, ``gemm``) would change it with the
+    number of rows.  The two panel sums of the Kronrod-Gauss difference keep
+    ``ndarray.sum`` over each panel.  So each energy's value and estimate
+    depend on its own ``d`` alone: a scalar call is bit-identical to the
+    same energy inside any array, in any block.
     """
     if c.l1 == 0.0 or c.l2 == 0.0:
         # L1 = 0 is the exact limit K(x) = 1/(x + i0): the stable form
@@ -478,7 +486,7 @@ def _full_sigma2(d: np.ndarray, c: CouplingConfig, s: QuadratureSettings):
         x, weights = nodes.x[lo:hi], nodes.weights[:, lo:hi]
         rows = max(1, _BLOCK // x.size)
         g = np.empty((min(rows, at.size), x.size))  # e^{-(d - x)^2}
-        t = np.empty_like(g)  # g times one weight row
+        t = np.empty_like(g)  # g times one error weight row, for the panel sums
         keep = np.empty(g.shape, dtype=bool)  # entries not flushed: (d - x)^2 <= _FLUSH
         for start in range(0, at.size, rows):
             block = at[start : start + rows]
@@ -489,14 +497,14 @@ def _full_sigma2(d: np.ndarray, c: CouplingConfig, s: QuadratureSettings):
             np.greater_equal(gb, -_FLUSH, out=kb)
             np.exp(gb, out=gb, where=kb)
             np.putmask(gb, ~kb, 0.0)
-            re, im = (np.multiply(gb, w, out=tb).sum(axis=1) for w in weights[:2])
+            # one ddot per row and weight row, whatever the number of rows
+            re, im = np.vecdot(gb[:, None, :], weights[:2]).T
             value[block] = re + 1j * im
             panels = (block.size, -1, _PANEL_NODES)
             d_re, d_im = (
                 np.multiply(gb, w, out=tb).reshape(panels).sum(axis=2) for w in weights[2:4]
             )
-            rounding = np.multiply(gb, weights[4], out=tb).sum(axis=1)
-            error[block] = np.hypot(d_re, d_im).sum(axis=1) + rounding
+            error[block] = np.hypot(d_re, d_im).sum(axis=1) + np.vecdot(gb, weights[4])
         terms += at.size * x.size
         c_z, z = nodes.correction, nodes.pole
         mirror = np.conj(c_z) * np.exp(-np.square(d[at] + np.conj(z)))  # analytic in d

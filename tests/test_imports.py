@@ -6,6 +6,7 @@ stand-in bound there sees every call."""
 import importlib
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -31,6 +32,17 @@ for config in configs:
 unwanted = ("scipy.optimize", "scipy.integrate", "scipy.fft", "scipy.signal")
 print("loaded:", *(m for m in unwanted if m in sys.modules))
 """
+
+
+def test_dependency_floors_cover_the_numpy_2_api():
+    # np.trapezoid (cli) and np.vecdot (spectrum) first shipped in numpy 2.0,
+    # and scipy 1.13 is the first release built against it; a regex reads
+    # the floors because tomllib is not in Python 3.10
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floors = dict(re.findall(r'"(numpy|scipy)>=(\d+(?:\.\d+)*)"', text))
+    version = lambda name: tuple(int(part) for part in floors[name].split("."))  # noqa: E731
+    assert version("numpy") >= (2, 0)
+    assert version("scipy") >= (1, 13)
 
 
 def test_cli_loads_neither_optimize_nor_integrate(tmp_path):

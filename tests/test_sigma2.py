@@ -224,6 +224,19 @@ class TestInvariants:
         u_scalar = np.array([spectral_function(float(y), model, c, regime, settings) for y in ys])
         assert np.array_equal(u_vector, u_scalar)
 
+    def test_block_boundaries_bit_identical(self, settings):
+        # ~100 energies in one unit bin fill several row blocks of the FULL
+        # sum; values and error estimates do not depend on the block a row
+        # lands in, nor on how many rows share it
+        c = CouplingConfig.transmon_ratio(6.0)
+        ds = np.linspace(2.0, 3.0, 101)[:-1]
+        lo, hi = _window(_node_set(c.l1, settings.tail_cutoff, 24.0).x, 2.0)
+        assert ds.size > 3 * (spectrum._BLOCK // (hi - lo))
+        value, error, _ = _full_sigma2(ds, c, settings)
+        one_by_one = [_full_sigma2(ds[i : i + 1], c, settings) for i in range(ds.size)]
+        assert np.array_equal(value, np.concatenate([v for v, _, _ in one_by_one]))
+        assert np.array_equal(error, np.concatenate([e for _, e, _ in one_by_one]))
+
     @pytest.mark.parametrize("l2", [0.05, 1.0, 6.0])
     def test_symmetric_about_b(self, model, settings, l2):
         c = CouplingConfig.transmon_ratio(l2)

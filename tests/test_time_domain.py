@@ -99,6 +99,9 @@ class TestFactorisedSum:
             np.linspace(0.0, 15.0, 2399),  # prime T: the last block is partial
             np.linspace(0.0, 15.0, 2401),  # T = 49^2: square blocks, no padding
             np.arange(500) * 0.03,  # uniform but not from linspace
+            # around whole cubes: T = 27 = 3^3 splits 1 x 3 x 3 only with an
+            # exact integer cube root (27 ** (1/3) is 3.0000000000000004)
+            *(np.linspace(0.0, 15.0, n) for n in (26, 27, 28, 3375, 3376)),
         ],
     )
     def test_full_grid_matches_direct_sum(self, grids, times):
