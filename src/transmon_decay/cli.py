@@ -35,10 +35,6 @@ EXIT_CONFIG = 2
 _TWO_PI = 2.0 * math.pi
 
 
-def _fnum(x) -> str:
-    return "%.12g" % float(x)
-
-
 def _jnum(x):
     """JSON-safe number with the same 12-significant-digit contract as CSV."""
     if x is None:
@@ -46,41 +42,32 @@ def _jnum(x):
     x = float(x)
     if math.isinf(x) or math.isnan(x):
         return repr(x)
-    return float(_fnum(x))
-
-
-def _write_text(path: Path, text: str) -> None:
-    path.write_bytes(text.encode("utf-8"))
+    return float("%.12g" % x)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fnum(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    _write_text(path, text)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    """Header line, then one line of ``%.12g`` fields per row; returns the
+    sha256 of the bytes written."""
+    fmt = ",".join(["%.12g"] * len(header))
+    data = "\n".join([",".join(header), *(fmt % tuple(row) for row in rows), ""]).encode()
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _meta(cfg: RunConfig, **extra) -> dict:
-    payload = {"config": cfg.resolved}
-    payload.update(extra)
-    return payload
+    path.write_bytes((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
 
 
 def _write_table(out: Path, name: str, fmt: str, cfg: RunConfig, header, rows, info: dict) -> None:
     """``name.csv`` with a ``name.meta.json`` sidecar, or ``name.json`` that
     holds the rows next to the same metadata."""
+    meta = {"config": cfg.resolved, **info}
     if fmt == "csv":
-        digest = _write_csv(out / f"{name}.csv", header, rows)
-        _write_json(out / f"{name}.meta.json", _meta(cfg, sha256_csv=digest, **info))
+        meta["sha256_csv"] = _write_csv(out / f"{name}.csv", header, rows)
+        _write_json(out / f"{name}.meta.json", meta)
     else:
-        data = [{k: _jnum(v) for k, v in zip(header, row)} for row in rows]
-        _write_json(out / f"{name}.json", _meta(cfg, rows=data, **info))
+        meta["rows"] = [{k: _jnum(v) for k, v in zip(header, row)} for row in rows]
+        _write_json(out / f"{name}.json", meta)
 
 
 def _sigma2_info(stats: SigmaStats) -> dict:
@@ -187,7 +174,7 @@ def _resonance_payload(cfg: RunConfig):
 
 def _cmd_resonances(cfg: RunConfig, out: Path, fmt: str) -> int:
     payload = _resonance_payload(cfg)
-    _write_json(out / "resonances.json", _meta(cfg, **payload))
+    _write_json(out / "resonances.json", {"config": cfg.resolved, **payload})
     if fmt == "csv":
         rows = [
             (
@@ -265,7 +252,7 @@ def _cmd_oracle(cfg: RunConfig, out: Path, fmt: str) -> int:
         cfg.model,
         cfg.coupling,
         cfg.quadrature,
-        pole_offset=cfg.oracle_pole_offset or 0.0,
+        pole_offset=cfg.oracle_pole_offset,
     )
     rows = [
         (r.spacing, r.max_abs_err_shift, r.max_abs_err_width, r.max_rel_err)
@@ -279,7 +266,7 @@ def _cmd_oracle(cfg: RunConfig, out: Path, fmt: str) -> int:
             for row, r in zip(rows, report.rows)
         ],
     }
-    _write_json(out / "oracle.json", _meta(cfg, **info))
+    _write_json(out / "oracle.json", {"config": cfg.resolved, **info})
     if fmt == "csv":
         _write_csv(out / "oracle.csv", header, rows)
     if not report.monotone:

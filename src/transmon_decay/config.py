@@ -210,9 +210,6 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"[oracle] spacings must be positive and decreasing: {list(spacings)}")
     with _invalid("[oracle] spacings"):  # the widest spacing must fit the oracle's band
         DiscretizationSpec.for_model(model, spacings[0])
-    if cfg.oracle_pole_offset is not None and not 0.0 < cfg.oracle_pole_offset <= spacings[-1]:
-        raise ConfigError(
-            "[oracle] pole_offset must satisfy 0 < pole_offset <= every spacing, "
-            f"got {cfg.oracle_pole_offset}"
-        )
+    with _invalid("[oracle] pole_offset"):  # and the offset the narrowest
+        DiscretizationSpec.for_model(model, spacings[-1], pole_offset=cfg.oracle_pole_offset)
     return cfg

@@ -37,7 +37,7 @@ reference it compares against), so agreement checks both paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,23 +53,23 @@ class DiscretizationSpec:
     """Mode spacing, frequency band, and pole regularization.
 
     ``pole_offset`` must be positive: an unregularized spectrum places poles
-    directly on the real axis and any pole-on-mode collision diverges.  The
-    default equals the spacing; a narrower Lorentzian is under-resolved by
-    the mode grid and leaves a bias that never decays with refinement.
+    directly on the real axis and any pole-on-mode collision diverges.  None,
+    the default, means the spacing; a narrower Lorentzian is under-resolved
+    by the mode grid and leaves a bias that never decays with refinement.
     Modes sit at half-integer multiples of the spacing inside the band,
     offset from round energies.
     """
 
     mode_spacing: float
     band: tuple[float, float]
-    pole_offset: float = field(default=0.0)
+    pole_offset: float | None = None
 
     def __post_init__(self):
         if self.mode_spacing <= 0:
             raise ValueError(f"mode spacing must be positive, got {self.mode_spacing}")
         if self.band[1] - self.band[0] < self.mode_spacing:
             raise ValueError(f"band {self.band} holds no mode at spacing {self.mode_spacing}")
-        if self.pole_offset == 0.0:
+        if self.pole_offset is None:
             object.__setattr__(self, "pole_offset", self.mode_spacing)
         if not (0.0 < self.pole_offset <= self.mode_spacing):
             raise ValueError(
@@ -83,7 +83,7 @@ class DiscretizationSpec:
         m: DimensionlessModel,
         mode_spacing: float,
         *,
-        pole_offset: float = 0.0,
+        pole_offset: float | None = None,
     ) -> "DiscretizationSpec":
         """Band covering both coupling Gaussians out to 10 widths."""
         lo = min(m.center(1), m.center(2)) - _BAND_CUTOFF
@@ -220,13 +220,13 @@ def convergence_report(
     c: CouplingConfig,
     s: QuadratureSettings = DEFAULT_SETTINGS,
     *,
-    pole_offset: float = 0.0,
+    pole_offset: float | None = None,
 ) -> ConvergenceReport:
     """Per-spacing deviation of the discrete sums from the continuum values.
 
     ``spacings`` must be strictly decreasing.  ``pole_offset`` is the
-    regularization of every spacing's ``DiscretizationSpec`` (0 means equal
-    to the spacing).  The report is flagged non-monotone when the maximum
+    regularization of every spacing's ``DiscretizationSpec`` (None means the
+    spacing).  The report is flagged non-monotone when the maximum
     error fails to decrease after the first entry, which signals a bug in
     one of the two paths.
     """

@@ -101,7 +101,8 @@ def find_roots(
     at its left end; such an exact zero is the root itself, and Brent
     bracketing refines the others (its scalar calls reproduce the scan's
     values exactly).  A sign change in the first or last cell raises
-    ``ScanRangeError``.  Roots closer than 1e-5 are merged into one record
+    ``ScanRangeError``; a ``y_range`` that is not finite and increasing raises
+    ``ValueError``.  Roots closer than 1e-5 are merged into one record
     with a degeneracy flag.  Each record is annotated with the value of the
     spectral function at the root.  ``stats`` accumulates the diagnostics of
     the ``sigma2`` energies this call evaluates: a scan taken over from

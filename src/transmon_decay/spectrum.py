@@ -279,6 +279,7 @@ def _kronrod_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The added nodes are the roots of the Stieltjes polynomial, which is
     orthogonal to every polynomial of degree <= n with respect to ``P_n``;
     the weights make the rule exact for degree <= 2n in the Legendre basis.
+    The arrays are cached, so they are read-only.
     """
     n = _GAUSS_ORDER
     xg, wg = legendre.leggauss(n)
@@ -294,6 +295,8 @@ def _kronrod_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     wk = 0.5 * (wk + wk[::-1])
     wgk = np.zeros_like(wk)
     wgk[1::2] = 0.5 * (wg + wg[::-1])
+    for array in (nodes, wk, wgk):
+        array.flags.writeable = False
     return nodes, wk, wgk
 
 
@@ -330,7 +333,8 @@ def _node_set(l1: float, tail_cutoff: float, cover: float) -> _NodeSet:
     be narrower than the spacing of doubles, enters as the rule's error on
     it, ``c = r [log((X - z)/(-z)) - sum_j w_j/(x_j - z)]``.  A non-finite
     weight raises ``QuadratureError``: summed over every column it would make
-    each energy NaN, but the window of ``_full_sigma2`` can leave it out."""
+    each energy NaN, but the window of ``_full_sigma2`` can leave it out.
+    The set is cached, so its arrays are read-only."""
     t, wk, wg = _kronrod_rule()
     n_unit = int(math.ceil((cover + tail_cutoff) / _PANEL))
     u, unit = _resonant_offsets(l1)[-1], np.arange(n_unit + 1) * _PANEL
@@ -367,12 +371,9 @@ def _node_set(l1: float, tail_cutoff: float, cover: float) -> _NodeSet:
     weights = np.stack([kronrod.real, kronrod.imag, diff.real, diff.imag, rounding])
     if not np.isfinite(weights).all():
         raise QuadratureError(f"FULL node set for L1 = {l1:.6g}: non-finite node weight")
-    return _NodeSet(
-        x=np.concatenate([-x.ravel()[::-1], x.ravel()]),
-        weights=weights,
-        pole=z,
-        correction=complex(correction),
-    )
+    x = np.concatenate([-x.ravel()[::-1], x.ravel()])
+    x.flags.writeable = weights.flags.writeable = False
+    return _NodeSet(x=x, weights=weights, pole=z, correction=complex(correction))
 
 
 def delta1_pv(
@@ -623,8 +624,14 @@ _last_scan: tuple | None = None
 
 
 def _scan_key(m, c, regime, s, y_range, step) -> tuple:
-    """Every input of ``_scan``: ``(m, c, regime, s, lo, hi, point count)``."""
+    """Every input of ``_scan``: ``(m, c, regime, s, lo, hi, point count)``.
+    Raises ``ValueError`` unless ``lo < hi`` are finite and ``step`` is
+    positive and finite."""
     lo, hi = (m.b - 12.0, m.b + 12.0) if y_range is None else y_range
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"scan range must be finite and increasing, got {y_range}")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"scan step must be positive and finite, got {step}")
     return m, c, regime, s, lo, hi, max(int(round((hi - lo) / step)), 16) + 1
 
 
@@ -693,6 +700,8 @@ def build_grid(
     laid with spacing ``FWHM / 20`` in a linear core and geometric tails, so
     narrow peaks are resolved without a dense global grid.  The minimum
     local step is 1e-6.  ``stats`` accumulates the ``sigma2`` diagnostics.
+    A ``y_range`` that is not finite and increasing, or a ``coarse_step``
+    that is not positive and finite, raises ``ValueError``.
     """
     global _last_scan
     if coarse_step is None:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import inspect
 import json
@@ -5,6 +6,7 @@ import math
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import transmon_decay
@@ -203,6 +205,47 @@ class TestNumericalFailures:
             if not issubclass(cls, NumericalError) and cls not in (ModelError, ConfigError)
         ]
         assert stray == []
+
+
+# one row of every kind of value a table holds, and the bytes each becomes
+CSV_FIELDS = [
+    (np.float64(0.1), "0.1"),
+    (1.0 / 3.0, "0.333333333333"),
+    (7, "7"),
+    (math.nan, "nan"),
+    (math.inf, "inf"),
+    (-math.inf, "-inf"),
+    (-0.0, "-0"),
+    (5e-324, "4.94065645841e-324"),
+    (1e308, "1e+308"),
+]
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("shape", ["zip", "tuples"])
+    def test_fields_layout_and_digest(self, tmp_path, shape):
+        values = [v for v, _ in CSV_FIELDS]
+        table = [tuple(values), tuple(values[::-1])]
+        header = [f"c{i}" for i in range(len(values))]
+        columns = [np.array(col) if i == 0 else list(col) for i, col in enumerate(zip(*table))]
+        rows = zip(*columns) if shape == "zip" else table
+        path = tmp_path / "table.csv"
+        digest = cli._write_csv(path, header, rows)
+
+        data = path.read_bytes()
+        assert digest == hashlib.sha256(data).hexdigest()
+        lines = data.decode("ascii").split("\n")
+        assert lines[0] == ",".join(header)
+        assert lines[-1] == ""  # every line, the last one too, ends in a newline
+        fields = [line.split(",") for line in lines[1:-1]]
+        assert fields[0] == [text for _, text in CSV_FIELDS]
+        assert fields == [["%.12g" % float(v) for v in row] for row in table]
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        digest = cli._write_csv(path, ["a", "b"], [])
+        assert path.read_bytes() == b"a,b\n"
+        assert digest == hashlib.sha256(b"a,b\n").hexdigest()
 
 
 class TestSpectrumCommand:

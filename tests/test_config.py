@@ -126,6 +126,12 @@ class TestValidation:
         assert cfg.oracle_spacings == (0.05, 0.01)
         assert cfg.oracle_energies == (98.0, 99.0)
 
+    @pytest.mark.parametrize("offset", ["0", "-0.01"])
+    def test_nonpositive_pole_offset(self, tmp_path, offset):
+        text = MINIMAL + f"[oracle]\nspacings = 0.05, 0.01\npole_offset = {offset}\n"
+        with pytest.raises(ConfigError, match=r"\[oracle\] pole_offset"):
+            load_config(write(tmp_path, text))
+
 
 # the echo of every shipped config and of MINIMAL, value for value as every
 # sidecar carries it

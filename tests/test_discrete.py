@@ -89,6 +89,13 @@ class TestDiscretizationSpec:
         with pytest.raises(ValueError, match="diverge"):
             DiscretizationSpec(mode_spacing=0.01, band=(38.0, 60.0), pole_offset=-0.01)
 
+    def test_explicit_zero_pole_offset_is_rejected(self, model):
+        # None, not 0, stands for "equal to the spacing"
+        with pytest.raises(ValueError, match="diverge"):
+            DiscretizationSpec(mode_spacing=0.01, band=(38.0, 60.0), pole_offset=0.0)
+        with pytest.raises(ValueError, match="diverge"):
+            DiscretizationSpec.for_model(model, 0.01, pole_offset=0.0)
+
     def test_for_model_covers_both_gaussians(self, model):
         spec = DiscretizationSpec.for_model(model, 0.05)
         lo, hi = spec.band

@@ -122,6 +122,13 @@ class TestKronrodRule:
         np.testing.assert_allclose(nodes[wg != 0], xg, atol=1e-15)
         np.testing.assert_allclose(wg[wg != 0], w, atol=1e-15)
 
+    def test_cached_arrays_are_read_only(self, settings):
+        # a write into a cached array would change every later Sigma_2
+        nodes = _node_set(CouplingConfig.transmon_ratio(6.0).l1, settings.tail_cutoff, 24.0)
+        for array in (*_kronrod_rule(), nodes.x, nodes.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
 
 class TestAgainstQuad:
     @pytest.mark.parametrize("l2", [1e-3, 0.05, 0.375, 6.0])

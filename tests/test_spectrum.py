@@ -9,6 +9,7 @@ from transmon_decay import (
     Regime,
     SpectralGrid,
     build_grid,
+    find_roots,
     sigma2,
     spectral_function,
 )
@@ -154,3 +155,28 @@ class TestBuildGrid:
         )
         assert grid.energies[0] >= model.b - 5.0 - 1e-12
         assert grid.energies[-1] <= model.b + 5.0 + 1e-12
+
+    @pytest.mark.parametrize(
+        "window, step",
+        [
+            pytest.param((-12.0, 12.0), -0.01, id="negative-step"),
+            pytest.param((-12.0, 12.0), math.inf, id="infinite-step"),
+            pytest.param((-12.0, 12.0), 0.0, id="zero-step"),
+            pytest.param((-12.0, 12.0), math.nan, id="nan-step"),
+            pytest.param((12.0, -12.0), 0.01, id="descending"),
+            pytest.param((0.0, 0.0), 0.01, id="empty"),
+            pytest.param((-math.inf, 12.0), 0.01, id="infinite-low"),
+            pytest.param((-12.0, math.inf), 0.01, id="infinite-high"),
+            pytest.param((-12.0, math.nan), 0.01, id="nan-high"),
+        ],
+    )
+    def test_bad_scan_range_or_step_raises(self, model, settings, window, step):
+        # checked where the point count is computed, for build_grid and for
+        # find_roots (which scans at its own step 0.01) alike
+        c = CouplingConfig.stable_second_level(1.0)
+        y_range = (model.b + window[0], model.b + window[1])
+        with pytest.raises(ValueError, match="scan (range|step)"):
+            build_grid(model, c, Regime.STABLE, y_range, settings, coarse_step=step)
+        if step == 0.01:
+            with pytest.raises(ValueError, match="scan range"):
+                find_roots(model, c, Regime.STABLE, settings, y_range=y_range)
