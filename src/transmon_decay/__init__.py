@@ -4,8 +4,8 @@ Library layout:
 
 - :mod:`transmon_decay.model` -- level structure, Gaussian mode densities,
   squared couplings.
-- :mod:`transmon_decay.quadrature` -- adaptive and principal-value
-  integration, the generic verification routes.
+- :mod:`transmon_decay.quadrature` -- tolerances of the FULL node sum and
+  ``QuadratureError``.
 - :mod:`transmon_decay.spectrum` -- the complex self-energies ``sigma1``
   (first level) and ``sigma2`` (second level, all regimes), each
   ``shift - i width/2``, and the spectral function with adaptive grids.
@@ -22,18 +22,12 @@ from .model import (
     PhysicalParams,
     coupling_sq,
 )
-from .quadrature import (
-    QuadratureError,
-    QuadratureSettings,
-    integrate_adaptive,
-    pv_integrate,
-)
+from .quadrature import QuadratureError, QuadratureSettings
 from .spectrum import (
     Regime,
     SigmaStats,
     SpectralGrid,
     build_grid,
-    delta1_pv,
     sigma1,
     sigma2,
     spectral_function,
@@ -65,13 +59,10 @@ __all__ = [
     "coupling_sq",
     "QuadratureError",
     "QuadratureSettings",
-    "integrate_adaptive",
-    "pv_integrate",
     "Regime",
     "SigmaStats",
     "SpectralGrid",
     "build_grid",
-    "delta1_pv",
     "sigma1",
     "sigma2",
     "spectral_function",

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, _y_range, load_config
 from .discrete import convergence_report
 from .model import NumericalError
 from .resonances import find_peaks, find_roots, fwhm, spectral_callable, sweep_coupling
@@ -81,11 +81,6 @@ def _sigma2_info(stats: SigmaStats) -> dict:
 
 # ---------------------------------------------------------------------------
 # subcommands
-
-
-def _y_range(cfg: RunConfig) -> tuple[float, float]:
-    """Scanned energy window ``(b - grid_span, b + grid_span)``."""
-    return (cfg.model.b - cfg.grid_span, cfg.model.b + cfg.grid_span)
 
 
 def _build_cfg_grid(cfg: RunConfig, stats: SigmaStats):

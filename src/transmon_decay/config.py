@@ -19,7 +19,8 @@ from operator import attrgetter
 from .discrete import DiscretizationSpec
 from .model import CouplingConfig, DimensionlessModel, PhysicalParams
 from .quadrature import QuadratureSettings
-from .spectrum import Regime, regime_for
+from .resonances import _SCAN_STEP
+from .spectrum import Regime, _scan_key, regime_for
 
 TWO_PI = 2.0 * math.pi
 
@@ -129,9 +130,14 @@ class RunConfig:
         return echo
 
 
+def _y_range(cfg: RunConfig) -> tuple[float, float]:
+    """Scanned energy window ``(b - grid_span, b + grid_span)``."""
+    return (cfg.model.b - cfg.grid_span, cfg.model.b + cfg.grid_span)
+
+
 @contextmanager
 def _invalid(what: str):
-    """Report a ``ValueError`` raised by a constructor as a ``ConfigError``."""
+    """Report a ``ValueError`` raised by a constructor or check as a ``ConfigError``."""
     try:
         yield
     except ValueError as exc:
@@ -201,8 +207,9 @@ def load_config(path: str) -> RunConfig:
     cfg = RunConfig(model, coupling, regime, quadrature, delta_rad_s, **fields)
     if cfg.grid_span <= 0 or cfg.t_max <= 0 or cfg.t_steps < 2:
         raise ConfigError("grid span, t_max must be positive and time steps >= 2")
-    if cfg.coarse_step is not None and cfg.coarse_step <= 0:
-        raise ConfigError(f"[grid] coarse_step must be positive, got {cfg.coarse_step}")
+    with _invalid("[grid] span or coarse_step"):  # the grid's scan and find_roots'
+        for step in (cfg.coarse_step, _SCAN_STEP):
+            _scan_key(model, coupling, regime, quadrature, _y_range(cfg), step)
     if cfg.sweep_l2_min <= 0 or cfg.sweep_l2_max < cfg.sweep_l2_min or cfg.sweep_steps < 1:
         raise ConfigError("sweep range must be positive and non-empty")
     spacings = cfg.oracle_spacings

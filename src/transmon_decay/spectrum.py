@@ -47,9 +47,9 @@ whole array of energies.
     Its error estimate is the Kronrod-Gauss difference, summed in magnitude
     over panels, plus the rounding bound of ``K``; an energy whose estimate
     misses ``max(abs_tol, rel_tol |Sigma_2|)`` raises ``QuadratureError``,
-    and so does a node set with a non-finite weight.  Adaptive ``quad`` on
-    the two real integrals (``_full_integrals``) is the independent
-    reference in the tests, as ``delta1_pv`` is for the first level.
+    and so does a node set with a non-finite weight.  The tests check it
+    against adaptive ``quad`` on the two real integrals, a route kept in
+    ``tests/reference_routes.py`` with the first level's PV quadrature.
 
 ``WEAK``
     The FULL self-energy frozen at ``y = b``; the spectral function is then
@@ -72,14 +72,7 @@ from numpy.polynomial import legendre
 from scipy import special
 
 from .model import CouplingConfig, DimensionlessModel, NumericalError
-from .quadrature import (
-    DEFAULT_SETTINGS,
-    QuadratureError,
-    QuadratureSettings,
-    _quad,
-    integrate_adaptive,
-    pv_integrate,
-)
+from .quadrature import DEFAULT_SETTINGS, QuadratureError, QuadratureSettings
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -95,6 +88,7 @@ _ROUNDOFF = 16 * np.finfo(float).eps
 _NEWTON_STEPS = 64  # complex Newton steps taken for the kernel pole (<= 45 needed)
 _POINTS_PER_FWHM = 20  # grid spacing around a resonance: its FWHM / 20
 _MAX_REFINED_PEAKS = 16  # refinement centres per grid; more mark it incomplete
+_MAX_SCAN_POINTS = 10**6  # energies of one coarse scan (8 MB per float array)
 
 
 class Regime(enum.Enum):
@@ -149,8 +143,9 @@ def sigma1(y, w, m: DimensionlessModel, c: CouplingConfig):
     It depends on the energy ``y`` and the photon frequency ``w`` only
     through ``y - w``; ``Gamma_1 = 2 pi g_1^2(y - w)``.  The closed form
     extends the lower bound of the underlying PV integral to minus infinity,
-    which at ``a >= 10`` is far below double precision (``delta1_pv`` keeps
-    the exact bound for checks).  Zero when ``v1_enabled`` is off.
+    which at ``a >= 10`` is far below double precision (the PV quadrature
+    of ``tests/reference_routes.py`` keeps the exact bound for checks).
+    Zero when ``v1_enabled`` is off.
     """
     x = np.asarray(y, dtype=float) - np.asarray(w, dtype=float) - m.a
     if not c.v1_enabled:
@@ -376,70 +371,6 @@ def _node_set(l1: float, tail_cutoff: float, cover: float) -> _NodeSet:
     return _NodeSet(x=x, weights=weights, pole=z, correction=complex(correction))
 
 
-def delta1_pv(
-    y: float,
-    w: float,
-    m: DimensionlessModel,
-    c: CouplingConfig,
-    s: QuadratureSettings = DEFAULT_SETTINGS,
-    *,
-    extended: bool = True,
-) -> float:
-    """First-level shift by generic PV quadrature (verification route).
-
-    ``extended=True`` integrates over the whole real line, matching the
-    Dawson closed form; ``extended=False`` keeps the physical lower bound at
-    zero frequency.
-    """
-    if not c.v1_enabled:
-        return 0.0
-    pole = y - w
-    pref = 2.0 * c.l1 / SQRT_PI
-    a = m.a
-
-    def integrand(t):
-        return pref * math.exp(-((t - a) ** 2)) / (pole - t)
-
-    lo = -math.inf if extended else 0.0
-    # pole far below the Gaussian support: integrand is regular on the domain
-    if pole <= lo + 1e-12 or (not extended and pole <= 0):
-        return integrate_adaptive(integrand, lo, math.inf, s, gaussian_center=a)
-    return pv_integrate(integrand, pole, lo, math.inf, s)
-
-
-def _full_integrals(d: float, c: CouplingConfig, s: QuadratureSettings):
-    """Raw shift and width integrals (without prefactors) for FULL coupling at
-    detuning ``d = y - b``, by adaptive ``quad``, with their error estimates.
-
-    Integration variable is ``v = w - (a - alpha_d)``, centred on the
-    second-transition Gaussian; in this variable the inner resonances sit at
-    ``v = d - u`` for each fixed point ``u``.  Returns
-    ``(shift, width, shift_err, width_err)``.
-    """
-    l1 = c.l1
-    g1_peak = 4.0 * SQRT_PI * l1
-
-    def denominator(v):
-        x = d - v  # = y - a - w
-        num = x - 4.0 * l1 * special.dawsn(x)
-        g1 = g1_peak * math.exp(-x * x)
-        return x, num, num * num + 0.25 * g1 * g1
-
-    def shift_integrand(v):
-        x, num, den = denominator(v)
-        return math.exp(-v * v) * num / den
-
-    def width_integrand(v):
-        x, num, den = denominator(v)
-        return math.exp(-v * v) * math.exp(-x * x) / den
-
-    span = s.tail_cutoff
-    points = [d - u for u in _resonant_offsets(l1)]
-    shift, shift_err = _quad(shift_integrand, -span, span, s, points=points)
-    width, width_err = _quad(width_integrand, -span, span, s, points=points)
-    return shift, width, shift_err, width_err
-
-
 def _window(x: np.ndarray, k: float) -> tuple[int, int]:
     """Columns ``[lo, hi)`` of the whole panels of nodes ``x`` that come
     within ``_REACH`` of the bin ``[k, k + 1)``; every node outside gives
@@ -625,14 +556,24 @@ _last_scan: tuple | None = None
 
 def _scan_key(m, c, regime, s, y_range, step) -> tuple:
     """Every input of ``_scan``: ``(m, c, regime, s, lo, hi, point count)``.
-    Raises ``ValueError`` unless ``lo < hi`` are finite and ``step`` is
-    positive and finite."""
+    ``step`` ``None`` is 0.01 in FULL, else 0.002.  Raises ``ValueError``,
+    before anything is allocated, unless ``lo < hi`` are finite, ``step`` is
+    positive and finite and the scan holds at most ``_MAX_SCAN_POINTS``
+    energies."""
     lo, hi = (m.b - 12.0, m.b + 12.0) if y_range is None else y_range
+    if step is None:
+        step = 0.01 if regime is Regime.FULL else 0.002
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"scan range must be finite and increasing, got {y_range}")
     if not 0.0 < step < math.inf:
         raise ValueError(f"scan step must be positive and finite, got {step}")
-    return m, c, regime, s, lo, hi, max(int(round((hi - lo) / step)), 16) + 1
+    intervals = (hi - lo) / step
+    if not intervals <= _MAX_SCAN_POINTS - 1:
+        raise ValueError(
+            f"scan of [{lo}, {hi}] at step {step} needs {intervals + 1:.3g} energies,"
+            f" more than {_MAX_SCAN_POINTS}"
+        )
+    return m, c, regime, s, lo, hi, max(int(round(intervals)), 16) + 1
 
 
 def _scan(
@@ -641,18 +582,19 @@ def _scan(
     regime: Regime,
     s: QuadratureSettings,
     y_range: tuple[float, float] | None,
-    step: float,
+    step: float | None,
     stats: SigmaStats | None,
 ):
     """Uniform scan of the resonance function ``F(y) = y - b - Delta_2(y)``.
 
     ``y_range`` defaults to ``(b - 12, b + 12)`` and holds
     ``max(round((hi - lo)/step), 16) + 1`` evenly spaced energies, both ends
-    included; ``Sigma_2`` there is one vector ``sigma2`` call.  Returns the
-    energies, ``Sigma_2`` and ``F`` at them, and the cells ``i`` whose
-    interval ``[y_i, y_{i+1}]`` brackets a root: ``F`` changes sign across it
-    or ``F(y_i)`` is exactly 0.  The arrays are read-only, so one scan can be
-    handed from ``build_grid`` to ``find_roots`` (``_root_scan``).
+    included, with ``step`` and its bounds as in ``_scan_key``; ``Sigma_2``
+    there is one vector ``sigma2`` call.  Returns the energies, ``Sigma_2``
+    and ``F`` at them, and the cells ``i`` whose interval ``[y_i, y_{i+1}]``
+    brackets a root: ``F`` changes sign across it or ``F(y_i)`` is exactly 0.
+    The arrays are read-only, so one scan can be handed from ``build_grid``
+    to ``find_roots`` (``_root_scan``).
     """
     *_, lo, hi, points = _scan_key(m, c, regime, s, y_range, step)
     ys = np.linspace(lo, hi, points)
@@ -689,9 +631,10 @@ def build_grid(
     The coarse scan is ``_scan``, the one ``find_roots`` brackets its roots
     on: ``y_range`` defaults to ``b +- 12`` and the scan holds
     ``max(round(span/coarse_step), 16) + 1`` energies (``coarse_step`` 0.01
-    in FULL, else 0.002).  The scan is kept until the next ``build_grid``
-    call, and a ``find_roots`` call that would scan the same energies with
-    the same inputs brackets on it instead of scanning again.  Refinement
+    in FULL, else 0.002), at most ``_MAX_SCAN_POINTS``.  The scan is kept
+    until the next ``build_grid`` call, and a ``find_roots`` call that would
+    scan the same energies with the same inputs brackets on it instead of
+    scanning again.  Refinement
     centres are one point per root cell of
     ``F(y) = y - b - Delta_2(y)`` (the secant crossing, or ``y_i`` itself
     where ``F(y_i)`` is exactly 0; cells that give the same point count once)
@@ -700,12 +643,11 @@ def build_grid(
     laid with spacing ``FWHM / 20`` in a linear core and geometric tails, so
     narrow peaks are resolved without a dense global grid.  The minimum
     local step is 1e-6.  ``stats`` accumulates the ``sigma2`` diagnostics.
-    A ``y_range`` that is not finite and increasing, or a ``coarse_step``
-    that is not positive and finite, raises ``ValueError``.
+    A ``y_range`` that is not finite and increasing, a ``coarse_step`` that
+    is not positive and finite, or a scan of more energies raises
+    ``ValueError`` before any ``sigma2`` call.
     """
     global _last_scan
-    if coarse_step is None:
-        coarse_step = 0.01 if regime is Regime.FULL else 0.002
     scan = _scan(m, c, regime, s, y_range, coarse_step, stats)
     _last_scan = (_scan_key(m, c, regime, s, y_range, coarse_step), scan)
     ys, value, resfun, cells = scan

@@ -19,11 +19,9 @@ from transmon_decay import (
     CouplingConfig,
     Regime,
     convergence_report,
-    delta1_pv,
     find_peaks,
     find_roots,
     fwhm,
-    pv_integrate,
     rabi_metrics,
     sigma1,
     sigma2,
@@ -34,6 +32,7 @@ from transmon_decay import (
 from transmon_decay.spectrum import SpectralGrid
 
 from conftest import coupling_for
+from reference_routes import delta1_pv, pv_integrate
 
 SQRT_PI = math.sqrt(math.pi)
 L2_VALUES = (0.1, 0.3, 1.0, 6.0)

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import pkgutil
+import time
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +83,7 @@ class TestExitCodes:
         assert "unknown config key" in capsys.readouterr().err
 
     def test_max_subdivisions_is_not_a_config_key(self, tmp_path, capsys):
-        # no CLI path runs quad, so the key would be silently ignored
+        # QuadratureSettings has no such field: the package runs no adaptive quad
         bad = tmp_path / "bad.ini"
         bad.write_text(FULL_FAST + "\n[quadrature]\nmax_subdivisions = 500\n", encoding="utf-8")
         code = run("spectrum", "--config", str(bad), "--out", str(tmp_path))
@@ -122,6 +123,22 @@ class TestExitCodes:
         assert run(command, "--config", str(cfg), "--out", str(tmp_path / "out")) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "grid",
+        ["coarse_step = 1e-12", "span = 1e9", "span = 6000\ncoarse_step = 1"],
+        ids=["grid-scan-step", "grid-scan-span", "root-scan-span"],
+    )
+    def test_oversized_scan_is_config_error(self, tmp_path, capsys, grid):
+        # each scan would ask np.linspace for more than 10**6 energies (the
+        # first two for terabytes); load_config refuses it before any is made
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[coupling]\nl2 = 1\n[grid]\n{grid}\n", encoding="utf-8")
+        start = time.perf_counter()
+        code = run("resonances", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_CONFIG
+        assert "more than 1000000" in capsys.readouterr().err
 
 
 # One valid config per numerical failure a run can reach, with the start of its message.

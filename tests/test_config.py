@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -8,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import settings as hyp_settings
 from hypothesis import strategies as st
 
-from transmon_decay import Regime
+from transmon_decay import QuadratureSettings, Regime
 from transmon_decay.config import _SCHEMA, ConfigError, RunConfig, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -194,6 +195,12 @@ class TestResolvedEcho:
         rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", readme, flags=re.MULTILINE)
         assert len(rows) == len(set(rows))
         assert set(rows) == {(section, key) for section, keys in _SCHEMA.items() for key in keys}
+
+    def test_every_quadrature_setting_is_a_config_key(self):
+        # the other side of "no config key silently ignored": no setting that
+        # a config cannot reach
+        names = [field.name for field in dataclasses.fields(QuadratureSettings)]
+        assert names == list(_SCHEMA["quadrature"])
 
 
 HOSTILE_VALUES = [

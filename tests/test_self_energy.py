@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from transmon_decay import CouplingConfig, coupling_sq, delta1_pv, sigma1
+from transmon_decay import CouplingConfig, coupling_sq, sigma1
+
+from reference_routes import delta1_pv
 
 SQRT_PI = math.sqrt(math.pi)
 

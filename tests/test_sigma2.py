@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 from numpy.polynomial import legendre
+from scipy import integrate
 
 from transmon_decay import (
     CouplingConfig,
@@ -21,9 +22,8 @@ from transmon_decay import (
     sigma2,
     spectral_function,
 )
-from transmon_decay import quadrature, spectrum
+from transmon_decay import spectrum
 from transmon_decay.spectrum import (
-    _full_integrals,
     _full_sigma2,
     _kronrod_rule,
     _node_set,
@@ -31,15 +31,17 @@ from transmon_decay.spectrum import (
     _window,
 )
 
+from reference_routes import _full_integrals
+
 SQRT_PI = math.sqrt(math.pi)
 SCAN_TERMS = 2886492  # node terms of the 2401-energy FULL scan on b +- 12 at L2 = 6
 # tight enough that quad's own error stays well below 1e-12 of max |Sigma_2|;
 # at (1e-13, 1e-12) quad is itself off by 1.3e-12 of it at L2 = 6, y - b = 2.25
-TIGHT = QuadratureSettings(abs_tol=1e-15, rel_tol=1e-13, max_subdivisions=1000)
+TIGHT = QuadratureSettings(abs_tol=1e-15, rel_tol=1e-13)
 
 
 def quad_sigma2(d, c, s=TIGHT):
-    shift, width, _, _ = _full_integrals(d, c, s)
+    shift, width, _, _ = _full_integrals(d, c, s, limit=1000)
     return complex(2.0 * c.l2 / SQRT_PI * shift, -4.0 * c.l1 * c.l2 * width)
 
 
@@ -402,7 +404,7 @@ class TestDiagnostics:
         def no_quad(*args, **kwargs):
             raise AssertionError("sigma2 called quad")
 
-        monkeypatch.setattr(quadrature.integrate, "quad", no_quad)
+        monkeypatch.setattr(integrate, "quad", no_quad)
         stats = SigmaStats()
         value = sigma2(ys, model, c, Regime.FULL, settings, stats=stats)
         assert stats.energies == 2

@@ -13,6 +13,7 @@ from transmon_decay import (
     sigma2,
     spectral_function,
 )
+from transmon_decay import spectrum
 from transmon_decay.spectrum import _resonant_offsets, regime_for
 
 SQRT_PI = math.sqrt(math.pi)
@@ -180,3 +181,16 @@ class TestBuildGrid:
         if step == 0.01:
             with pytest.raises(ValueError, match="scan range"):
                 find_roots(model, c, Regime.STABLE, settings, y_range=y_range)
+
+    def test_oversized_scan_raises_before_any_sigma2_call(self, model, settings, monkeypatch):
+        # 2.4e13 energies on the default window would ask np.linspace for ~190 TB
+        def no_sigma2(*args, **kwargs):
+            raise AssertionError("sigma2 called")
+
+        monkeypatch.setattr(spectrum, "sigma2", no_sigma2)
+        c = CouplingConfig.stable_second_level(1.0)
+        with pytest.raises(ValueError, match="more than 1000000"):
+            build_grid(model, c, Regime.STABLE, None, settings, coarse_step=1e-12)
+        y_range = (model.b - 6000.0, model.b + 6000.0)  # 1.2e6 energies at find_roots' 0.01
+        with pytest.raises(ValueError, match="more than 1000000"):
+            find_roots(model, c, Regime.STABLE, settings, y_range=y_range)
