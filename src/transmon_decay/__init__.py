@@ -4,11 +4,11 @@ Library layout:
 
 - :mod:`transmon_decay.model` -- level structure, Gaussian mode densities,
   squared couplings.
-- :mod:`transmon_decay.quadrature` -- tolerances of the FULL node sum and
-  ``QuadratureError``.
 - :mod:`transmon_decay.spectrum` -- the complex self-energies ``sigma1``
   (first level) and ``sigma2`` (second level, all regimes), each
-  ``shift - i width/2``, and the spectral function with adaptive grids.
+  ``shift - i width/2``, the tolerances of the FULL node sum
+  (``QuadratureSettings``) and ``QuadratureError``, and the spectral function
+  with adaptive grids.
 - :mod:`transmon_decay.resonances` -- roots, peaks, FWHM, coupling sweeps.
 - :mod:`transmon_decay.time_domain` -- survival amplitude and Rabi metrics.
 - :mod:`transmon_decay.discrete` -- brute-force discrete-mode oracle.
@@ -22,8 +22,9 @@ from .model import (
     PhysicalParams,
     coupling_sq,
 )
-from .quadrature import QuadratureError, QuadratureSettings
 from .spectrum import (
+    QuadratureError,
+    QuadratureSettings,
     Regime,
     SigmaStats,
     SpectralGrid,

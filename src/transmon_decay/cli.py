@@ -187,11 +187,12 @@ def _cmd_resonances(cfg: RunConfig, out: Path, fmt: str) -> int:
 def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> int:
     l2_values = np.geomspace(cfg.sweep_l2_min, cfg.sweep_l2_max, cfg.sweep_steps)
     result = sweep_coupling(cfg.model, cfg.regime, l2_values, cfg.quadrature)
-    rows = []
-    for l2, recs in zip(result.l2_values, result.records_per_l2):
-        for rec in recs:
-            rows.append((l2, rec.y_r, rec.height, 0.0 if rec.kind == "root" else 1.0))
-    header = ["l2", "y_r", "u_at_yr", "kind"]
+    rows = [
+        (l2, rec.y_r, rec.height)
+        for l2, recs in zip(result.l2_values, result.records_per_l2)
+        for rec in recs
+    ]
+    header = ["l2", "y_r", "u_at_yr"]
     info = {"crossover_estimate": _jnum(result.crossover_estimate)}
     _write_table(out, "sweep", fmt, cfg, header, rows, info)
     return EXIT_OK

@@ -18,9 +18,8 @@ from operator import attrgetter
 
 from .discrete import DiscretizationSpec
 from .model import CouplingConfig, DimensionlessModel, PhysicalParams
-from .quadrature import QuadratureSettings
 from .resonances import _SCAN_STEP
-from .spectrum import Regime, _scan_key, regime_for
+from .spectrum import QuadratureSettings, Regime, _scan_key, regime_for
 
 TWO_PI = 2.0 * math.pi
 
@@ -75,7 +74,6 @@ _SCHEMA = {
     "quadrature": {
         "abs_tol": (_float, "quadrature.abs_tol"),
         "rel_tol": (_float, "quadrature.rel_tol"),
-        "tail_cutoff": (_float, "quadrature.tail_cutoff"),
     },
     "time": {"t_max": (_float, "t_max"), "steps": (int, "t_steps")},
     "sweep": {

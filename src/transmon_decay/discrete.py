@@ -42,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CouplingConfig, DimensionlessModel, NumericalError, coupling_sq
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
-from .spectrum import regime_for, sigma2
+from .spectrum import DEFAULT_SETTINGS, QuadratureSettings, regime_for, sigma2
 
 _BAND_CUTOFF = 10.0  # Gaussian widths the default band reaches beyond both centres
 

@@ -13,8 +13,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import CouplingConfig, DimensionlessModel, NumericalError
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 from .spectrum import (
+    DEFAULT_SETTINGS,
+    QuadratureSettings,
     Regime,
     SigmaStats,
     SpectralGrid,
@@ -29,6 +30,7 @@ _ROOT_TOL = 1e-9  # Brent's absolute tolerance on a root
 _MERGE_TOL = 1e-5  # roots closer than this form one degenerate record
 _FWHM_SPAN = 6.0  # farthest flank search from a peak
 _FWHM_RTOL = 1e-8  # Brent's relative tolerance on a flank crossing
+_CROSSOVER_TOL = 1e-3  # width in L_2 at which the crossover bisection stops
 
 
 class ScanRangeError(NumericalError):
@@ -224,15 +226,13 @@ def sweep_coupling(
     regime: Regime,
     l2_values,
     s: QuadratureSettings = DEFAULT_SETTINGS,
-    *,
-    crossover_tol: float = 1e-3,
 ) -> SweepResult:
     """Root structure versus coupling strength, plus the crossover estimate.
 
     For every ``L_2`` the roots and their spectral-function values are
     collected (``L_1 = (2/3) L_2`` at full coupling).  The crossover is
     the smallest ``L_2`` whose root count exceeds one, refined by bisection
-    over ``L_2``.
+    over ``L_2`` to an interval of 1e-3.
     """
     l2_values = tuple(float(v) for v in l2_values)
     if any(v <= 0 for v in l2_values):
@@ -259,7 +259,7 @@ def sweep_coupling(
         if lo is None:
             crossover = hi
         else:
-            while hi - lo > crossover_tol:
+            while hi - lo > _CROSSOVER_TOL:
                 mid = 0.5 * (lo + hi)
                 if len(find_roots(m, config(mid), regime, s)) > 1:
                     hi = mid

@@ -28,13 +28,13 @@ whole array of energies.
     sit at the fixed points of ``u = 4 L_1 D(u)``, at a pole pair ``z``,
     ``-conj(z)`` that nears the real axis fast with ``L_1`` (``Im z`` is
     ``-1.2e-3`` at ``L_2 = 6``, ``-3.6e-11`` at ``L_2 = 20``).  One cached
-    Gauss-Kronrod node set per ``(L_1, tail_cutoff, cover)`` serves every
-    energy of the unit bins ``[k, k + 1)`` within the cover (24, else the
-    next multiple of 24): unit panels, break points at the fixed points,
-    bisected until the embedded Gauss rule agrees with the Kronrod rule on
-    ``K`` without its pole.  The weights keep ``K``; the rule's own error on
-    the pole term is one constant ``c``, added back as ``c e^{-(d - z)^2}``
-    and its mirror.  ``Sigma_2`` is then one row sum of
+    Gauss-Kronrod node set per ``(L_1, cover)`` serves every energy of the
+    unit bins ``[k, k + 1)`` within the cover (24, else the next multiple of
+    24) and reaches ``|x| <= cover + 10``: unit panels, break points at the
+    fixed points, bisected until the embedded Gauss rule agrees with the
+    Kronrod rule on ``K`` without its pole.  The weights keep ``K``; the
+    rule's own error on the pole term is one constant ``c``, added back as
+    ``c e^{-(d - z)^2}`` and its mirror.  ``Sigma_2`` is then one row sum of
     ``e^{-(d - x_j)^2} w_j K(x_j)`` plus that term, one BLAS ``ddot`` per
     energy.  The row sum runs over the whole panels within ``sqrt(746)`` of
     the energy's bin only: beyond that ``(d - x)^2 > 745.14`` and
@@ -46,10 +46,11 @@ whole array of energies.
     at most ``2.3e-308 sum |w_j|`` (``w_j`` the node's weight in the sum).
     Its error estimate is the Kronrod-Gauss difference, summed in magnitude
     over panels, plus the rounding bound of ``K``; an energy whose estimate
-    misses ``max(abs_tol, rel_tol |Sigma_2|)`` raises ``QuadratureError``,
-    and so does a node set with a non-finite weight.  The tests check it
-    against adaptive ``quad`` on the two real integrals, a route kept in
-    ``tests/reference_routes.py`` with the first level's PV quadrature.
+    misses ``max(abs_tol, rel_tol |Sigma_2|)`` (``QuadratureSettings``)
+    raises ``QuadratureError``, and so does a node set with a non-finite
+    weight.  The tests check it against adaptive ``quad`` on the two real
+    integrals, a route kept in ``tests/reference_routes.py`` with the first
+    level's PV quadrature.
 
 ``WEAK``
     The FULL self-energy frozen at ``y = b``; the spectral function is then
@@ -72,12 +73,12 @@ from numpy.polynomial import legendre
 from scipy import special
 
 from .model import CouplingConfig, DimensionlessModel, NumericalError
-from .quadrature import DEFAULT_SETTINGS, QuadratureError, QuadratureSettings
 
 SQRT_PI = math.sqrt(math.pi)
 
 _GAUSS_ORDER = 10  # Gauss points per panel; the Kronrod rule adds 11
 _COVER = 24.0  # |y - b| covered by one FULL node set; farther energies use multiples
+_TAIL = 10.0  # node sets reach this far past their cover: e^{-(d - x)^2} < e^{-100} beyond
 _PANEL = 1.0  # widest panel: resolves the unit Gaussian e^{-(d - x)^2}
 _PANEL_TOL = 1e-15  # per-panel Kronrod-Gauss difference, relative to int |K|
 _PANEL_NODES = 2 * _GAUSS_ORDER + 1
@@ -89,6 +90,32 @@ _NEWTON_STEPS = 64  # complex Newton steps taken for the kernel pole (<= 45 need
 _POINTS_PER_FWHM = 20  # grid spacing around a resonance: its FWHM / 20
 _MAX_REFINED_PEAKS = 16  # refinement centres per grid; more mark it incomplete
 _MAX_SCAN_POINTS = 10**6  # energies of one coarse scan (8 MB per float array)
+
+
+class QuadratureError(NumericalError):
+    """Integration failed to reach the requested tolerance.
+
+    Carries the achieved absolute-error estimate in ``estimate``.
+    """
+
+    def __init__(self, message: str, estimate: float = math.nan):
+        super().__init__(message)
+        self.estimate = estimate
+
+
+@dataclass(frozen=True)
+class QuadratureSettings:
+    """Error tolerances every FULL ``Sigma_2`` value must meet."""
+
+    abs_tol: float = 1e-10
+    rel_tol: float = 1e-9
+
+    def __post_init__(self):
+        if self.abs_tol <= 0 or self.rel_tol <= 0:
+            raise ValueError("tolerances must be positive")
+
+
+DEFAULT_SETTINGS = QuadratureSettings()
 
 
 class Regime(enum.Enum):
@@ -319,8 +346,8 @@ class _NodeSet:
 
 
 @functools.lru_cache(maxsize=64)
-def _node_set(l1: float, tail_cutoff: float, cover: float) -> _NodeSet:
-    """Panels on ``[0, X]``, ``X = cover + tail_cutoff``, bisected until the
+def _node_set(l1: float, cover: float) -> _NodeSet:
+    """Panels on ``[0, X]``, ``X = cover + _TAIL``, bisected until the
     Kronrod-Gauss difference of ``S = K - r/(x - z)`` is below ``_PANEL_TOL``
     times ``int |K|`` or within the rounding error of ``K``, then mirrored
     with ``K(-x) = -conj K(x)``.  The weights keep ``K`` (full relative
@@ -331,7 +358,7 @@ def _node_set(l1: float, tail_cutoff: float, cover: float) -> _NodeSet:
     each energy NaN, but the window of ``_full_sigma2`` can leave it out.
     The set is cached, so its arrays are read-only."""
     t, wk, wg = _kronrod_rule()
-    n_unit = int(math.ceil((cover + tail_cutoff) / _PANEL))
+    n_unit = int(math.ceil((cover + _TAIL) / _PANEL))
     u, unit = _resonant_offsets(l1)[-1], np.arange(n_unit + 1) * _PANEL
     # panels next to u are at least half a unit wide: no node where dK peaks
     near = (unit > 0) & (np.abs(unit - u) < 0.5 * _PANEL)
@@ -413,7 +440,7 @@ def _full_sigma2(d: np.ndarray, c: CouplingConfig, s: QuadratureSettings):
     bounds = [0, *(np.flatnonzero(bins[1:] != bins[:-1]) + 1).tolist(), d.size]
     for first, end in zip(bounds[:-1], bounds[1:]):
         at, k = order[first:end], float(bins[first])
-        nodes = _node_set(c.l1, s.tail_cutoff, _COVER * math.ceil(max(-k, k + 1.0) / _COVER))
+        nodes = _node_set(c.l1, _COVER * math.ceil(max(-k, k + 1.0) / _COVER))
         lo, hi = _window(nodes.x, k)
         x, weights = nodes.x[lo:hi], nodes.weights[:, lo:hi]
         rows = max(1, _BLOCK // x.size)

@@ -21,8 +21,15 @@ import numpy as np
 from scipy import integrate, special
 
 from transmon_decay.model import CouplingConfig, DimensionlessModel
-from transmon_decay.quadrature import DEFAULT_SETTINGS, QuadratureError, QuadratureSettings
-from transmon_decay.spectrum import SQRT_PI, _resonant_offsets
+from transmon_decay.spectrum import (
+    DEFAULT_SETTINGS,
+    SQRT_PI,
+    QuadratureError,
+    QuadratureSettings,
+    _resonant_offsets,
+)
+
+_TAIL = 10.0  # unit-width Gaussians are cut this far from their centre
 
 
 def _quad(f, lo, hi, s: QuadratureSettings, points=None, limit: int = 200):
@@ -56,14 +63,14 @@ def integrate_adaptive(
     """Adaptive integral of ``f`` on ``[lo, hi]`` (endpoints may be infinite).
 
     When ``gaussian_center`` is given, infinite endpoints are truncated at
-    ``tail_cutoff`` from the centre of a unit-width Gaussian; the neglected
-    tail mass is below 1e-43 at the default cutoff.
+    ``_TAIL`` (10) from the centre of a unit-width Gaussian; the neglected
+    tail mass is below 1e-43.
     """
     if gaussian_center is not None:
         if not np.isfinite(lo):
-            lo = gaussian_center - s.tail_cutoff
+            lo = gaussian_center - _TAIL
         if not np.isfinite(hi):
-            hi = gaussian_center + s.tail_cutoff
+            hi = gaussian_center + _TAIL
     value, _ = _quad(f, lo, hi, s, points=points)
     return value
 
@@ -159,8 +166,7 @@ def _full_integrals(d: float, c: CouplingConfig, s: QuadratureSettings, limit: i
         x, num, den = denominator(v)
         return math.exp(-v * v) * math.exp(-x * x) / den
 
-    span = s.tail_cutoff
     points = [d - u for u in _resonant_offsets(l1)]
-    shift, shift_err = _quad(shift_integrand, -span, span, s, points=points, limit=limit)
-    width, width_err = _quad(width_integrand, -span, span, s, points=points, limit=limit)
+    shift, shift_err = _quad(shift_integrand, -_TAIL, _TAIL, s, points=points, limit=limit)
+    width, width_err = _quad(width_integrand, -_TAIL, _TAIL, s, points=points, limit=limit)
     return shift, width, shift_err, width_err

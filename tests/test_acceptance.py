@@ -139,9 +139,7 @@ class TestCriterion2:
 
 class TestCriterion3:
     def test_crossover(self, model, settings):
-        result = sweep_coupling(
-            model, Regime.STABLE, [0.2, 0.35], settings, crossover_tol=1e-3
-        )
+        result = sweep_coupling(model, Regime.STABLE, [0.2, 0.35], settings)
         x = result.crossover_estimate
         checks = [
             ("found", x is not None, f"{x}"),

@@ -90,6 +90,14 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "unknown config key [quadrature] max_subdivisions" in capsys.readouterr().err
 
+    def test_tail_cutoff_is_not_a_config_key(self, tmp_path, capsys):
+        # the FULL node sets reach a fixed 10 past their cover (spectrum._TAIL)
+        bad = tmp_path / "bad.ini"
+        bad.write_text(FULL_FAST + "\n[quadrature]\ntail_cutoff = 10\n", encoding="utf-8")
+        code = run("spectrum", "--config", str(bad), "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert "unknown config key [quadrature] tail_cutoff" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spacings", ["0.01 0.05", "0.05 0.05", "0.05 -0.01", ",", "1000"])
     def test_bad_oracle_spacings_are_config_errors(self, tmp_path, capsys, spacings):
         cfg = tmp_path / "bad.ini"
@@ -311,7 +319,7 @@ class TestOtherCommands:
         out = tmp_path / "out"
         assert run("sweep", "--config", config_path, "--out", str(out)) == EXIT_OK
         text = (out / "sweep.csv").read_text()
-        assert text.splitlines()[0] == "l2,y_r,u_at_yr,kind"
+        assert text.splitlines()[0] == "l2,y_r,u_at_yr"
         meta = json.loads((out / "sweep.meta.json").read_text())
         assert meta["crossover_estimate"] == pytest.approx(0.25, abs=0.01)
 

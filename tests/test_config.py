@@ -90,6 +90,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown config key"):
             load_config(write(tmp_path, "[coupling]\nl2 = 6\nl3 = 1\n"))
 
+    def test_tail_cutoff_is_not_a_config_key(self, tmp_path):
+        # the FULL node sets reach a fixed 10 past their cover (spectrum._TAIL)
+        with pytest.raises(ConfigError, match=r"unknown config key \[quadrature\] tail_cutoff"):
+            load_config(write(tmp_path, MINIMAL + "[quadrature]\ntail_cutoff = 10\n"))
+
     def test_bad_number(self, tmp_path):
         with pytest.raises(ConfigError, match="bad value"):
             load_config(write(tmp_path, "[coupling]\nl2 = six\n"))
@@ -140,7 +145,7 @@ MINIMAL_ECHO = {
     "model": {"mode": "dimensionless", "a": 50.0, "b": 98.5, "alpha_d": 1.5, "delta_rad_s": None},
     "coupling": {"l1": 4.0, "l2": 6.0, "v1_enabled": True, "regime": "full"},
     "grid": {"span": 12.0, "coarse_step": None},
-    "quadrature": {"abs_tol": 1e-10, "rel_tol": 1e-09, "tail_cutoff": 10.0},
+    "quadrature": {"abs_tol": 1e-10, "rel_tol": 1e-09},
     "time": {"t_max": 30.0, "steps": 2000},
     "sweep": {"l2_min": 0.05, "l2_max": 6.0, "steps": 40},
     "oracle": {

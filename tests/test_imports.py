@@ -15,6 +15,8 @@ from transmon_decay import Regime, quadrature, sweep_coupling
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(transmon_decay.__file__).resolve().parents[1]
+PATH = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(PATH))
 
 CLI_RUNS = """
 import sys
@@ -41,6 +43,21 @@ def test_dependency_floors_cover_the_numpy_2_api():
     assert version("scipy") >= (1, 13)
 
 
+def test_import_leaves_the_benchmark_hook_unloaded():
+    # quadrature.py holds only the integrate hook that perfbench/tracing.py
+    # binds; no module of the package imports it
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, transmon_decay; print(sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        env=ENV,
+        timeout=60,
+        check=True,
+    )
+    assert "transmon_decay.spectrum" in done.stdout
+    assert "transmon_decay.quadrature" not in done.stdout
+
+
 def test_cli_loads_neither_optimize_nor_integrate(tmp_path):
     every = "spectrum,resonances,sweep,timedomain,oracle"
     runs = {
@@ -49,13 +66,11 @@ def test_cli_loads_neither_optimize_nor_integrate(tmp_path):
         "full_l2_6.ini": "spectrum,resonances,timedomain",  # FULL: the regime quad checks
     }
     args = [arg for name, cmds in runs.items() for arg in (str(ROOT / "configs" / name), cmds)]
-    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     done = subprocess.run(
         [sys.executable, "-c", CLI_RUNS, str(tmp_path), *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=ENV,
         timeout=300,
         check=True,
     )

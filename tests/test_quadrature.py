@@ -122,13 +122,11 @@ class TestPvIntegrate:
 class TestQuadratureSettings:
     def test_defaults(self):
         s = QuadratureSettings()
-        assert s.abs_tol == 1e-10 and s.tail_cutoff == 10.0
+        assert s.abs_tol == 1e-10
 
     def test_rejects_bad_tolerances(self):
         with pytest.raises(ValueError):
             QuadratureSettings(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSettings(tail_cutoff=4.0)
 
 
 class TestQuadratureError:

@@ -172,7 +172,7 @@ class TestOneScan:
 
     @pytest.mark.parametrize(
         "change",
-        ["y_range", "coarse_step", "coupling", "regime", "tail_cutoff"],
+        ["y_range", "coarse_step", "coupling", "regime", "settings"],
     )
     def test_any_other_scan_input_rescans(self, model, settings, change):
         c = CouplingConfig.transmon_ratio(6.0)
@@ -186,7 +186,7 @@ class TestOneScan:
         elif change == "regime":
             args.update(regime=Regime.WEAK, coarse_step=0.01)
         else:
-            args["s"] = QuadratureSettings(tail_cutoff=settings.tail_cutoff + 1.0)
+            args["s"] = QuadratureSettings(abs_tol=2.0 * settings.abs_tol)
         build_grid(**args)
         stats = SigmaStats()
         find_roots(model, c, Regime.FULL, settings, stats=stats)
@@ -279,9 +279,7 @@ class TestResonanceRecord:
 
 class TestSweep:
     def test_crossover_bisection(self, model, settings):
-        result = sweep_coupling(
-            model, Regime.STABLE, [0.1, 0.5], settings, crossover_tol=1e-3
-        )
+        result = sweep_coupling(model, Regime.STABLE, [0.1, 0.5], settings)
         assert result.crossover_estimate is not None
         # analytic tangency of the root condition: 4 L2 D'(0) = 1
         assert result.crossover_estimate == pytest.approx(0.25, abs=2e-3)

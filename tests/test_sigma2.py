@@ -58,7 +58,7 @@ def full_width_sigma2(ds, c, s):
     term, written out without any window."""
     value, error = np.empty(ds.shape, dtype=complex), np.empty(ds.shape)
     for i, d in enumerate(ds):
-        nodes = _node_set(c.l1, s.tail_cutoff, bin_cover(d))
+        nodes = _node_set(c.l1, bin_cover(d))
         g = np.exp(-((d - nodes.x) ** 2))
         re, im, d_re, d_im, rounding = (g * w for w in nodes.weights)
         pole = nodes.correction * np.exp(-((d - nodes.pole) ** 2))
@@ -126,7 +126,7 @@ class TestKronrodRule:
 
     def test_cached_arrays_are_read_only(self, settings):
         # a write into a cached array would change every later Sigma_2
-        nodes = _node_set(CouplingConfig.transmon_ratio(6.0).l1, settings.tail_cutoff, 24.0)
+        nodes = _node_set(CouplingConfig.transmon_ratio(6.0).l1, 24.0)
         for array in (*_kronrod_rule(), nodes.x, nodes.weights):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
@@ -203,8 +203,8 @@ class TestAgainstQuad:
         # size at L2 = 6
         for l2 in (0.3751, 1.0, 6.0, 12.0, 20.0, 40.0, 60.0):
             l1 = CouplingConfig.transmon_ratio(l2).l1
-            assert _node_set(l1, 10.0, 24.0).x.size <= 2310
-            assert _node_set(l1, 10.0, 48.0).x.size <= 2310 + 24 * 21 * 2
+            assert _node_set(l1, 24.0).x.size <= 2310
+            assert _node_set(l1, 48.0).x.size <= 2310 + 24 * 21 * 2
 
 
 class TestInvariants:
@@ -239,7 +239,7 @@ class TestInvariants:
         # lands in, nor on how many rows share it
         c = CouplingConfig.transmon_ratio(6.0)
         ds = np.linspace(2.0, 3.0, 101)[:-1]
-        lo, hi = _window(_node_set(c.l1, settings.tail_cutoff, 24.0).x, 2.0)
+        lo, hi = _window(_node_set(c.l1, 24.0).x, 2.0)
         assert ds.size > 3 * (spectrum._BLOCK // (hi - lo))
         value, error, _ = _full_sigma2(ds, c, settings)
         one_by_one = [_full_sigma2(ds[i : i + 1], c, settings) for i in range(ds.size)]
@@ -309,7 +309,7 @@ class TestWindow:
     def test_left_out_nodes_underflow_to_zero(self, settings, l2):
         l1 = CouplingConfig.transmon_ratio(l2).l1
         for k in range(-61, 61):
-            x = _node_set(l1, settings.tail_cutoff, bin_cover(k)).x
+            x = _node_set(l1, bin_cover(k)).x
             lo, hi = _window(x, float(k))
             assert lo % 21 == 0 and hi % 21 == 0 and lo < hi
             left_out = np.concatenate([x[:lo], x[hi:]])
@@ -336,7 +336,7 @@ class TestWindow:
         stats = SigmaStats()
         ys = np.linspace(model.b - 12.0, model.b + 12.0, 2401)
         sigma2(ys, model, c, Regime.FULL, settings, stats=stats)
-        nodes = _node_set(c.l1, settings.tail_cutoff, 24.0).x.size
+        nodes = _node_set(c.l1, 24.0).x.size
         assert stats.terms == SCAN_TERMS
         assert stats.terms < 0.85 * 2401 * nodes
 
@@ -349,7 +349,7 @@ class TestWindow:
             coupling = CouplingConfig.stable_second_level(6.0) if regime is Regime.STABLE else c
             sigma2(ys, model, coupling, regime, settings, stats=stats)
             counts[regime] = stats.terms
-        x = _node_set(c.l1, settings.tail_cutoff, 24.0).x
+        x = _node_set(c.l1, 24.0).x
         # WEAK sums one row, at y = b, on each call
         widths = [hi - lo for lo, hi in (_window(x, k) for k in (-3.0, 0.0, 2.0))]
         assert counts == {Regime.STABLE: 0, Regime.WEAK: widths[1], Regime.FULL: sum(widths)}
@@ -390,7 +390,7 @@ class TestProperties:
         assert np.all(plus.imag <= 0.0) and np.all(minus.imag <= 0.0)
         scalar = [sigma2(float(y), model, c, Regime.FULL, settings) for y in model.b + xs]
         assert np.array_equal(plus, scalar)
-        assert _node_set(c.l1, settings.tail_cutoff, 24.0).x.size <= 2310
+        assert _node_set(c.l1, 24.0).x.size <= 2310
 
 
 class TestDiagnostics:
