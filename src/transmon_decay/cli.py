@@ -84,15 +84,7 @@ def _sigma2_info(stats: SigmaStats) -> dict:
 
 
 def _build_cfg_grid(cfg: RunConfig, stats: SigmaStats):
-    return build_grid(
-        cfg.model,
-        cfg.coupling,
-        cfg.regime,
-        _y_range(cfg),
-        cfg.quadrature,
-        coarse_step=cfg.coarse_step,
-        stats=stats,
-    )
+    return build_grid(cfg.model, cfg.coupling, cfg.regime, _y_range(cfg), stats=stats)
 
 
 def _cmd_spectrum(cfg: RunConfig, out: Path, fmt: str) -> int:
@@ -120,16 +112,9 @@ def _cmd_spectrum(cfg: RunConfig, out: Path, fmt: str) -> int:
 def _resonance_payload(cfg: RunConfig):
     stats = SigmaStats()
     grid = _build_cfg_grid(cfg, stats)
-    roots = find_roots(
-        cfg.model,
-        cfg.coupling,
-        cfg.regime,
-        cfg.quadrature,
-        y_range=_y_range(cfg),
-        stats=stats,
-    )
+    roots = find_roots(cfg.model, cfg.coupling, cfg.regime, y_range=_y_range(cfg), stats=stats)
     peaks = find_peaks(grid, roots)
-    u = spectral_callable(cfg.model, cfg.coupling, cfg.regime, cfg.quadrature, stats=stats)
+    u = spectral_callable(cfg.model, cfg.coupling, cfg.regime, stats=stats)
     records = []
     for rec in roots + peaks:
         entry = {
@@ -142,7 +127,7 @@ def _resonance_payload(cfg: RunConfig):
             "fwhm_complete": None,
         }
         if rec.kind == "peak" and rec.height > 0:
-            res = fwhm(rec, u, cfg.quadrature)
+            res = fwhm(rec, u)
             entry["fwhm"] = _jnum(res.width)
             entry["fwhm_complete"] = res.complete
         records.append(entry)
@@ -186,7 +171,7 @@ def _cmd_resonances(cfg: RunConfig, out: Path, fmt: str) -> int:
 
 def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> int:
     l2_values = np.geomspace(cfg.sweep_l2_min, cfg.sweep_l2_max, cfg.sweep_steps)
-    result = sweep_coupling(cfg.model, cfg.regime, l2_values, cfg.quadrature)
+    result = sweep_coupling(cfg.model, cfg.regime, l2_values)
     rows = [
         (l2, rec.y_r, rec.height)
         for l2, recs in zip(result.l2_values, result.records_per_l2)
@@ -242,14 +227,7 @@ def _cmd_timedomain(cfg: RunConfig, out: Path, fmt: str) -> int:
 
 
 def _cmd_oracle(cfg: RunConfig, out: Path, fmt: str) -> int:
-    report = convergence_report(
-        cfg.oracle_energies,
-        cfg.oracle_spacings,
-        cfg.model,
-        cfg.coupling,
-        cfg.quadrature,
-        pole_offset=cfg.oracle_pole_offset,
-    )
+    report = convergence_report(cfg.oracle_energies, cfg.oracle_spacings, cfg.model, cfg.coupling)
     rows = [
         (r.spacing, r.max_abs_err_shift, r.max_abs_err_width, r.max_rel_err)
         for r in report.rows

@@ -18,8 +18,7 @@ from operator import attrgetter
 
 from .discrete import DiscretizationSpec
 from .model import CouplingConfig, DimensionlessModel, PhysicalParams
-from .resonances import _SCAN_STEP
-from .spectrum import QuadratureSettings, Regime, _scan_key, regime_for
+from .spectrum import DEFAULT_SETTINGS, Regime, _scan_key, regime_for
 
 TWO_PI = 2.0 * math.pi
 
@@ -52,9 +51,9 @@ def _one_of(words: dict):
     return cast
 
 
-# section -> key -> (cast, the RunConfig attribute echoed for it).  Model,
-# coupling and quadrature keys are the keyword names of the objects they fill;
-# the physical-unit keys resolve into ``model`` and ``delta_rad_s``.
+# section -> key -> (cast, the RunConfig attribute echoed for it).  Model and
+# coupling keys are the keyword names of the objects they fill; the
+# physical-unit keys resolve into ``model`` and ``delta_rad_s``.
 _SCHEMA = {
     "model": {
         "mode": (_one_of({"dimensionless": False, "physical": True}), "mode"),
@@ -70,11 +69,7 @@ _SCHEMA = {
         "v1_enabled": (_one_of(configparser.ConfigParser.BOOLEAN_STATES), "coupling.v1_enabled"),
         "regime": (_one_of({"auto": None} | {r.value: r for r in Regime}), "regime.value"),
     },
-    "grid": {"span": (_float, "grid_span"), "coarse_step": (_float, "coarse_step")},
-    "quadrature": {
-        "abs_tol": (_float, "quadrature.abs_tol"),
-        "rel_tol": (_float, "quadrature.rel_tol"),
-    },
+    "grid": {"span": (_float, "grid_span")},
     "time": {"t_max": (_float, "t_max"), "steps": (int, "t_steps")},
     "sweep": {
         "l2_min": (_float, "sweep_l2_min"),
@@ -84,7 +79,6 @@ _SCHEMA = {
     "oracle": {
         "spacings": (_floats, "oracle_spacings"),
         "energies": (_floats, "oracle_energies"),
-        "pole_offset": (_float, "oracle_pole_offset"),
     },
 }
 _RUN_SECTIONS = ("grid", "time", "sweep", "oracle")  # their keys fill RunConfig fields
@@ -100,10 +94,8 @@ class RunConfig:
     model: DimensionlessModel
     coupling: CouplingConfig
     regime: Regime
-    quadrature: QuadratureSettings
     delta_rad_s: float | None = None  # set in physical mode
     grid_span: float = 12.0
-    coarse_step: float | None = None
     t_max: float = 30.0
     t_steps: int = 2000
     sweep_l2_min: float = 0.05
@@ -111,7 +103,6 @@ class RunConfig:
     sweep_steps: int = 40
     oracle_spacings: tuple[float, ...] = (0.05, 0.02, 0.01)
     oracle_energies: tuple[float, ...] = ()  # load_config fills in five energies around b
-    oracle_pole_offset: float | None = None
 
     @property
     def mode(self) -> str:
@@ -196,18 +187,14 @@ def load_config(path: str) -> RunConfig:
         flag = "false" if coupling.v1_enabled else "true"
         raise ConfigError(f"regime {regime.value!r} requires v1_enabled = {flag}")
 
-    with _invalid("quadrature settings"):
-        quadrature = QuadratureSettings(**given["quadrature"])
-
     fields = {_SCHEMA[s][k][1]: v for s in _RUN_SECTIONS for k, v in given[s].items()}
-    if not fields.get("oracle_energies"):
-        fields["oracle_energies"] = tuple(model.b + d for d in (-1.0, -0.5, 0.0, 0.7, 1.6))
-    cfg = RunConfig(model, coupling, regime, quadrature, delta_rad_s, **fields)
+    fields.setdefault("oracle_energies", tuple(model.b + d for d in (-1.0, -0.5, 0.0, 0.7, 1.6)))
+    cfg = RunConfig(model, coupling, regime, delta_rad_s, **fields)
     if cfg.grid_span <= 0 or cfg.t_max <= 0 or cfg.t_steps < 2:
         raise ConfigError("grid span, t_max must be positive and time steps >= 2")
-    with _invalid("[grid] span or coarse_step"):  # the grid's scan and find_roots'
-        for step in (cfg.coarse_step, _SCAN_STEP):
-            _scan_key(model, coupling, regime, quadrature, _y_range(cfg), step)
+    # the grid's scan: its step is at most find_roots' 0.01, so it bounds that scan too
+    with _invalid("[grid] span"):
+        _scan_key(model, coupling, regime, DEFAULT_SETTINGS, _y_range(cfg), None)
     if cfg.sweep_l2_min <= 0 or cfg.sweep_l2_max < cfg.sweep_l2_min or cfg.sweep_steps < 1:
         raise ConfigError("sweep range must be positive and non-empty")
     spacings = cfg.oracle_spacings
@@ -215,6 +202,6 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"[oracle] spacings must be positive and decreasing: {list(spacings)}")
     with _invalid("[oracle] spacings"):  # the widest spacing must fit the oracle's band
         DiscretizationSpec.for_model(model, spacings[0])
-    with _invalid("[oracle] pole_offset"):  # and the offset the narrowest
-        DiscretizationSpec.for_model(model, spacings[-1], pole_offset=cfg.oracle_pole_offset)
+    if not cfg.oracle_energies:
+        raise ConfigError("[oracle] energies must not be empty")
     return cfg

@@ -2,7 +2,7 @@
 
 The continuum self-energies are the limit of sums over equally spaced modes
 with squared couplings ``g_i^2(omega_k) * spacing``.  Poles are regularized
-with a small imaginary part ``eps`` tied to the spacing:
+with a small imaginary part ``eps`` equal to the spacing:
 
     1/(x + i eps) = x/(x^2 + eps^2) - i pi L_eps(x),
 
@@ -21,10 +21,9 @@ with ``F = x/(x^2 + eps^2)`` and ``G = eps/(x^2 + eps^2)`` on 2N - 1 values:
 two Hankel matrix-vector products, which one real-FFT correlation
 (``numpy.fft``) evaluates in O(N log N) time and O(N) memory instead of the
 N x N matrix.  Against the written-out double sum, at spacings 0.05 to
-0.005, the first-level values agree to 6.9e-13 of the largest value with
-``eps`` = spacing and to 4.0e-12 with ``eps`` = spacing / 2; the FFT itself
-adds ~1e-15, the rest is how each route rounds ``x``, amplified by 1/eps
-near the pole (``tests/test_discrete.py``).
+0.005, the first-level values agree to 6.9e-13 of the largest value; the FFT
+itself adds ~1e-15, the rest is how each route rounds ``x``, amplified by
+1/eps near the pole (``tests/test_discrete.py``).
 ``discrete_self_energy_1`` asks for one off-lattice photon frequency and sums
 its single row directly.
 
@@ -49,45 +48,30 @@ _BAND_CUTOFF = 10.0  # Gaussian widths the default band reaches beyond both cent
 
 @dataclass(frozen=True)
 class DiscretizationSpec:
-    """Mode spacing, frequency band, and pole regularization.
+    """Mode spacing and frequency band.
 
-    ``pole_offset`` must be positive: an unregularized spectrum places poles
-    directly on the real axis and any pole-on-mode collision diverges.  None,
-    the default, means the spacing; a narrower Lorentzian is under-resolved
-    by the mode grid and leaves a bias that never decays with refinement.
-    Modes sit at half-integer multiples of the spacing inside the band,
-    offset from round energies.
+    The spacing is also the pole regularization ``eps``: without it poles sit
+    on the real axis and any pole-on-mode collision diverges, and a narrower
+    Lorentzian is under-resolved by the mode grid and leaves a bias that
+    never decays with refinement.  Modes sit at half-integer multiples of the
+    spacing inside the band, offset from round energies.
     """
 
     mode_spacing: float
     band: tuple[float, float]
-    pole_offset: float | None = None
 
     def __post_init__(self):
         if self.mode_spacing <= 0:
             raise ValueError(f"mode spacing must be positive, got {self.mode_spacing}")
         if self.band[1] - self.band[0] < self.mode_spacing:
             raise ValueError(f"band {self.band} holds no mode at spacing {self.mode_spacing}")
-        if self.pole_offset is None:
-            object.__setattr__(self, "pole_offset", self.mode_spacing)
-        if not (0.0 < self.pole_offset <= self.mode_spacing):
-            raise ValueError(
-                "pole_offset must satisfy 0 < eps <= spacing (poles on unregularized "
-                f"modes diverge), got {self.pole_offset}"
-            )
 
     @classmethod
-    def for_model(
-        cls,
-        m: DimensionlessModel,
-        mode_spacing: float,
-        *,
-        pole_offset: float | None = None,
-    ) -> "DiscretizationSpec":
+    def for_model(cls, m: DimensionlessModel, mode_spacing: float) -> "DiscretizationSpec":
         """Band covering both coupling Gaussians out to 10 widths."""
         lo = min(m.center(1), m.center(2)) - _BAND_CUTOFF
         hi = max(m.center(1), m.center(2)) + _BAND_CUTOFF
-        return cls(mode_spacing=mode_spacing, band=(max(lo, 0.0), hi), pole_offset=pole_offset)
+        return cls(mode_spacing=mode_spacing, band=(max(lo, 0.0), hi))
 
     def modes(self) -> np.ndarray:
         lo, hi = self.band
@@ -119,8 +103,7 @@ def _sigma1_at_modes(y: float, spec: DiscretizationSpec, m, c):
     correlation of power-of-two length >= 2N - 1, which is long enough that
     no wrap-around reaches the N outputs kept.
     """
-    eps = spec.pole_offset
-    dw = spec.mode_spacing
+    eps = dw = spec.mode_spacing
     modes = spec.modes()
     n = len(modes)
     g1sq = np.asarray(coupling_sq(m, c, 1, modes)) * dw
@@ -146,8 +129,7 @@ def discrete_self_energy_1(
     ``(y, w)`` point: a single row of the double sum, O(N)."""
     _check_band(spec, m)
     y, w = float(y), float(w)
-    eps = spec.pole_offset
-    dw = spec.mode_spacing
+    eps = dw = spec.mode_spacing
     modes = spec.modes()
     g1sq = np.asarray(coupling_sq(m, c, 1, modes)) * dw
     x = y - w - modes
@@ -180,7 +162,7 @@ def discrete_self_energy_2(
         s1_shift, s1_width = _sigma1_at_modes(y, spec, m, c)
     else:
         s1_shift = s1_width = np.zeros_like(modes)
-    eps = 0.0 if first_level else spec.pole_offset
+    eps = 0.0 if first_level else dw
     x = y - m.a - modes - s1_shift
     denom = x * x + 0.25 * s1_width**2 + eps**2
     shift = float((g2sq * x / denom).sum())
@@ -218,16 +200,12 @@ def convergence_report(
     m: DimensionlessModel,
     c: CouplingConfig,
     s: QuadratureSettings = DEFAULT_SETTINGS,
-    *,
-    pole_offset: float | None = None,
 ) -> ConvergenceReport:
     """Per-spacing deviation of the discrete sums from the continuum values.
 
-    ``spacings`` must be strictly decreasing.  ``pole_offset`` is the
-    regularization of every spacing's ``DiscretizationSpec`` (None means the
-    spacing).  The report is flagged non-monotone when the maximum
-    error fails to decrease after the first entry, which signals a bug in
-    one of the two paths.
+    ``spacings`` must be strictly decreasing.  The report is flagged
+    non-monotone when the maximum error fails to decrease after the first
+    entry, which signals a bug in one of the two paths.
     """
     spacings = [float(v) for v in spacings]
     if not spacings:
@@ -244,7 +222,7 @@ def convergence_report(
 
     rows = []
     for spacing in spacings:
-        spec = DiscretizationSpec.for_model(m, spacing, pole_offset=pole_offset)
+        spec = DiscretizationSpec.for_model(m, spacing)
         err = np.array([discrete_self_energy_2(y, spec, m, c) for y in ys]) - reference
         err_shift = float(np.abs(err.real).max())
         err_width = 2.0 * float(np.abs(err.imag).max())

@@ -72,9 +72,7 @@ import numpy as np
 from numpy.polynomial import legendre
 from scipy import special
 
-from .model import CouplingConfig, DimensionlessModel, NumericalError
-
-SQRT_PI = math.sqrt(math.pi)
+from .model import SQRT_PI, CouplingConfig, DimensionlessModel, NumericalError
 
 _GAUSS_ORDER = 10  # Gauss points per panel; the Kronrod rule adds 11
 _COVER = 24.0  # |y - b| covered by one FULL node set; farther energies use multiples
@@ -583,17 +581,14 @@ _last_scan: tuple | None = None
 
 def _scan_key(m, c, regime, s, y_range, step) -> tuple:
     """Every input of ``_scan``: ``(m, c, regime, s, lo, hi, point count)``.
-    ``step`` ``None`` is 0.01 in FULL, else 0.002.  Raises ``ValueError``,
-    before anything is allocated, unless ``lo < hi`` are finite, ``step`` is
-    positive and finite and the scan holds at most ``_MAX_SCAN_POINTS``
-    energies."""
+    ``step`` ``None`` is the grid's step, 0.01 in FULL, else 0.002.  Raises
+    ``ValueError``, before anything is allocated, unless ``lo < hi`` are
+    finite and the scan holds at most ``_MAX_SCAN_POINTS`` energies."""
     lo, hi = (m.b - 12.0, m.b + 12.0) if y_range is None else y_range
     if step is None:
         step = 0.01 if regime is Regime.FULL else 0.002
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"scan range must be finite and increasing, got {y_range}")
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"scan step must be positive and finite, got {step}")
     intervals = (hi - lo) / step
     if not intervals <= _MAX_SCAN_POINTS - 1:
         raise ValueError(
@@ -650,15 +645,14 @@ def build_grid(
     y_range: tuple[float, float] | None = None,
     s: QuadratureSettings = DEFAULT_SETTINGS,
     *,
-    coarse_step: float | None = None,
     stats: SigmaStats | None = None,
 ) -> SpectralGrid:
     """Coarse scan plus local refinement around every resonance.
 
     The coarse scan is ``_scan``, the one ``find_roots`` brackets its roots
     on: ``y_range`` defaults to ``b +- 12`` and the scan holds
-    ``max(round(span/coarse_step), 16) + 1`` energies (``coarse_step`` 0.01
-    in FULL, else 0.002), at most ``_MAX_SCAN_POINTS``.  The scan is kept
+    ``max(round(span/step), 16) + 1`` energies (``step`` 0.01 in FULL, else
+    0.002), at most ``_MAX_SCAN_POINTS``.  The scan is kept
     until the next ``build_grid`` call, and a ``find_roots`` call that would
     scan the same energies with the same inputs brackets on it instead of
     scanning again.  Refinement
@@ -670,13 +664,12 @@ def build_grid(
     laid with spacing ``FWHM / 20`` in a linear core and geometric tails, so
     narrow peaks are resolved without a dense global grid.  The minimum
     local step is 1e-6.  ``stats`` accumulates the ``sigma2`` diagnostics.
-    A ``y_range`` that is not finite and increasing, a ``coarse_step`` that
-    is not positive and finite, or a scan of more energies raises
-    ``ValueError`` before any ``sigma2`` call.
+    A ``y_range`` that is not finite and increasing, or a scan of more
+    energies, raises ``ValueError`` before any ``sigma2`` call.
     """
     global _last_scan
-    scan = _scan(m, c, regime, s, y_range, coarse_step, stats)
-    _last_scan = (_scan_key(m, c, regime, s, y_range, coarse_step), scan)
+    scan = _scan(m, c, regime, s, y_range, None, stats)
+    _last_scan = (_scan_key(m, c, regime, s, y_range, None), scan)
     ys, value, resfun, cells = scan
     lo, hi = ys[0], ys[-1]
     u, width = _lineshape(ys - m.b, value)
@@ -723,8 +716,8 @@ def build_grid(
     u, width = _lineshape(merged - m.b, sigma)
     return SpectralGrid(
         energies=merged,
-        u_ff=np.maximum(u, 0.0),
-        gamma2=np.maximum(width, 0.0),
+        u_ff=u,
+        gamma2=width,
         delta2=sigma.real,
         refinement_level=is_new.astype(int),
         y_ref=m.b,

@@ -83,20 +83,31 @@ class TestExitCodes:
         assert "unknown config key" in capsys.readouterr().err
 
     def test_max_subdivisions_is_not_a_config_key(self, tmp_path, capsys):
-        # QuadratureSettings has no such field: the package runs no adaptive quad
+        # the package runs no adaptive quad and has no [quadrature] section
         bad = tmp_path / "bad.ini"
         bad.write_text(FULL_FAST + "\n[quadrature]\nmax_subdivisions = 500\n", encoding="utf-8")
         code = run("spectrum", "--config", str(bad), "--out", str(tmp_path))
         assert code == EXIT_CONFIG
-        assert "unknown config key [quadrature] max_subdivisions" in capsys.readouterr().err
+        assert "unknown config section [quadrature]" in capsys.readouterr().err
 
-    def test_tail_cutoff_is_not_a_config_key(self, tmp_path, capsys):
-        # the FULL node sets reach a fixed 10 past their cover (spectrum._TAIL)
+    @pytest.mark.parametrize(
+        "section, key, message",
+        [
+            ("quadrature", "tail_cutoff", "unknown config section [quadrature]"),
+            ("quadrature", "abs_tol", "unknown config section [quadrature]"),
+            ("quadrature", "rel_tol", "unknown config section [quadrature]"),
+            ("grid", "coarse_step", "unknown config key [grid] coarse_step"),
+            ("oracle", "pole_offset", "unknown config key [oracle] pole_offset"),
+        ],
+        ids=["tail_cutoff", "abs_tol", "rel_tol", "coarse_step", "pole_offset"],
+    )
+    def test_numerical_setting_is_not_a_config_key(self, tmp_path, capsys, section, key, message):
+        # constants of the library, not of a run (see test_config.py)
         bad = tmp_path / "bad.ini"
-        bad.write_text(FULL_FAST + "\n[quadrature]\ntail_cutoff = 10\n", encoding="utf-8")
+        bad.write_text(f"[coupling]\nl2 = 1\n[{section}]\n{key} = 0.01\n", encoding="utf-8")
         code = run("spectrum", "--config", str(bad), "--out", str(tmp_path))
         assert code == EXIT_CONFIG
-        assert "unknown config key [quadrature] tail_cutoff" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("spacings", ["0.01 0.05", "0.05 0.05", "0.05 -0.01", ",", "1000"])
     def test_bad_oracle_spacings_are_config_errors(self, tmp_path, capsys, spacings):
@@ -121,9 +132,10 @@ class TestExitCodes:
             ("spectrum", "[coupling]\nl2 = inf\n"),
             ("timedomain", "[coupling]\nl2 = 1\n[time]\nt_max = nan\n"),
             ("oracle", "[coupling]\nl2 = 1\n[oracle]\nenergies = nan\n"),
+            ("oracle", "[coupling]\nl2 = 1\n[oracle]\nenergies = ,\n"),
         ],
         ids=["delta-0", "coarse-step-negative", "coarse-step-0", "l2-nan", "l2-inf",
-             "t-max-nan", "oracle-energy-nan"],
+             "t-max-nan", "oracle-energy-nan", "oracle-energies-empty"],
     )
     def test_bad_input_is_config_error(self, tmp_path, capsys, command, text):
         cfg = tmp_path / "bad.ini"
@@ -133,15 +145,17 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "grid",
-        ["coarse_step = 1e-12", "span = 1e9", "span = 6000\ncoarse_step = 1"],
+        "text",
+        ["v1_enabled = false\n[grid]\nspan = 1200", "[grid]\nspan = 1e9", "[grid]\nspan = 6000"],
         ids=["grid-scan-step", "grid-scan-span", "root-scan-span"],
     )
-    def test_oversized_scan_is_config_error(self, tmp_path, capsys, grid):
+    def test_oversized_scan_is_config_error(self, tmp_path, capsys, text):
         # each scan would ask np.linspace for more than 10**6 energies (the
-        # first two for terabytes); load_config refuses it before any is made
+        # second for terabytes); load_config refuses it before any is made.
+        # The STABLE grid steps 0.002, finer than find_roots' 0.01, and the
+        # FULL grid's 0.01 scan is find_roots' own, so one check bounds both
         cfg = tmp_path / "bad.ini"
-        cfg.write_text(f"[coupling]\nl2 = 1\n[grid]\n{grid}\n", encoding="utf-8")
+        cfg.write_text(f"[coupling]\nl2 = 1\n{text}\n", encoding="utf-8")
         start = time.perf_counter()
         code = run("resonances", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert time.perf_counter() - start < 1.0
@@ -158,9 +172,8 @@ NUMERICAL_FAILURES = {
     ),
     "t0-magnitude": (
         "timedomain",
-        "[coupling]\nl2 = 6\nv1_enabled = false\n[grid]\nspan = 3\ncoarse_step = 3\n"
-        "[time]\nt_max = 3\nsteps = 50\n",
-        "t=0 magnitude 0.049157 deviates from 1",
+        "[coupling]\nl2 = 6\nv1_enabled = false\n[grid]\nspan = 3\n[time]\nt_max = 3\nsteps = 50\n",
+        "t=0 magnitude 0.049158 deviates from 1",
     ),
     "oracle-band": (
         "oracle",
@@ -169,14 +182,14 @@ NUMERICAL_FAILURES = {
     ),
     "fwhm-under-resolved": (
         "resonances",
-        "[coupling]\nl2 = 6\nv1_enabled = false\n[grid]\ncoarse_step = 3\n",
-        "peak at y = 102.04277: U = 370.484 is below half its height 2567.55; "
+        "[coupling]\nl2 = 49.5407\nv1_enabled = false\n[grid]\nspan = 15\n",
+        "peak at y = 108.47931: U = 3.09361e-27 is below half its height 5.8525e-26; "
         "the grid under-resolves this peak",
     ),
     "quadrature-tolerance": (
         "spectrum",
-        "[coupling]\nl2 = 6\n[grid]\nspan = 3\n[quadrature]\nabs_tol = 1e-30\nrel_tol = 1e-30\n",
-        "FULL self-energy at y - b = -2.93",
+        "[coupling]\nl2 = 25000\n[grid]\nspan = 183\n",
+        "FULL self-energy at y - b = -182.58",
     ),
     "scan-range": (
         "resonances",
@@ -347,24 +360,6 @@ class TestOtherCommands:
         assert lines[0].endswith(",t_seconds")
         meta = json.loads((out / "timedomain.meta.json").read_text())
         assert "decay_time_s" in meta["metrics_physical"]
-
-    def test_oracle_pole_offset_reaches_report(self, config_path, tmp_path):
-        default, offset = tmp_path / "default", tmp_path / "offset"
-        assert run("oracle", "--config", config_path, "--out", str(default)) == EXIT_OK
-        cfg = tmp_path / "offset.ini"
-        cfg.write_text(STABLE_FAST + "pole_offset = 0.01\n", encoding="utf-8")
-        assert run("oracle", "--config", str(cfg), "--out", str(offset)) == EXIT_OK
-        before = json.loads((default / "oracle.json").read_text())
-        after = json.loads((offset / "oracle.json").read_text())
-        assert after["config"]["oracle"]["pole_offset"] == 0.01
-        assert [r["spacing"] for r in after["rows"]] == [r["spacing"] for r in before["rows"]]
-        assert after["rows"] != before["rows"]
-
-    def test_pole_offset_wider_than_spacing_is_config_error(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text(STABLE_FAST + "pole_offset = 0.03\n", encoding="utf-8")
-        assert run("oracle", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_CONFIG
-        assert "pole_offset" in capsys.readouterr().err
 
     def test_oracle(self, config_path, tmp_path):
         out = tmp_path / "out"

@@ -29,7 +29,7 @@ FINEST_REL_ERR = 0.06
 def direct_sigma1(y, spec, m, c, rows=256):
     """First-level (shift, width) at every mode: the double sum over mode
     pairs written out, a block of rows at a time."""
-    eps = spec.pole_offset
+    eps = spec.mode_spacing
     modes = spec.modes()
     g1sq = coupling_sq(m, c, 1, modes) * spec.mode_spacing
     shift = np.empty(len(modes))
@@ -53,7 +53,7 @@ def direct_sigma2(y, spec, m, c):
         eps = 0.0
     else:
         s1_shift = s1_width = np.zeros_like(modes)
-        eps = spec.pole_offset
+        eps = spec.mode_spacing
     x = y - m.a - modes - s1_shift
     denom = x * x + 0.25 * s1_width**2 + eps**2
     width = (g2sq * (s1_width + 2.0 * eps) / denom).sum()
@@ -65,10 +65,6 @@ def default_energies(m):
 
 
 class TestDiscretizationSpec:
-    def test_defaults_pole_offset_to_spacing(self):
-        spec = DiscretizationSpec(mode_spacing=0.01, band=(38.0, 60.0))
-        assert spec.pole_offset == 0.01
-
     def test_rejects_nonpositive_spacing(self):
         with pytest.raises(ValueError, match="spacing"):
             DiscretizationSpec(mode_spacing=0.0, band=(38.0, 60.0))
@@ -80,21 +76,6 @@ class TestDiscretizationSpec:
     def test_rejects_band_without_modes(self):
         with pytest.raises(ValueError, match="no mode"):
             DiscretizationSpec(mode_spacing=30.0, band=(38.0, 60.0))
-
-    def test_rejects_unregularized_poles(self):
-        # offset wider than the spacing or non-positive means poles can sit
-        # exactly on a mode frequency and diverge
-        with pytest.raises(ValueError, match="diverge"):
-            DiscretizationSpec(mode_spacing=0.01, band=(38.0, 60.0), pole_offset=0.05)
-        with pytest.raises(ValueError, match="diverge"):
-            DiscretizationSpec(mode_spacing=0.01, band=(38.0, 60.0), pole_offset=-0.01)
-
-    def test_explicit_zero_pole_offset_is_rejected(self, model):
-        # None, not 0, stands for "equal to the spacing"
-        with pytest.raises(ValueError, match="diverge"):
-            DiscretizationSpec(mode_spacing=0.01, band=(38.0, 60.0), pole_offset=0.0)
-        with pytest.raises(ValueError, match="diverge"):
-            DiscretizationSpec.for_model(model, 0.01, pole_offset=0.0)
 
     def test_for_model_covers_both_gaussians(self, model):
         spec = DiscretizationSpec.for_model(model, 0.05)
@@ -176,11 +157,11 @@ class TestLatticeSums:
         assert counts == [430, 1075, 2150, 4300]
 
     @pytest.mark.parametrize("spacing", LATTICE_SPACINGS)
-    @pytest.mark.parametrize("pole_frac", [1.0, 0.5])
+    @pytest.mark.parametrize("l2", [1.0, 6.0])
     @pytest.mark.parametrize("y", [99.2, 60.0, 140.0])  # 60 and 140: no mode pair is near a pole
-    def test_first_level_matches_direct_sum(self, model, spacing, pole_frac, y):
-        c = CouplingConfig.transmon_ratio(1.0)
-        spec = DiscretizationSpec.for_model(model, spacing, pole_offset=pole_frac * spacing)
+    def test_first_level_matches_direct_sum(self, model, spacing, l2, y):
+        c = CouplingConfig.transmon_ratio(l2)
+        spec = DiscretizationSpec.for_model(model, spacing)
         got, want = _sigma1_at_modes(y, spec, model, c), direct_sigma1(y, spec, model, c)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-11 * np.max(np.abs(w))
@@ -208,7 +189,7 @@ class TestLatticeSums:
     @pytest.mark.parametrize("spacing", [0.02, 0.005])
     @pytest.mark.parametrize("y", [97.5, 100.1, 140.0])
     def test_second_level_matches_direct_sum(self, model, coupling, spacing, y):
-        spec = DiscretizationSpec.for_model(model, spacing, pole_offset=0.5 * spacing)
+        spec = DiscretizationSpec.for_model(model, spacing)
         want = direct_sigma2(y, spec, model, coupling)
         assert abs(discrete_self_energy_2(y, spec, model, coupling) - want) <= 1e-11 * abs(want)
 

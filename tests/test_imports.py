@@ -10,6 +10,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import transmon_decay
 from transmon_decay import Regime, quadrature, sweep_coupling
 
@@ -77,14 +79,23 @@ def test_cli_loads_neither_optimize_nor_integrate(tmp_path):
     assert done.stdout.splitlines()[-1] == "loaded:"
 
 
-def test_benchmark_trace_patches_resolve(model):
+def perfbench_module(name: str, monkeypatch: pytest.MonkeyPatch) -> types.ModuleType:
+    """``perfbench/<name>.py`` read and executed, never imported, so no
+    bytecode is written next to it; it is registered in ``sys.modules`` for
+    the test only, which ``dataclasses`` needs to resolve its annotations."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_benchmark_trace_patches_resolve(model, monkeypatch):
     # perfbench/tracing.py wraps library functions at the module names they
     # are called through; a refactor that renames or stops importing one of
-    # them breaks the traced benchmark run and nothing else.  The file is
-    # read and executed, never imported, so no bytecode is written next to it.
-    path = ROOT / "perfbench" / "tracing.py"
-    tracing = types.ModuleType("perfbench_tracing")
-    exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+    # them breaks the traced benchmark run and nothing else
+    tracing = perfbench_module("tracing", monkeypatch)
     for module_name, attr, _ in tracing.PATCHES:
         assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
     assert callable(quadrature.integrate.quad)
@@ -93,3 +104,20 @@ def test_benchmark_trace_patches_resolve(model):
     with tracing.patched(tracer):
         sweep_coupling(model, Regime.STABLE, [6.0])
     assert "resonances.sweep_find_roots" in tracer.names
+
+
+def test_benchmark_gate_passes(tmp_path, monkeypatch):
+    # every workload of perfbench/studies.py, at the reference point (seed 0)
+    # and jittered (seed 1), runs through the library and passes the gate the
+    # benchmark applies, so a change that breaks the harness fails here first
+    studies = perfbench_module("studies", monkeypatch)
+    tracer = perfbench_module("tracing", monkeypatch).NullTracer()
+    reference = studies.load_reference()
+    for name, workload in studies.WORKLOADS.items():
+        for seed in (0, 1):
+            work = tmp_path / f"{name}-{seed}"
+            out = work / "out"
+            out.mkdir(parents=True)
+            result = workload.run(workload.make_inputs(seed, work), out, tracer)
+            outputs = workload.outputs(result, out)
+            assert studies.check(name, seed, outputs, reference[name]) == [], (name, seed)

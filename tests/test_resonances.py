@@ -124,16 +124,16 @@ class TestOneScan:
         assert roots == find_roots(model, c, regime, settings)
 
     def test_point_count_when_the_step_does_not_divide_the_span(self, model, settings, monkeypatch):
-        # 2.543 / 0.01 is 254.3 cells: both scans round it to 254 (a ceiling
+        # 2.543 / 0.01 is 254.3 cells: the scan rounds it to 254 (a ceiling
         # would give 255); the outer root at b + 3.5429 is in the last cell
         c = CouplingConfig.stable_second_level(6.0)
         window = (model.b + 1.0, model.b + 3.543)
         calls = record_vector_calls(monkeypatch)
         with pytest.raises(ScanRangeError):
             find_roots(model, c, Regime.STABLE, settings, y_range=window)
-        grid = build_grid(model, c, Regime.STABLE, window, settings, coarse_step=0.01)
-        assert calls[0].size == 255
-        assert np.array_equal(calls[0], grid.energies[grid.refinement_level == 0])
+        ys = spectrum._scan(model, c, Regime.STABLE, settings, window, 0.01, None)[0]
+        assert calls[0].size == ys.size == 255
+        assert np.array_equal(calls[0], ys)
 
     def test_exact_zero_crossing_gives_one_centre(self, model, settings, monkeypatch):
         # F is exactly 0 at the eleven scan points y - b = -5..5 and changes
@@ -172,24 +172,23 @@ class TestOneScan:
 
     @pytest.mark.parametrize(
         "change",
-        ["y_range", "coarse_step", "coupling", "regime", "settings"],
+        ["y_range", "coupling", "regime", "settings"],
     )
     def test_any_other_scan_input_rescans(self, model, settings, change):
         c = CouplingConfig.transmon_ratio(6.0)
         args = {"m": model, "c": c, "regime": Regime.FULL, "s": settings}
+        regime = Regime.FULL
         if change == "y_range":
             args["y_range"] = (model.b - 12.0, model.b + 12.5)
-        elif change == "coarse_step":
-            args["coarse_step"] = 0.005
         elif change == "coupling":
             args["c"] = CouplingConfig.transmon_ratio(6.001)
         elif change == "regime":
-            args.update(regime=Regime.WEAK, coarse_step=0.01)
+            regime = Regime.WEAK  # find_roots' step 0.01 is the FULL grid's
         else:
             args["s"] = QuadratureSettings(abs_tol=2.0 * settings.abs_tol)
         build_grid(**args)
         stats = SigmaStats()
-        find_roots(model, c, Regime.FULL, settings, stats=stats)
+        find_roots(model, c, regime, settings, stats=stats)
         assert stats.energies > 2401
 
     def test_find_roots_keeps_no_scan_of_its_own(self, model, settings):

@@ -56,14 +56,7 @@ def config_grid(name: str):
     """The CLI's energy grid and time grid for ``configs/<name>.ini``."""
     cfg = load_config(str(CONFIGS / f"{name}.ini"))
     b = cfg.model.b
-    grid = build_grid(
-        cfg.model,
-        cfg.coupling,
-        cfg.regime,
-        (b - cfg.grid_span, b + cfg.grid_span),
-        cfg.quadrature,
-        coarse_step=cfg.coarse_step,
-    )
+    grid = build_grid(cfg.model, cfg.coupling, cfg.regime, (b - cfg.grid_span, b + cfg.grid_span))
     return grid, np.linspace(0.0, cfg.t_max, cfg.t_steps)
 
 
