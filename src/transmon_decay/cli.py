@@ -171,14 +171,18 @@ def _cmd_resonances(cfg: RunConfig, out: Path, fmt: str) -> int:
 
 def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> int:
     l2_values = np.geomspace(cfg.sweep_l2_min, cfg.sweep_l2_max, cfg.sweep_steps)
-    result = sweep_coupling(cfg.model, cfg.regime, l2_values)
+    stats = SigmaStats()
+    result = sweep_coupling(cfg.model, cfg.regime, l2_values, y_range=_y_range(cfg), stats=stats)
     rows = [
         (l2, rec.y_r, rec.height)
         for l2, recs in zip(result.l2_values, result.records_per_l2)
         for rec in recs
     ]
     header = ["l2", "y_r", "u_at_yr"]
-    info = {"crossover_estimate": _jnum(result.crossover_estimate)}
+    info = {
+        "crossover_estimate": _jnum(result.crossover_estimate),
+        "sigma2": _sigma2_info(stats),
+    }
     _write_table(out, "sweep", fmt, cfg, header, rows, info)
     return EXIT_OK
 

@@ -226,13 +226,17 @@ def sweep_coupling(
     regime: Regime,
     l2_values,
     s: QuadratureSettings = DEFAULT_SETTINGS,
+    *,
+    y_range: tuple[float, float] | None = None,
+    stats: SigmaStats | None = None,
 ) -> SweepResult:
     """Root structure versus coupling strength, plus the crossover estimate.
 
     For every ``L_2`` the roots and their spectral-function values are
     collected (``L_1 = (2/3) L_2`` at full coupling).  The crossover is
     the smallest ``L_2`` whose root count exceeds one, refined by bisection
-    over ``L_2`` to an interval of 1e-3.
+    over ``L_2`` to an interval of 1e-3.  Every ``find_roots`` call, the
+    bisection's included, scans ``y_range`` and adds to ``stats``.
     """
     l2_values = tuple(float(v) for v in l2_values)
     if any(v <= 0 for v in l2_values):
@@ -246,7 +250,7 @@ def sweep_coupling(
     records = []
     counts = []
     for l2 in l2_values:
-        recs = find_roots(m, config(l2), regime, s)
+        recs = find_roots(m, config(l2), regime, s, y_range=y_range, stats=stats)
         records.append(tuple(recs))
         counts.append(len(recs))
 
@@ -261,7 +265,8 @@ def sweep_coupling(
         else:
             while hi - lo > _CROSSOVER_TOL:
                 mid = 0.5 * (lo + hi)
-                if len(find_roots(m, config(mid), regime, s)) > 1:
+                roots = find_roots(m, config(mid), regime, s, y_range=y_range, stats=stats)
+                if len(roots) > 1:
                     hi = mid
                 else:
                     lo = mid

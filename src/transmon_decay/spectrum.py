@@ -143,7 +143,9 @@ class SigmaStats:
     def record(self, errors: np.ndarray, terms: int) -> None:
         self.energies += errors.size
         self.terms += terms
-        self.max_error = max(self.max_error, float(errors.max(initial=0.0)))
+        # a scalar skips the array reduction (~1 us), as in sigma2
+        worst = float(errors[0]) if errors.size == 1 else float(errors.max(initial=0.0))
+        self.max_error = max(self.max_error, worst)
 
 
 def _gaussian_sigma(x, strength: float) -> np.ndarray:

@@ -335,6 +335,38 @@ class TestOtherCommands:
         assert text.splitlines()[0] == "l2,y_r,u_at_yr"
         meta = json.loads((out / "sweep.meta.json").read_text())
         assert meta["crossover_estimate"] == pytest.approx(0.25, abs=0.01)
+        # the closed-form STABLE self-energy sums no FULL node terms
+        sigma2 = meta["sigma2"]
+        assert sigma2["energies"] > 0
+        assert sigma2["terms"] == 0
+
+    def test_full_sweep_records_sigma2(self, tmp_path):
+        cfg = tmp_path / "full.ini"
+        cfg.write_text(FULL_FAST + "[sweep]\nl2_min = 0.5\nl2_max = 1\nsteps = 2\n")
+        out = tmp_path / "out"
+        assert run("sweep", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+        sigma2 = json.loads((out / "sweep.meta.json").read_text())["sigma2"]
+        # two scans of b +- 6 at step 0.01, plus the Brent and height calls
+        assert sigma2["energies"] > 2 * 1201
+        assert sigma2["terms"] > 0
+        assert 0.0 < sigma2["max_error_estimate"] < 1e-9
+
+    @pytest.mark.parametrize("span, offsets", [(12, [0.0]), (20, [-12.669, 0.0, 12.669])])
+    def test_sweep_scans_the_grid_span(self, tmp_path, span, offsets):
+        # at STABLE L2 = 80 the outer roots sit at y - b = +-12.669, outside b +- 12
+        cfg = tmp_path / "wide.ini"
+        cfg.write_text(
+            "[model]\na = 50\nb = 98.5\n"
+            "[coupling]\nl2 = 80\nv1_enabled = false\nregime = stable\n"
+            f"[grid]\nspan = {span}\n"
+            "[sweep]\nl2_min = 80\nl2_max = 80\nsteps = 1\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert run("sweep", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        roots = [float(row.split(",")[1]) - 98.5 for row in rows]
+        assert roots == pytest.approx(offsets, abs=1e-3)
 
     def test_timedomain(self, config_path, tmp_path):
         out = tmp_path / "out"

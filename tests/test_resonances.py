@@ -301,6 +301,30 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_coupling(model, Regime.STABLE, [0.0, 1.0], settings)
 
+    def test_window_and_stats_reach_every_find_roots_call(self, model, settings, monkeypatch):
+        from transmon_decay import resonances
+
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs)
+            return find_roots(*args, **kwargs)
+
+        monkeypatch.setattr(resonances, "find_roots", recording)
+        window, stats = (model.b - 20.0, model.b + 20.0), SigmaStats()
+        result = sweep_coupling(
+            model, Regime.STABLE, [0.1, 80.0], settings, y_range=window, stats=stats
+        )
+        # two sweep values and the crossover bisection from 0.1 to 80 in steps of 1e-3
+        assert len(calls) > 2 + 15
+        assert all(kw == {"y_range": window, "stats": stats} for kw in calls)
+        # the outer roots at y - b = +-12.669 lie inside b +- 20 only
+        assert [r.y_r - model.b for r in result.records_per_l2[1]] == pytest.approx(
+            [-12.669, 0.0, 12.669], abs=1e-3
+        )
+        # each call scans b +- 20 at step 0.01
+        assert stats.energies >= len(calls) * 4001
+
 
 class TestSpectralCallable:
     def test_matches_direct_evaluation(self, model, settings):
