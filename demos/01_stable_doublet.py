@@ -34,7 +34,7 @@ print(f"\nresonance-condition roots (y - b - Delta2(y) = 0):")
 for r in roots:
     print(f"  y_r - b = {r.y_r - model.b:+.6f}   U(y_r) = {r.height:.4g}")
 
-peaks = find_peaks(grid, roots, min_height=0.01 * float(grid.u_ff.max()))
+peaks = [p for p in find_peaks(grid, roots) if p.height > 0.01 * float(grid.u_ff.max())]
 u = spectral_callable(model, coupling, Regime.STABLE)
 print("\ndominant spectral peaks:")
 for p in peaks:

@@ -29,7 +29,7 @@ grid = build_grid(model, coupling, Regime.FULL)
 print(f"  {len(grid.energies)} energy points")
 
 roots = find_roots(model, coupling, Regime.FULL)
-peaks = find_peaks(grid, roots, min_height=0.05 * float(grid.u_ff.max()))
+peaks = [p for p in find_peaks(grid, roots) if p.height > 0.05 * float(grid.u_ff.max())]
 u = spectral_callable(model, coupling, Regime.FULL)
 
 print("\nspectral triplet:")

@@ -46,7 +46,6 @@ from .resonances import (
 from .time_domain import RabiMetrics, SurvivalSeries, rabi_metrics, survival_amplitude
 from .discrete import (
     ConvergenceReport,
-    DiscretizationSpec,
     convergence_report,
     discrete_self_energy_1,
     discrete_self_energy_2,
@@ -80,7 +79,6 @@ __all__ = [
     "rabi_metrics",
     "survival_amplitude",
     "ConvergenceReport",
-    "DiscretizationSpec",
     "convergence_report",
     "discrete_self_energy_1",
     "discrete_self_energy_2",

@@ -16,9 +16,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .discrete import DiscretizationSpec
+from .discrete import _modes
 from .model import CouplingConfig, DimensionlessModel, PhysicalParams
-from .spectrum import DEFAULT_SETTINGS, Regime, _scan_key, regime_for
+from .spectrum import DEFAULT_SETTINGS, Regime, _check_regime, _scan_key, regime_for
 
 TWO_PI = 2.0 * math.pi
 
@@ -182,10 +182,8 @@ def load_config(path: str) -> RunConfig:
     with _invalid("coupling parameters"):
         make = CouplingConfig if "l1" in values else CouplingConfig.transmon_ratio
         coupling = make(**values)
-    regime = regime or regime_for(coupling)
-    if (regime is Regime.STABLE) == coupling.v1_enabled:
-        flag = "false" if coupling.v1_enabled else "true"
-        raise ConfigError(f"regime {regime.value!r} requires v1_enabled = {flag}")
+        regime = regime or regime_for(coupling)
+        _check_regime(coupling, regime)
 
     fields = {_SCHEMA[s][k][1]: v for s in _RUN_SECTIONS for k, v in given[s].items()}
     fields.setdefault("oracle_energies", tuple(model.b + d for d in (-1.0, -0.5, 0.0, 0.7, 1.6)))
@@ -201,7 +199,7 @@ def load_config(path: str) -> RunConfig:
     if not spacings or spacings[-1] <= 0 or any(b >= a for a, b in zip(spacings, spacings[1:])):
         raise ConfigError(f"[oracle] spacings must be positive and decreasing: {list(spacings)}")
     with _invalid("[oracle] spacings"):  # the widest spacing must fit the oracle's band
-        DiscretizationSpec.for_model(model, spacings[0])
+        _modes(model, spacings[0])
     if not cfg.oracle_energies:
         raise ConfigError("[oracle] energies must not be empty")
     return cfg

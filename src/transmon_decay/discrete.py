@@ -43,48 +43,41 @@ import numpy as np
 from .model import CouplingConfig, DimensionlessModel, NumericalError, coupling_sq
 from .spectrum import DEFAULT_SETTINGS, QuadratureSettings, regime_for, sigma2
 
-_BAND_CUTOFF = 10.0  # Gaussian widths the default band reaches beyond both centres
+_BAND_CUTOFF = 10.0  # Gaussian widths the band reaches beyond both centres
+_BAND_COVER = 8.0  # Gaussian widths the band must cover for a meaningful oracle
 
 
-@dataclass(frozen=True)
-class DiscretizationSpec:
-    """Mode spacing and frequency band.
+def _band(m: DimensionlessModel) -> tuple[float, float]:
+    """Band covering both coupling Gaussians out to 10 widths, cut at 0."""
+    lo = min(m.center(1), m.center(2)) - _BAND_CUTOFF
+    hi = max(m.center(1), m.center(2)) + _BAND_CUTOFF
+    return (max(lo, 0.0), hi)
+
+
+def _modes(m: DimensionlessModel, spacing: float) -> np.ndarray:
+    """Photon modes at half-integer multiples of ``spacing`` inside the band,
+    offset from round energies; ``ValueError`` unless ``0 < spacing <=`` its width.
 
     The spacing is also the pole regularization ``eps``: without it poles sit
     on the real axis and any pole-on-mode collision diverges, and a narrower
     Lorentzian is under-resolved by the mode grid and leaves a bias that
-    never decays with refinement.  Modes sit at half-integer multiples of the
-    spacing inside the band, offset from round energies.
+    never decays with refinement.
     """
-
-    mode_spacing: float
-    band: tuple[float, float]
-
-    def __post_init__(self):
-        if self.mode_spacing <= 0:
-            raise ValueError(f"mode spacing must be positive, got {self.mode_spacing}")
-        if self.band[1] - self.band[0] < self.mode_spacing:
-            raise ValueError(f"band {self.band} holds no mode at spacing {self.mode_spacing}")
-
-    @classmethod
-    def for_model(cls, m: DimensionlessModel, mode_spacing: float) -> "DiscretizationSpec":
-        """Band covering both coupling Gaussians out to 10 widths."""
-        lo = min(m.center(1), m.center(2)) - _BAND_CUTOFF
-        hi = max(m.center(1), m.center(2)) + _BAND_CUTOFF
-        return cls(mode_spacing=mode_spacing, band=(max(lo, 0.0), hi))
-
-    def modes(self) -> np.ndarray:
-        lo, hi = self.band
-        n = int(math.floor((hi - lo) / self.mode_spacing))
-        return lo + (np.arange(n) + 0.5) * self.mode_spacing
+    if spacing <= 0:
+        raise ValueError(f"mode spacing must be positive, got {spacing}")
+    lo, hi = band = _band(m)
+    if hi - lo < spacing:
+        raise ValueError(f"band {band} holds no mode at spacing {spacing}")
+    n = int(math.floor((hi - lo) / spacing))
+    return lo + (np.arange(n) + 0.5) * spacing
 
 
-def _check_band(spec: DiscretizationSpec, m: DimensionlessModel):
-    lo, hi = spec.band
-    span = 8.0  # minimum Gaussian coverage for a meaningful oracle
-    if lo > min(m.center(1), m.center(2)) - span or hi < max(m.center(1), m.center(2)) + span:
+def _check_band(m: DimensionlessModel):
+    """Only the band's cut at 0 can leave a centre less than 8 widths inside it."""
+    band = _band(m)
+    if band[0] > min(m.center(1), m.center(2)) - _BAND_COVER:
         raise NumericalError(
-            f"band {spec.band} does not cover both coupling Gaussians +- {span} widths"
+            f"band {band} does not cover both coupling Gaussians +- {_BAND_COVER} widths"
         )
 
 
@@ -95,7 +88,7 @@ def _self_terms(y: float, omegas, g1sq_at, eps: float):
     return 0.5 * g1sq_at * xs / denom, g1sq_at * eps / denom
 
 
-def _sigma1_at_modes(y: float, spec: DiscretizationSpec, m, c):
+def _sigma1_at_modes(y: float, spacing: float, m, c):
     """First-level (shift, width) at every photon mode ``omega = mode_k``.
 
     ``x_kj = y - mode_k - mode_j`` depends on ``k + j`` only, so both sums
@@ -103,8 +96,8 @@ def _sigma1_at_modes(y: float, spec: DiscretizationSpec, m, c):
     correlation of power-of-two length >= 2N - 1, which is long enough that
     no wrap-around reaches the N outputs kept.
     """
-    eps = dw = spec.mode_spacing
-    modes = spec.modes()
+    eps = dw = spacing
+    modes = _modes(m, spacing)
     n = len(modes)
     g1sq = np.asarray(coupling_sq(m, c, 1, modes)) * dw
 
@@ -121,16 +114,16 @@ def _sigma1_at_modes(y: float, spec: DiscretizationSpec, m, c):
 def discrete_self_energy_1(
     y: float,
     w: float,
-    spec: DiscretizationSpec,
+    spacing: float,
     m: DimensionlessModel,
     c: CouplingConfig,
 ) -> complex:
     """Discrete first-level self-energy ``Delta_1 - i Gamma_1/2`` at one
     ``(y, w)`` point: a single row of the double sum, O(N)."""
-    _check_band(spec, m)
+    _check_band(m)
     y, w = float(y), float(w)
-    eps = dw = spec.mode_spacing
-    modes = spec.modes()
+    eps = dw = spacing
+    modes = _modes(m, spacing)
     g1sq = np.asarray(coupling_sq(m, c, 1, modes)) * dw
     x = y - w - modes
     denom = x * x + eps * eps
@@ -142,24 +135,24 @@ def discrete_self_energy_1(
 
 def discrete_self_energy_2(
     y: float,
-    spec: DiscretizationSpec,
+    spacing: float,
     m: DimensionlessModel,
     c: CouplingConfig,
 ) -> complex:
     """Discrete second-level self-energy ``Delta_2 - i Gamma_2/2``, summing
     over photon modes with the discrete first-level self-energy inside every
     denominator."""
-    _check_band(spec, m)
+    _check_band(m)
     y = float(y)
-    dw = spec.mode_spacing
-    modes = spec.modes()
+    dw = spacing
+    modes = _modes(m, spacing)
     g2sq = np.asarray(coupling_sq(m, c, 2, modes)) * dw
     # Decided once per call, not from the computed widths: with L1 > 0 every
     # first-level width is a sum of positive Lorentzian tails, so only a bare
     # pole (V1 off or L1 = 0) needs the same i*eps regularization.
     first_level = c.v1_enabled and c.l1 > 0
     if first_level:
-        s1_shift, s1_width = _sigma1_at_modes(y, spec, m, c)
+        s1_shift, s1_width = _sigma1_at_modes(y, spacing, m, c)
     else:
         s1_shift = s1_width = np.zeros_like(modes)
     eps = 0.0 if first_level else dw
@@ -222,8 +215,8 @@ def convergence_report(
 
     rows = []
     for spacing in spacings:
-        spec = DiscretizationSpec.for_model(m, spacing)
-        err = np.array([discrete_self_energy_2(y, spec, m, c) for y in ys]) - reference
+        modes = len(_modes(m, spacing))  # a bad spacing raises before any sum
+        err = np.array([discrete_self_energy_2(y, spacing, m, c) for y in ys]) - reference
         err_shift = float(np.abs(err.real).max())
         err_width = 2.0 * float(np.abs(err.imag).max())
         rows.append(
@@ -232,7 +225,7 @@ def convergence_report(
                 max_abs_err_shift=err_shift,
                 max_abs_err_width=err_width,
                 max_rel_err=max(err_shift, err_width) / scale,
-                modes=len(spec.modes()),
+                modes=modes,
             )
         )
 

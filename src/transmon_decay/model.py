@@ -97,10 +97,6 @@ class DimensionlessModel:
         """Reduce physical parameters to units of the continuum width."""
         return cls(a=p.e_e / p.delta, b=p.e_f / p.delta)
 
-    def to_physical(self, delta: float) -> PhysicalParams:
-        """Back-conversion for a given continuum width (rad/s)."""
-        return PhysicalParams(e_e=self.a * delta, e_f=self.b * delta, delta=delta)
-
     def center(self, i: int) -> float:
         """Gaussian centre of transition ``i`` (1: g-e, 2: e-f)."""
         if i == 1:

@@ -25,7 +25,6 @@ from .spectrum import (
     spectral_function,
 )
 
-_SCAN_STEP = 0.01  # root-scan spacing in y
 _ROOT_TOL = 1e-9  # Brent's absolute tolerance on a root
 _MERGE_TOL = 1e-5  # roots closer than this form one degenerate record
 _FWHM_SPAN = 6.0  # farthest flank search from a peak
@@ -97,8 +96,9 @@ def find_roots(
     at step 0.01: ``y_range`` defaults to ``b +- 12`` and the scan holds
     ``max(round(span/0.01), 16) + 1`` energies, one vector ``sigma2`` call.
     When the last ``build_grid`` call scanned the same energies with the same
-    model, coupling, regime and settings, that scan is used as it is, with
-    no energy evaluated again; otherwise this call makes its own scan.
+    model, coupling, regime and settings, and recorded them into this same
+    ``stats`` object, that scan is used as it is, with no energy evaluated
+    again; otherwise this call makes its own scan.
     A cell brackets a root when ``F`` changes sign across it or is exactly 0
     at its left end; such an exact zero is the root itself, and Brent
     bracketing refines the others (its scalar calls reproduce the scan's
@@ -108,9 +108,10 @@ def find_roots(
     with a degeneracy flag.  Each record is annotated with the value of the
     spectral function at the root.  ``stats`` accumulates the diagnostics of
     the ``sigma2`` energies this call evaluates: a scan taken over from
-    ``build_grid`` is counted there, not here.
+    ``build_grid`` is not counted again, since that call counted it in the
+    same ``stats``.
     """
-    ys, _, vals, cells = _root_scan(m, c, regime, s, y_range, _SCAN_STEP, stats)
+    ys, _, vals, cells = _root_scan(m, c, regime, s, y_range, stats)
     if len(cells) and (cells[0] == 0 or cells[-1] == len(ys) - 2):
         raise ScanRangeError(
             f"sign change at scan boundary of [{ys[0]}, {ys[-1]}]; widen the range"
@@ -136,16 +137,16 @@ def find_roots(
 def find_peaks(
     grid: SpectralGrid,
     roots: list[ResonanceRecord] | None = None,
-    *,
-    min_height: float = 0.0,
 ) -> list[ResonanceRecord]:
     """Local maxima of the gridded spectral function with parabolic refinement.
 
-    Each peak is paired with the nearest root when that root lies within one
-    estimated FWHM of the peak; otherwise the peak stands alone.
+    Every local maximum is returned, however low; a caller that wants only
+    the dominant peaks filters the list by height.  Each peak is paired with
+    the nearest root when that root lies within one estimated FWHM of the
+    peak; otherwise the peak stands alone.
     """
     y, u = grid.energies, grid.u_ff
-    idx = np.nonzero((u[1:-1] > u[:-2]) & (u[1:-1] >= u[2:]) & (u[1:-1] > min_height))[0] + 1
+    idx = np.nonzero((u[1:-1] > u[:-2]) & (u[1:-1] >= u[2:]))[0] + 1  # U rises into each, so U > 0
     records = []
     for i in idx:
         y0, y1, y2 = y[i - 1], y[i], y[i + 1]

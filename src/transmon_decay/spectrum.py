@@ -88,6 +88,7 @@ _NEWTON_STEPS = 64  # complex Newton steps taken for the kernel pole (<= 45 need
 _POINTS_PER_FWHM = 20  # grid spacing around a resonance: its FWHM / 20
 _MAX_REFINED_PEAKS = 16  # refinement centres per grid; more mark it incomplete
 _MAX_SCAN_POINTS = 10**6  # energies of one coarse scan (8 MB per float array)
+_ROOT_STEP = 0.01  # find_roots' scan step in y, and the FULL grid's
 
 
 class QuadratureError(NumericalError):
@@ -125,6 +126,13 @@ class Regime(enum.Enum):
 def regime_for(c: CouplingConfig) -> Regime:
     """Natural regime of a coupling configuration (never WEAK)."""
     return Regime.FULL if c.v1_enabled else Regime.STABLE
+
+
+def _check_regime(c: CouplingConfig, regime: Regime) -> None:
+    """The regime rule: STABLE exactly when ``v1_enabled`` is off."""
+    if (regime is Regime.STABLE) == c.v1_enabled:
+        flag = "false" if c.v1_enabled else "true"
+        raise ValueError(f"regime {regime.value!r} requires v1_enabled = {flag}")
 
 
 @dataclass
@@ -247,7 +255,6 @@ def _brentq(
     raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur!r}")
 
 
-@functools.lru_cache(maxsize=64)
 def _resonant_offsets(l1: float) -> tuple[float, ...]:
     """Fixed points of ``u = 4 l1 D(u)``: offsets where the inner denominator
     of the full-coupling integrand is resonant.  ``u = 0`` always; a symmetric
@@ -269,15 +276,14 @@ def _faddeeva(z: complex) -> complex:
     return w0 + 1j * z.imag * w1 + z.imag**2 * (w0 + z.real * w1)
 
 
-@functools.lru_cache(maxsize=64)
-def _kernel_pole(l1: float) -> tuple[complex, complex] | None:
+def _kernel_pole(l1: float, u: float) -> tuple[complex, complex] | None:
     """Pole ``z`` of ``K`` next to the fixed point ``u > 0`` and its residue
     ``r = 1/h'(z)`` (the mirror pole ``-conj(z)`` has ``conj(r)``), by
     complex Newton on ``h(x) = x - Sigma_1(x)`` from ``u``, all steps taken
     (converged iterates move only within the rounding noise of ``h``).  None
-    without fixed points, or if Newton has not settled (only within ~1e-12
-    of ``4 l1 = 1``, where ``Im z = -0.36``)."""
-    z = complex(_resonant_offsets(l1)[-1])
+    without fixed points (``u = 0``), or if Newton has not settled (only
+    within ~1e-12 of ``4 l1 = 1``, where ``Im z = -0.36``)."""
+    z = complex(u)
     if z == 0.0:
         return None
     for _ in range(_NEWTON_STEPS):
@@ -363,7 +369,7 @@ def _node_set(l1: float, cover: float) -> _NodeSet:
     # panels next to u are at least half a unit wide: no node where dK peaks
     near = (unit > 0) & (np.abs(unit - u) < 0.5 * _PANEL)
     breaks = np.union1d(np.where(near, u + np.copysign(0.5 * _PANEL, unit - u), unit), [u])
-    z, r = _kernel_pole(l1) or (0j, 0j)
+    z, r = _kernel_pole(l1, u) or (0j, 0j)
     lo, hi = breaks[:-1], breaks[1:]
     done: list[tuple[np.ndarray, ...]] = []
     scale = None
@@ -492,11 +498,12 @@ def sigma2(
     Vectorised over ``y``; a scalar call returns exactly the value the same
     energy gets inside an array.  ``stats``, when given, accumulates the
     error estimates.  Raises ``ValueError`` for a non-finite energy, in every
-    regime, and ``QuadratureError`` when the error estimate of a FULL energy
+    regime, and for a regime that breaks the rule STABLE exactly when
+    ``v1_enabled`` is off (``_check_regime``, which ``load_config`` applies
+    too), and ``QuadratureError`` when the error estimate of a FULL energy
     misses ``max(abs_tol, rel_tol |Sigma_2|)``.
     """
-    if regime is not Regime.STABLE and not c.v1_enabled:
-        raise ValueError(f"{regime.value} self-energy needs v1_enabled=True")
+    _check_regime(c, regime)
     d = np.atleast_1d(np.asarray(y, dtype=float)) - m.b
     # a scalar skips the array reduction (~1 us): Brent calls sigma2 one energy at a time
     if not (math.isfinite(d[0]) if d.size == 1 else np.isfinite(d).all()):
@@ -576,19 +583,21 @@ def _peak_width_estimate(width_p, slope):
     return max(width_p / max(abs(1.0 - slope), 1e-3), 1e-6)
 
 
-# build_grid's latest coarse scan as (key, (ys, Sigma_2, F, cells)), the key
-# from _scan_key; find_roots brackets on it when its own key matches
+# build_grid's latest coarse scan as (key, stats, (ys, Sigma_2, F, cells)): the
+# key from _scan_key and the SigmaStats (or None) that recorded its energies;
+# find_roots brackets on it when its own key and stats object match
 _last_scan: tuple | None = None
 
 
 def _scan_key(m, c, regime, s, y_range, step) -> tuple:
     """Every input of ``_scan``: ``(m, c, regime, s, lo, hi, point count)``.
-    ``step`` ``None`` is the grid's step, 0.01 in FULL, else 0.002.  Raises
+    ``step`` ``None`` is the grid's step, ``_ROOT_STEP`` in FULL (so
+    ``find_roots`` can bracket on the grid's scan), else 0.002.  Raises
     ``ValueError``, before anything is allocated, unless ``lo < hi`` are
     finite and the scan holds at most ``_MAX_SCAN_POINTS`` energies."""
     lo, hi = (m.b - 12.0, m.b + 12.0) if y_range is None else y_range
     if step is None:
-        step = 0.01 if regime is Regime.FULL else 0.002
+        step = _ROOT_STEP if regime is Regime.FULL else 0.002
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"scan range must be finite and increasing, got {y_range}")
     intervals = (hi - lo) / step
@@ -630,14 +639,16 @@ def _scan(
     return scan
 
 
-def _root_scan(m, c, regime, s, y_range, step, stats):
-    """``_scan`` for ``find_roots``: the one ``build_grid`` made last when
-    every input matches (its energies are then not evaluated again, and
-    ``stats`` records none of them), else a new scan, which is not kept."""
+def _root_scan(m, c, regime, s, y_range, stats):
+    """``_scan`` at ``_ROOT_STEP`` for ``find_roots``: the one ``build_grid``
+    made last when every input matches and it recorded into this same
+    ``stats`` object (``None`` matches ``None``), so a caller's counts never
+    miss the scan's energies; else a new scan, which is not kept."""
     last = _last_scan
-    if last is not None and last[0] == _scan_key(m, c, regime, s, y_range, step):
-        return last[1]
-    return _scan(m, c, regime, s, y_range, step, stats)
+    if last is not None and last[1] is stats:
+        if last[0] == _scan_key(m, c, regime, s, y_range, _ROOT_STEP):
+            return last[2]
+    return _scan(m, c, regime, s, y_range, _ROOT_STEP, stats)
 
 
 def build_grid(
@@ -656,8 +667,8 @@ def build_grid(
     ``max(round(span/step), 16) + 1`` energies (``step`` 0.01 in FULL, else
     0.002), at most ``_MAX_SCAN_POINTS``.  The scan is kept
     until the next ``build_grid`` call, and a ``find_roots`` call that would
-    scan the same energies with the same inputs brackets on it instead of
-    scanning again.  Refinement
+    scan the same energies with the same inputs and the same ``stats``
+    object brackets on it instead of scanning again.  Refinement
     centres are one point per root cell of
     ``F(y) = y - b - Delta_2(y)`` (the secant crossing, or ``y_i`` itself
     where ``F(y_i)`` is exactly 0; cells that give the same point count once)
@@ -671,7 +682,7 @@ def build_grid(
     """
     global _last_scan
     scan = _scan(m, c, regime, s, y_range, None, stats)
-    _last_scan = (_scan_key(m, c, regime, s, y_range, None), scan)
+    _last_scan = (_scan_key(m, c, regime, s, y_range, None), stats, scan)
     ys, value, resfun, cells = scan
     lo, hi = ys[0], ys[-1]
     u, width = _lineshape(ys - m.b, value)

@@ -51,7 +51,8 @@ def _report(number: int, checks: list[tuple[str, bool, str]]) -> None:
 
 
 def _filtered_peaks(grid: SpectralGrid, roots, frac: float = 0.01):
-    return find_peaks(grid, roots, min_height=frac * float(grid.u_ff.max()))
+    floor = frac * float(grid.u_ff.max())
+    return [p for p in find_peaks(grid, roots) if p.height > floor]
 
 
 class TestCriterion1:

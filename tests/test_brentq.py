@@ -106,7 +106,7 @@ class TestBitIdentity:
 
     def test_resonant_offsets(self, compared_solves):
         for l1 in np.geomspace(0.26, 400, 50):
-            _resonant_offsets.__wrapped__(float(l1))
+            _resonant_offsets(float(l1))
         assert len(compared_solves) == 50
 
 

@@ -351,6 +351,19 @@ class TestOtherCommands:
         assert sigma2["terms"] > 0
         assert 0.0 < sigma2["max_error_estimate"] < 1e-9
 
+    def test_sweep_outputs_do_not_depend_on_an_earlier_command(self, tmp_path):
+        # the last sweep step, geomspace(0.05, 6, 2)[-1], is exactly the
+        # config's L2 = 6, so its root scan has the inputs of the grid scan
+        # that spectrum keeps; sweep must still count its own scan
+        cfg = tmp_path / "full.ini"
+        cfg.write_text((CONFIGS / "full_l2_6.ini").read_text() + "\n[sweep]\nsteps = 2\n")
+        alone, after = tmp_path / "alone", tmp_path / "after"
+        assert run("sweep", "--config", str(cfg), "--out", str(alone)) == EXIT_OK
+        assert run("spectrum", "--config", str(cfg), "--out", str(after)) == EXIT_OK
+        assert run("sweep", "--config", str(cfg), "--out", str(after)) == EXIT_OK
+        for name in ("sweep.meta.json", "sweep.csv"):
+            assert (alone / name).read_bytes() == (after / name).read_bytes()
+
     @pytest.mark.parametrize("span, offsets", [(12, [0.0]), (20, [-12.669, 0.0, 12.669])])
     def test_sweep_scans_the_grid_span(self, tmp_path, span, offsets):
         # at STABLE L2 = 80 the outer roots sit at y - b = +-12.669, outside b +- 12

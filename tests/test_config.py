@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import settings as hyp_settings
 from hypothesis import strategies as st
 
-from transmon_decay import Regime
+from transmon_decay import CouplingConfig, DimensionlessModel, Regime, sigma2
 from transmon_decay.config import _SCHEMA, ConfigError, RunConfig, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -124,6 +124,25 @@ class TestValidation:
             load_config(
                 write(tmp_path, "[coupling]\nl2 = 6\nv1_enabled = yes\nregime = stable\n")
             )
+
+    @pytest.mark.parametrize("v1_enabled", [True, False])
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_sigma2_keeps_the_same_regime_rule(self, tmp_path, regime, v1_enabled):
+        # both accept exactly the pairs where STABLE means v1_enabled is off
+        model = DimensionlessModel(a=50.0, b=98.5)
+        coupling = CouplingConfig.transmon_ratio(1.0, v1_enabled=v1_enabled)
+        path = write(
+            tmp_path, f"[coupling]\nl2 = 1\nv1_enabled = {v1_enabled}\nregime = {regime.value}\n"
+        )
+        if (regime is Regime.STABLE) != v1_enabled:
+            assert load_config(path).regime is regime
+            assert math.isfinite(sigma2(model.b, model, coupling, regime).real)
+        else:
+            rule = f"regime '{regime.value}' requires v1_enabled = {str(not v1_enabled).lower()}"
+            with pytest.raises(ConfigError, match=rule):
+                load_config(path)
+            with pytest.raises(ValueError, match=rule):
+                sigma2(model.b, model, coupling, regime)
 
     def test_bad_regime_name(self, tmp_path):
         with pytest.raises(ConfigError, match="regime"):

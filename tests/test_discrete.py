@@ -7,7 +7,7 @@ from hypothesis import example, given, settings as hyp_settings, strategies as s
 
 from transmon_decay import (
     CouplingConfig,
-    DiscretizationSpec,
+    DimensionlessModel,
     Regime,
     convergence_report,
     discrete_self_energy_1,
@@ -16,7 +16,7 @@ from transmon_decay import (
     sigma2,
 )
 from transmon_decay.cli import EXIT_OK, main
-from transmon_decay.discrete import _sigma1_at_modes
+from transmon_decay.discrete import _band, _modes, _sigma1_at_modes
 from transmon_decay.model import NumericalError, coupling_sq
 
 ORACLE_INI = Path(__file__).resolve().parents[1] / "configs" / "oracle_l2_1.ini"
@@ -26,12 +26,12 @@ REPORT_SPACINGS = (0.05, 0.02, 0.01)
 FINEST_REL_ERR = 0.06
 
 
-def direct_sigma1(y, spec, m, c, rows=256):
+def direct_sigma1(y, spacing, m, c, rows=256):
     """First-level (shift, width) at every mode: the double sum over mode
     pairs written out, a block of rows at a time."""
-    eps = spec.mode_spacing
-    modes = spec.modes()
-    g1sq = coupling_sq(m, c, 1, modes) * spec.mode_spacing
+    eps = spacing
+    modes = _modes(m, spacing)
+    g1sq = coupling_sq(m, c, 1, modes) * spacing
     shift = np.empty(len(modes))
     width = np.empty(len(modes))
     for i in range(0, len(modes), rows):
@@ -44,16 +44,16 @@ def direct_sigma1(y, spec, m, c, rows=256):
     return shift + 0.5 * g1sq * xs / dself, width + g1sq * eps / dself
 
 
-def direct_sigma2(y, spec, m, c):
+def direct_sigma2(y, spacing, m, c):
     """Second-level sum over modes with ``direct_sigma1`` in the denominators."""
-    modes = spec.modes()
-    g2sq = coupling_sq(m, c, 2, modes) * spec.mode_spacing
+    modes = _modes(m, spacing)
+    g2sq = coupling_sq(m, c, 2, modes) * spacing
     if c.v1_enabled and c.l1 > 0:
-        s1_shift, s1_width = direct_sigma1(y, spec, m, c)
+        s1_shift, s1_width = direct_sigma1(y, spacing, m, c)
         eps = 0.0
     else:
         s1_shift = s1_width = np.zeros_like(modes)
-        eps = spec.mode_spacing
+        eps = spacing
     x = y - m.a - modes - s1_shift
     denom = x * x + 0.25 * s1_width**2 + eps**2
     width = (g2sq * (s1_width + 2.0 * eps) / denom).sum()
@@ -65,61 +65,59 @@ def default_energies(m):
 
 
 class TestDiscretizationSpec:
-    def test_rejects_nonpositive_spacing(self):
+    """The oracle's modes: a band derived from the model, and the spacing."""
+
+    def test_rejects_nonpositive_spacing(self, model):
         with pytest.raises(ValueError, match="spacing"):
-            DiscretizationSpec(mode_spacing=0.0, band=(38.0, 60.0))
+            _modes(model, 0.0)
 
-    def test_rejects_empty_band(self):
-        with pytest.raises(ValueError, match="band"):
-            DiscretizationSpec(mode_spacing=0.01, band=(60.0, 38.0))
-
-    def test_rejects_band_without_modes(self):
-        with pytest.raises(ValueError, match="no mode"):
-            DiscretizationSpec(mode_spacing=30.0, band=(38.0, 60.0))
+    def test_rejects_band_without_modes(self, model):
+        # the band (38.5, 60.0) is 21.5 wide
+        with pytest.raises(ValueError, match=r"band \(38.5, 60.0\) holds no mode"):
+            _modes(model, 30.0)
 
     def test_for_model_covers_both_gaussians(self, model):
-        spec = DiscretizationSpec.for_model(model, 0.05)
-        lo, hi = spec.band
+        lo, hi = _band(model)
         assert lo <= model.center(2) - 10.0
         assert hi >= model.center(1) + 10.0
 
-    def test_modes_offset_from_round_energies(self):
-        spec = DiscretizationSpec(mode_spacing=0.5, band=(38.0, 40.0))
-        assert np.allclose(spec.modes(), [38.25, 38.75, 39.25, 39.75])
+    def test_modes_offset_from_round_energies(self, model):
+        assert _band(model)[0] == 38.5
+        assert np.allclose(_modes(model, 0.5)[:4], [38.75, 39.25, 39.75, 40.25])
 
 
 class TestFirstLevelSum:
     def test_matches_continuum(self, model):
         c = CouplingConfig.transmon_ratio(1.0)
-        spec = DiscretizationSpec.for_model(model, 0.01)
         y, w = model.b + 0.3, model.center(1) - 0.2
-        got = discrete_self_energy_1(y, w, spec, model, c)
+        got = discrete_self_energy_1(y, w, 0.01, model, c)
         want = sigma1(y, w, model, c)
         assert got.real == pytest.approx(want.real, abs=0.02)
         assert got.imag == pytest.approx(want.imag, rel=0.02)
 
-    def test_band_coverage_enforced(self, model):
+    def test_band_coverage_enforced(self):
+        # b = 57 puts the second-transition centre at 7: the band stops at 0
+        low = DimensionlessModel(a=50.0, b=57.0)
         c = CouplingConfig.transmon_ratio(1.0)
-        spec = DiscretizationSpec(mode_spacing=0.05, band=(47.0, 53.0))
+        with pytest.raises(NumericalError, match=r"band \(0.0, 60.0\) does not cover"):
+            discrete_self_energy_1(low.b, low.center(1), 0.05, low, c)
         with pytest.raises(NumericalError, match="cover"):
-            discrete_self_energy_1(model.b, model.center(1), spec, model, c)
+            discrete_self_energy_2(low.b, 0.05, low, c)
 
 
 class TestSecondLevelSum:
     def test_stable_limit_matches_closed_form(self, model):
         c = CouplingConfig.stable_second_level(1.0)
-        spec = DiscretizationSpec.for_model(model, 0.01)
         y = model.b + 0.4
-        got = discrete_self_energy_2(y, spec, model, c)
+        got = discrete_self_energy_2(y, 0.01, model, c)
         want = sigma2(y, model, c, Regime.STABLE)
         assert got.real == pytest.approx(want.real, abs=0.05)
         assert got.imag == pytest.approx(want.imag, rel=0.05)
 
     def test_width_nonnegative(self, model):
         c = CouplingConfig.transmon_ratio(1.0)
-        spec = DiscretizationSpec.for_model(model, 0.02)
         for y in (model.b - 6.0, model.b, model.b + 6.0):
-            assert discrete_self_energy_2(y, spec, model, c).imag <= 0.0
+            assert discrete_self_energy_2(y, 0.02, model, c).imag <= 0.0
 
 
 class TestConvergenceReport:
@@ -153,7 +151,7 @@ class TestLatticeSums:
     """The FFT correlation against the double sum it replaces."""
 
     def test_mode_counts_odd_and_even(self, model):
-        counts = [len(DiscretizationSpec.for_model(model, s).modes()) for s in LATTICE_SPACINGS]
+        counts = [len(_modes(model, s)) for s in LATTICE_SPACINGS]
         assert counts == [430, 1075, 2150, 4300]
 
     @pytest.mark.parametrize("spacing", LATTICE_SPACINGS)
@@ -161,18 +159,17 @@ class TestLatticeSums:
     @pytest.mark.parametrize("y", [99.2, 60.0, 140.0])  # 60 and 140: no mode pair is near a pole
     def test_first_level_matches_direct_sum(self, model, spacing, l2, y):
         c = CouplingConfig.transmon_ratio(l2)
-        spec = DiscretizationSpec.for_model(model, spacing)
-        got, want = _sigma1_at_modes(y, spec, model, c), direct_sigma1(y, spec, model, c)
+        got = _sigma1_at_modes(y, spacing, model, c)
+        want = direct_sigma1(y, spacing, model, c)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-11 * np.max(np.abs(w))
 
     @pytest.mark.parametrize("k", [0, 17, 1074])
     def test_single_row_matches_direct_sum(self, model, k):
         c = CouplingConfig.transmon_ratio(1.0)
-        spec = DiscretizationSpec.for_model(model, 0.02)
         y = model.b + 0.7
-        shift, width = direct_sigma1(y, spec, model, c)
-        got = discrete_self_energy_1(y, spec.modes()[k], spec, model, c)
+        shift, width = direct_sigma1(y, 0.02, model, c)
+        got = discrete_self_energy_1(y, _modes(model, 0.02)[k], 0.02, model, c)
         assert abs(got.real - shift[k]) <= 1e-11 * np.max(np.abs(shift))
         assert abs(-2.0 * got.imag - width[k]) <= 1e-11 * np.max(width)
 
@@ -189,27 +186,25 @@ class TestLatticeSums:
     @pytest.mark.parametrize("spacing", [0.02, 0.005])
     @pytest.mark.parametrize("y", [97.5, 100.1, 140.0])
     def test_second_level_matches_direct_sum(self, model, coupling, spacing, y):
-        spec = DiscretizationSpec.for_model(model, spacing)
-        want = direct_sigma2(y, spec, model, coupling)
-        assert abs(discrete_self_energy_2(y, spec, model, coupling) - want) <= 1e-11 * abs(want)
+        want = direct_sigma2(y, spacing, model, coupling)
+        got = discrete_self_energy_2(y, spacing, model, coupling)
+        assert abs(got - want) <= 1e-11 * abs(want)
 
     def test_bare_pole_rule_is_per_call(self, model):
         # L1 = 0 with V1 on is the same bare, eps-regularized pole as V1 off
-        spec = DiscretizationSpec.for_model(model, 0.02)
         off = CouplingConfig(l1=2.0 / 3.0, l2=1.0, v1_enabled=False)
         zero = CouplingConfig(l1=0.0, l2=1.0)
         for y in default_energies(model):
-            assert discrete_self_energy_2(y, spec, model, zero) == discrete_self_energy_2(
-                y, spec, model, off
+            assert discrete_self_energy_2(y, 0.02, model, zero) == discrete_self_energy_2(
+                y, 0.02, model, off
             )
 
     @pytest.mark.parametrize("spacing", REPORT_SPACINGS)
     def test_first_level_width_positive_on_every_mode(self, model, spacing):
         # so dropping eps whenever L1 > 0 is the per-mode "width > 0" rule
         c = CouplingConfig.transmon_ratio(1.0)
-        spec = DiscretizationSpec.for_model(model, spacing)
         for y in default_energies(model):
-            assert _sigma1_at_modes(y, spec, model, c)[1].min() > 1e-5
+            assert _sigma1_at_modes(y, spacing, model, c)[1].min() > 1e-5
 
 
 class TestOracleAgreement:

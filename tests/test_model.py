@@ -43,7 +43,8 @@ class TestDimensionlessModel:
             model.center(3)
 
     def test_from_physical_roundtrip(self, model):
-        p = model.to_physical(2 * math.pi * 1e8)
+        delta = 2 * math.pi * 1e8
+        p = PhysicalParams(e_e=model.a * delta, e_f=model.b * delta, delta=delta)
         back = DimensionlessModel.from_physical(p)
         assert back.a == pytest.approx(model.a)
         assert back.b == pytest.approx(model.b)

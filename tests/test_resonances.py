@@ -13,6 +13,7 @@ from transmon_decay import (
     find_peaks,
     find_roots,
     fwhm,
+    sigma2,
     spectral_callable,
     spectrum,
     sweep_coupling,
@@ -160,15 +161,27 @@ class TestOneScan:
 
     def test_find_roots_takes_over_the_grid_scan(self, model, settings):
         c = CouplingConfig.transmon_ratio(6.0)
-        build_grid(model, c, Regime.FULL, s=settings)
         handed = SigmaStats()
+        build_grid(model, c, Regime.FULL, s=settings, stats=handed)
+        grid_energies, grid_terms = handed.energies, handed.terms
         roots = find_roots(model, c, Regime.FULL, settings, stats=handed)
+        taken = SigmaStats(handed.energies - grid_energies, handed.terms - grid_terms)
         spectrum._last_scan = None
         own = SigmaStats()
         assert find_roots(model, c, Regime.FULL, settings, stats=own) == roots
-        assert handed.energies < 2401
-        assert own.energies - handed.energies == 2401
-        assert own.terms - handed.terms == 2886492  # the scan's node terms
+        assert taken.energies < 2401
+        assert own.energies - taken.energies == 2401
+        assert own.terms - taken.terms == 2886492  # the scan's node terms
+
+    @pytest.mark.parametrize("grid_stats", [None, SigmaStats()], ids=["none", "other"])
+    def test_another_recorder_rescans(self, model, settings, grid_stats):
+        # a scan is taken over only by a call that records into the same
+        # object, so no caller's counts depend on an earlier caller's grid
+        c = CouplingConfig.transmon_ratio(6.0)
+        build_grid(model, c, Regime.FULL, s=settings, stats=grid_stats)
+        stats = SigmaStats()
+        find_roots(model, c, Regime.FULL, settings, stats=stats)
+        assert stats.energies > 2401
 
     @pytest.mark.parametrize(
         "change",
@@ -186,10 +199,11 @@ class TestOneScan:
             regime = Regime.WEAK  # find_roots' step 0.01 is the FULL grid's
         else:
             args["s"] = QuadratureSettings(abs_tol=2.0 * settings.abs_tol)
-        build_grid(**args)
         stats = SigmaStats()
+        build_grid(**args, stats=stats)
+        before = stats.energies
         find_roots(model, c, regime, settings, stats=stats)
-        assert stats.energies > 2401
+        assert stats.energies - before > 2401
 
     def test_find_roots_keeps_no_scan_of_its_own(self, model, settings):
         c = CouplingConfig.transmon_ratio(6.0)
@@ -201,7 +215,7 @@ class TestOneScan:
 
     def test_kept_scan_is_read_only(self, model, settings):
         build_grid(model, CouplingConfig.stable_second_level(1.0), Regime.STABLE, s=settings)
-        _, scan = spectrum._last_scan
+        _, _, scan = spectrum._last_scan
         for array in scan:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -220,11 +234,6 @@ class TestFindPeaks:
             assert abs(p.y_r - p.root_ref) < 1e-5
         outer = [p for p in peaks if abs(p.y_r - model.b) > 1.0]
         assert outer[0].height == pytest.approx(outer[1].height, rel=0.01)
-
-    def test_min_height_filters(self, grids):
-        grid = grids.get(6.0, Regime.STABLE)
-        tall_only = find_peaks(grid, min_height=1.0)
-        assert len(tall_only) == 2  # central peak is far below this threshold
 
 
 class TestFwhm:
@@ -264,6 +273,31 @@ class TestFwhm:
         rec = ResonanceRecord(y_r=0.0, kind="peak", height=0.0)
         with pytest.raises(ValueError):
             fwhm(rec, lambda y: 0.0)
+
+    def test_low_far_maxima_are_unresolved_poles(self, model, settings):
+        """STABLE L2 = 49.5407 on b +- 15: the maxima near y - b = +-9.98,
+        about 6e-26 high, are the flanks of two poles, not a negligible tail.
+
+        At the roots y - b = +-9.979 of ``F = y - b - Delta_2`` the width is
+        ~2e-41, so each is a Lorentzian far narrower than any grid step, and
+        each carries the residue ``1/F'`` = 0.497 of the spectral weight.  The
+        grid misses both (norm 0.005) yet reports itself complete.  So
+        ``fwhm`` is right to refuse these maxima as under-resolved (the CLI
+        exits 1), and leaving out low maxima would hide that weight."""
+        c = CouplingConfig.stable_second_level(49.5407)
+        window = (model.b - 15.0, model.b + 15.0)
+        roots = find_roots(model, c, Regime.STABLE, settings, y_range=window)
+        outer = [r.y_r for r in roots if abs(r.y_r - model.b) > 1.0]
+        assert [y - model.b for y in outer] == pytest.approx([-9.979, 9.979], abs=1e-3)
+        h = 1e-5
+        for y in outer:
+            assert -2.0 * sigma2(y, model, c, Regime.STABLE).imag < 1e-40
+            ends = sigma2(np.array([y - h, y + h]), model, c, Regime.STABLE).real
+            slope = 1.0 - (ends[1] - ends[0]) / (2.0 * h)  # F'(y_r)
+            assert 1.0 / slope == pytest.approx(0.497, abs=1e-3)
+        grid = build_grid(model, c, Regime.STABLE, window, settings)
+        assert grid.complete
+        assert np.trapezoid(grid.u_ff, grid.energies) < 0.01
 
 
 class TestResonanceRecord:

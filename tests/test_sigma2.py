@@ -414,7 +414,10 @@ class TestDiagnostics:
     @pytest.mark.parametrize("regime", list(Regime))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_energy_raises_in_every_regime(self, model, settings, regime, bad):
-        c = CouplingConfig.transmon_ratio(6.0)
+        if regime is Regime.STABLE:
+            c = CouplingConfig.stable_second_level(6.0)
+        else:
+            c = CouplingConfig.transmon_ratio(6.0)
         for y in (np.array([model.b, bad]), bad):
             with pytest.raises(ValueError, match="energies must be finite"):
                 sigma2(y, model, c, regime, settings)
