@@ -16,9 +16,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .discrete import _modes
+from .discrete import _mode_counts
 from .model import CouplingConfig, DimensionlessModel, PhysicalParams
-from .spectrum import DEFAULT_SETTINGS, Regime, _check_regime, _scan_key, regime_for
+from .spectrum import (
+    _MAX_SCAN_POINTS, DEFAULT_SETTINGS, Regime, _check_regime, _scan_key, regime_for
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -195,11 +197,9 @@ def load_config(path: str) -> RunConfig:
         _scan_key(model, coupling, regime, DEFAULT_SETTINGS, _y_range(cfg), None)
     if cfg.sweep_l2_min <= 0 or cfg.sweep_l2_max < cfg.sweep_l2_min or cfg.sweep_steps < 1:
         raise ConfigError("sweep range must be positive and non-empty")
-    spacings = cfg.oracle_spacings
-    if not spacings or spacings[-1] <= 0 or any(b >= a for a, b in zip(spacings, spacings[1:])):
-        raise ConfigError(f"[oracle] spacings must be positive and decreasing: {list(spacings)}")
-    with _invalid("[oracle] spacings"):  # the widest spacing must fit the oracle's band
-        _modes(model, spacings[0])
-    if not cfg.oracle_energies:
-        raise ConfigError("[oracle] energies must not be empty")
+    for key, steps in (("[time] steps", cfg.t_steps), ("[sweep] steps", cfg.sweep_steps)):
+        if steps > _MAX_SCAN_POINTS:  # one float per step in the CLI's time or coupling grid
+            raise ConfigError(f"{key} = {steps} is more than {_MAX_SCAN_POINTS}")
+    with _invalid("[oracle] energies or spacings"):
+        _mode_counts(model, cfg.oracle_spacings, len(cfg.oracle_energies))
     return cfg

@@ -20,10 +20,12 @@ its pole offset ``x_kj = y - mode_k - mode_j`` depends on ``k + j`` only, so
 with ``F = x/(x^2 + eps^2)`` and ``G = eps/(x^2 + eps^2)`` on 2N - 1 values:
 two Hankel matrix-vector products, which one real-FFT correlation
 (``numpy.fft``) evaluates in O(N log N) time and O(N) memory instead of the
-N x N matrix.  Against the written-out double sum, at spacings 0.05 to
-0.005, the first-level values agree to 6.9e-13 of the largest value; the FFT
-itself adds ~1e-15, the rest is how each route rounds ``x``, amplified by
-1/eps near the pole (``tests/test_discrete.py``).
+N x N matrix.  The modes and couplings are built once per spacing, and the
+energies are the rows of one batched correlation per block of at most
+``_BLOCK`` (energies x FFT length) elements.  Against the written-out double
+sum, at spacings 0.05 to 0.005, the first-level values agree to 6.9e-13 of
+the largest value; the FFT itself adds ~1e-15, the rest is how each route
+rounds ``x``, amplified by 1/eps near the pole (``tests/test_discrete.py``).
 ``discrete_self_energy_1`` asks for one off-lattice photon frequency and sums
 its single row directly.
 
@@ -41,10 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CouplingConfig, DimensionlessModel, NumericalError, coupling_sq
-from .spectrum import DEFAULT_SETTINGS, QuadratureSettings, regime_for, sigma2
+from .spectrum import _MAX_SCAN_POINTS, DEFAULT_SETTINGS, QuadratureSettings, regime_for, sigma2
 
 _BAND_CUTOFF = 10.0  # Gaussian widths the band reaches beyond both centres
 _BAND_COVER = 8.0  # Gaussian widths the band must cover for a meaningful oracle
+_BLOCK = 1 << 18  # energies x FFT length correlated at once: 2 MB per float array
 
 
 def _band(m: DimensionlessModel) -> tuple[float, float]:
@@ -54,22 +57,38 @@ def _band(m: DimensionlessModel) -> tuple[float, float]:
     return (max(lo, 0.0), hi)
 
 
+def _mode_counts(m: DimensionlessModel, spacings, energies: int = 1) -> list[int]:
+    """The oracle's input rules, stated once, checked before anything is
+    allocated: at least one energy and one spacing, spacings strictly
+    decreasing and positive, at least one mode of the band at the widest and
+    at most ``_MAX_SCAN_POINTS`` at the finest.  Returns the mode count at
+    each spacing; ``ValueError`` names the first rule broken."""
+    if energies < 1 or len(spacings) < 1:
+        raise ValueError(f"need an energy and a spacing, got {energies} and {len(spacings)}")
+    if not (spacings[-1] > 0 and all(b < a for a, b in zip(spacings, spacings[1:]))):
+        raise ValueError(f"spacings must be positive and strictly decreasing, got {list(spacings)}")
+    lo, hi = band = _band(m)
+    if not (hi - lo) / spacings[-1] < _MAX_SCAN_POINTS + 1:
+        raise ValueError(
+            f"band {band} at spacing {spacings[-1]} holds more than {_MAX_SCAN_POINTS} modes"
+        )
+    if hi - lo < spacings[0]:
+        raise ValueError(f"band {band} holds no mode at spacing {spacings[0]}")
+    return [math.floor((hi - lo) / spacing) for spacing in spacings]
+
+
 def _modes(m: DimensionlessModel, spacing: float) -> np.ndarray:
     """Photon modes at half-integer multiples of ``spacing`` inside the band,
-    offset from round energies; ``ValueError`` unless ``0 < spacing <=`` its width.
+    offset from round energies; ``ValueError`` unless ``_mode_counts`` accepts
+    the spacing.
 
     The spacing is also the pole regularization ``eps``: without it poles sit
     on the real axis and any pole-on-mode collision diverges, and a narrower
     Lorentzian is under-resolved by the mode grid and leaves a bias that
     never decays with refinement.
     """
-    if spacing <= 0:
-        raise ValueError(f"mode spacing must be positive, got {spacing}")
-    lo, hi = band = _band(m)
-    if hi - lo < spacing:
-        raise ValueError(f"band {band} holds no mode at spacing {spacing}")
-    n = int(math.floor((hi - lo) / spacing))
-    return lo + (np.arange(n) + 0.5) * spacing
+    (n,) = _mode_counts(m, [spacing])
+    return _band(m)[0] + (np.arange(n) + 0.5) * spacing
 
 
 def _check_band(m: DimensionlessModel):
@@ -81,42 +100,39 @@ def _check_band(m: DimensionlessModel):
         )
 
 
-def _self_terms(y: float, omegas, g1sq_at, eps: float):
+def _self_terms(y, omegas, g1sq_at, eps: float):
     """Finite-size self-terms, one per photon mode: the pole at ``y = 2 omega``."""
     xs = y - 2.0 * omegas
     denom = xs * xs + eps * eps
     return 0.5 * g1sq_at * xs / denom, g1sq_at * eps / denom
 
 
-def _sigma1_at_modes(y: float, spacing: float, m, c):
-    """First-level (shift, width) at every photon mode ``omega = mode_k``.
+def _fft_length(n: int) -> int:
+    """Power of two >= 2N - 1: no wrap-around reaches the N outputs kept."""
+    return 1 << (2 * n - 2).bit_length()
+
+
+def _sigma1_at_modes(ys: np.ndarray, modes: np.ndarray, g1sq: np.ndarray, eps: float):
+    """First-level (shift, width) at every photon mode ``omega = mode_k``, for
+    each energy of the column ``ys``: two (energies x N) arrays.
 
     ``x_kj = y - mode_k - mode_j`` depends on ``k + j`` only, so both sums
-    are Hankel products of ``g1^2`` with 2N - 1 kernel values: one real-FFT
-    correlation of power-of-two length >= 2N - 1, which is long enough that
-    no wrap-around reaches the N outputs kept.
+    are Hankel products of ``g1^2`` with 2N - 1 kernel values per energy:
+    one batched real-FFT correlation of length ``_fft_length(N)``.
     """
-    eps = dw = spacing
-    modes = _modes(m, spacing)
     n = len(modes)
-    g1sq = np.asarray(coupling_sq(m, c, 1, modes)) * dw
-
-    x = (y - 2.0 * modes[0]) - dw * np.arange(2 * n - 1)
+    size = _fft_length(n)
+    x = (ys - 2.0 * modes[0]) - eps * np.arange(2 * n - 1)
     denom = x * x + eps * eps
-    size = 1 << (2 * n - 2).bit_length()
     kernels = np.fft.rfft(np.stack((x / denom, eps / denom)), size)
     sums = np.fft.irfft(np.fft.rfft(g1sq[::-1], size) * kernels, size)
-    shift, width = sums[:, n - 1 : 2 * n - 1]
-    self_shift, self_width = _self_terms(y, modes, g1sq, eps)
+    shift, width = sums[..., n - 1 : 2 * n - 1]
+    self_shift, self_width = _self_terms(ys, modes, g1sq, eps)
     return shift + self_shift, np.maximum(2.0 * width + self_width, 0.0)
 
 
 def discrete_self_energy_1(
-    y: float,
-    w: float,
-    spacing: float,
-    m: DimensionlessModel,
-    c: CouplingConfig,
+    y: float, w: float, spacing: float, m: DimensionlessModel, c: CouplingConfig
 ) -> complex:
     """Discrete first-level self-energy ``Delta_1 - i Gamma_1/2`` at one
     ``(y, w)`` point: a single row of the double sum, O(N)."""
@@ -124,7 +140,7 @@ def discrete_self_energy_1(
     y, w = float(y), float(w)
     eps = dw = spacing
     modes = _modes(m, spacing)
-    g1sq = np.asarray(coupling_sq(m, c, 1, modes)) * dw
+    g1sq = coupling_sq(m, c, 1, modes) * dw
     x = y - w - modes
     denom = x * x + eps * eps
     self_shift, self_width = _self_terms(y, w, float(coupling_sq(m, c, 1, w)) * dw, eps)
@@ -133,34 +149,35 @@ def discrete_self_energy_1(
     return complex(shift, -0.5 * max(width, 0.0))
 
 
-def discrete_self_energy_2(
-    y: float,
-    spacing: float,
-    m: DimensionlessModel,
-    c: CouplingConfig,
-) -> complex:
+def discrete_self_energy_2(y, spacing: float, m: DimensionlessModel, c: CouplingConfig):
     """Discrete second-level self-energy ``Delta_2 - i Gamma_2/2``, summing
     over photon modes with the discrete first-level self-energy inside every
-    denominator."""
+    denominator.  Vectorised over ``y``: a scalar gives a ``complex``, an
+    array an array of that shape."""
     _check_band(m)
-    y = float(y)
-    dw = spacing
+    ys = np.asarray(y, dtype=float)
     modes = _modes(m, spacing)
-    g2sq = np.asarray(coupling_sq(m, c, 2, modes)) * dw
+    g1sq, g2sq = (coupling_sq(m, c, i, modes) * spacing for i in (1, 2))
     # Decided once per call, not from the computed widths: with L1 > 0 every
     # first-level width is a sum of positive Lorentzian tails, so only a bare
     # pole (V1 off or L1 = 0) needs the same i*eps regularization.
     first_level = c.v1_enabled and c.l1 > 0
-    if first_level:
-        s1_shift, s1_width = _sigma1_at_modes(y, spacing, m, c)
-    else:
-        s1_shift = s1_width = np.zeros_like(modes)
-    eps = 0.0 if first_level else dw
-    x = y - m.a - modes - s1_shift
-    denom = x * x + 0.25 * s1_width**2 + eps**2
-    shift = float((g2sq * x / denom).sum())
-    width = float((g2sq * (s1_width + 2.0 * eps) / denom).sum())
-    return complex(shift, -0.5 * max(width, 0.0))
+    eps = 0.0 if first_level else spacing
+    s1_shift = s1_width = 0.0
+    flat = ys.reshape(-1, 1)
+    out = np.empty((len(flat), 2))  # (shift, -Gamma_2/2) rows, read as complex
+    rows = max(1, _BLOCK // _fft_length(len(modes)))
+    for i in range(0, len(flat), rows):
+        block = flat[i : i + rows]
+        if first_level:
+            s1_shift, s1_width = _sigma1_at_modes(block, modes, g1sq, spacing)
+        x = block - m.a - modes - s1_shift
+        denom = x * x + 0.25 * s1_width**2 + eps**2
+        out[i : i + rows, 0] = (g2sq * x / denom).sum(axis=-1)
+        width = (g2sq * (s1_width + 2.0 * eps) / denom).sum(axis=-1)
+        out[i : i + rows, 1] = -0.5 * np.maximum(width, 0.0)
+    sigma = out.view(complex).reshape(ys.shape)
+    return complex(sigma) if sigma.ndim == 0 else sigma
 
 
 @dataclass(frozen=True)
@@ -188,46 +205,29 @@ class ConvergenceReport:
 
 
 def convergence_report(
-    ys,
-    spacings,
-    m: DimensionlessModel,
-    c: CouplingConfig,
-    s: QuadratureSettings = DEFAULT_SETTINGS,
+    ys, spacings, m: DimensionlessModel, c: CouplingConfig, s: QuadratureSettings = DEFAULT_SETTINGS
 ) -> ConvergenceReport:
     """Per-spacing deviation of the discrete sums from the continuum values.
 
-    ``spacings`` must be strictly decreasing.  The report is flagged
+    ``_mode_counts`` checks ``ys`` and ``spacings`` first.  The report is flagged
     non-monotone when the maximum error fails to decrease after the first
     entry, which signals a bug in one of the two paths.
     """
     spacings = [float(v) for v in spacings]
-    if not spacings:
-        raise ValueError("need at least one mode spacing")
-    if any(b >= a for a, b in zip(spacings, spacings[1:])):
-        raise ValueError(f"spacings must be strictly decreasing, got {spacings}")
-    ys = [float(v) for v in ys]
-    if not ys:
-        raise ValueError("need at least one evaluation energy")
+    ys = np.asarray(ys, dtype=float)
+    counts = _mode_counts(m, spacings, len(ys))  # every rule checked before any sum
 
-    reference = sigma2(np.asarray(ys), m, c, regime_for(c), s)
+    reference = sigma2(ys, m, c, regime_for(c), s)
     # shifts compare real parts, widths twice the imaginary parts
     scale = float(max(np.abs(reference.real).max(), 2.0 * np.abs(reference.imag).max()))
 
     rows = []
-    for spacing in spacings:
-        modes = len(_modes(m, spacing))  # a bad spacing raises before any sum
-        err = np.array([discrete_self_energy_2(y, spacing, m, c) for y in ys]) - reference
+    for spacing, modes in zip(spacings, counts):
+        err = discrete_self_energy_2(ys, spacing, m, c) - reference
         err_shift = float(np.abs(err.real).max())
         err_width = 2.0 * float(np.abs(err.imag).max())
-        rows.append(
-            ConvergenceRow(
-                spacing=spacing,
-                max_abs_err_shift=err_shift,
-                max_abs_err_width=err_width,
-                max_rel_err=max(err_shift, err_width) / scale,
-                modes=modes,
-            )
-        )
+        largest = max(err_shift, err_width)
+        rows.append(ConvergenceRow(spacing, err_shift, err_width, largest / scale, modes))
 
     # monotone decrease is only demanded after the (coarsest) first entry
     worst = [max(r.max_abs_err_shift, r.max_abs_err_width) for r in rows]

@@ -145,19 +145,29 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "text",
-        ["v1_enabled = false\n[grid]\nspan = 1200", "[grid]\nspan = 1e9", "[grid]\nspan = 6000"],
-        ids=["grid-scan-step", "grid-scan-span", "root-scan-span"],
+        "command, text",
+        [
+            ("resonances", "v1_enabled = false\n[grid]\nspan = 1200"),
+            ("resonances", "[grid]\nspan = 1e9"),
+            ("resonances", "[grid]\nspan = 6000"),
+            ("timedomain", "[time]\nsteps = 10000000000"),
+            ("sweep", "[sweep]\nsteps = 10000000000"),
+            ("oracle", "[oracle]\nspacings = 0.05 1e-7"),
+        ],
+        ids=["grid-scan-step", "grid-scan-span", "root-scan-span", "time-steps", "sweep-steps",
+             "oracle-modes"],
     )
-    def test_oversized_scan_is_config_error(self, tmp_path, capsys, text):
+    def test_oversized_scan_is_config_error(self, tmp_path, capsys, command, text):
         # each scan would ask np.linspace for more than 10**6 energies (the
         # second for terabytes); load_config refuses it before any is made.
         # The STABLE grid steps 0.002, finer than find_roots' 0.01, and the
-        # FULL grid's 0.01 scan is find_roots' own, so one check bounds both
+        # FULL grid's 0.01 scan is find_roots' own, so one check bounds both.
+        # The time and sweep grids and the oracle's finest lattice (1e-7:
+        # 2.15e8 modes, FFT length 2**29) have the same bound
         cfg = tmp_path / "bad.ini"
         cfg.write_text(f"[coupling]\nl2 = 1\n{text}\n", encoding="utf-8")
         start = time.perf_counter()
-        code = run("resonances", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        code = run(command, "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_CONFIG
         assert "more than 1000000" in capsys.readouterr().err

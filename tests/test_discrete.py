@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,9 @@ from transmon_decay import (
     sigma1,
     sigma2,
 )
-from transmon_decay.cli import EXIT_OK, main
-from transmon_decay.discrete import _band, _modes, _sigma1_at_modes
+from transmon_decay import discrete
+from transmon_decay.cli import EXIT_CONFIG, EXIT_OK, main
+from transmon_decay.discrete import _band, _mode_counts, _modes, _sigma1_at_modes
 from transmon_decay.model import NumericalError, coupling_sq
 
 ORACLE_INI = Path(__file__).resolve().parents[1] / "configs" / "oracle_l2_1.ini"
@@ -42,6 +44,14 @@ def direct_sigma1(y, spacing, m, c, rows=256):
     xs = y - 2.0 * modes
     dself = xs * xs + eps * eps
     return shift + 0.5 * g1sq * xs / dself, width + g1sq * eps / dself
+
+
+def lattice_sigma1(ys, spacing, m, c):
+    """``_sigma1_at_modes`` for the energies ``ys`` as one batch: two
+    (energies x modes) arrays."""
+    modes = _modes(m, spacing)
+    g1sq = coupling_sq(m, c, 1, modes) * spacing
+    return _sigma1_at_modes(np.reshape(ys, (-1, 1)), modes, g1sq, spacing)
 
 
 def direct_sigma2(y, spacing, m, c):
@@ -153,15 +163,16 @@ class TestLatticeSums:
     def test_mode_counts_odd_and_even(self, model):
         counts = [len(_modes(model, s)) for s in LATTICE_SPACINGS]
         assert counts == [430, 1075, 2150, 4300]
+        assert _mode_counts(model, LATTICE_SPACINGS) == counts
 
     @pytest.mark.parametrize("spacing", LATTICE_SPACINGS)
     @pytest.mark.parametrize("l2", [1.0, 6.0])
     @pytest.mark.parametrize("y", [99.2, 60.0, 140.0])  # 60 and 140: no mode pair is near a pole
     def test_first_level_matches_direct_sum(self, model, spacing, l2, y):
         c = CouplingConfig.transmon_ratio(l2)
-        got = _sigma1_at_modes(y, spacing, model, c)
+        shift, width = lattice_sigma1([y], spacing, model, c)
         want = direct_sigma1(y, spacing, model, c)
-        for g, w in zip(got, want):
+        for g, w in zip((shift[0], width[0]), want):
             assert np.max(np.abs(g - w)) <= 1e-11 * np.max(np.abs(w))
 
     @pytest.mark.parametrize("k", [0, 17, 1074])
@@ -203,8 +214,80 @@ class TestLatticeSums:
     def test_first_level_width_positive_on_every_mode(self, model, spacing):
         # so dropping eps whenever L1 > 0 is the per-mode "width > 0" rule
         c = CouplingConfig.transmon_ratio(1.0)
-        for y in default_energies(model):
-            assert _sigma1_at_modes(y, spacing, model, c)[1].min() > 1e-5
+        assert lattice_sigma1(default_energies(model), spacing, model, c)[1].min() > 1e-5
+
+
+class TestEnergyBatches:
+    """One array call per spacing gives what one call per energy gives."""
+
+    @pytest.mark.parametrize(
+        "coupling",
+        [CouplingConfig.transmon_ratio(1.0), CouplingConfig.transmon_ratio(1.0, v1_enabled=False)],
+        ids=["first-level-widths", "bare-pole"],
+    )
+    def test_array_call_equals_scalar_calls_bit_for_bit(self, model, coupling):
+        # at spacing 0.01 (FFT length 8192) 70 energies go through in blocks of 32, 32 and 6
+        assert discrete._BLOCK // discrete._fft_length(len(_modes(model, 0.01))) == 32
+        ys = np.linspace(model.b - 3.0, model.b + 3.0, 70)
+        got = discrete_self_energy_2(ys, 0.01, model, coupling)
+        want = np.array([discrete_self_energy_2(y, 0.01, model, coupling) for y in ys])
+        assert got.tobytes() == want.tobytes()
+
+    def test_result_takes_the_shape_of_the_energies(self, model):
+        c = CouplingConfig.transmon_ratio(1.0)
+        assert type(discrete_self_energy_2(model.b, 0.05, model, c)) is complex
+        assert discrete_self_energy_2(np.full((2, 3), model.b), 0.05, model, c).shape == (2, 3)
+        assert discrete_self_energy_2(np.array([]), 0.05, model, c).shape == (0,)
+
+
+# (energies, spacings) the oracle refuses, one per input rule; the band is (38.5, 60.0)
+BAD_ORACLE_INPUTS = {
+    "no-energy": (",", "0.05"),
+    "no-spacing": ("98.5", ","),
+    "unordered": ("98.5", "0.01 0.05"),
+    "equal": ("98.5", "0.05 0.05"),
+    "negative-finest": ("98.5", "0.05 -0.01"),
+    "wider-than-band": ("98.5", "30"),
+    "finer-than-cap": ("98.5", "0.05 1e-5"),  # 2.15e6 modes
+}
+
+
+class TestOracleInputs:
+    """``load_config`` and ``convergence_report`` apply the same input rules."""
+
+    @pytest.mark.parametrize("name", list(BAD_ORACLE_INPUTS))
+    def test_config_and_report_both_refuse(self, model, tmp_path, capsys, name):
+        energies, spacings = BAD_ORACLE_INPUTS[name]
+        cfg = tmp_path / "bad.ini"
+        text = f"[coupling]\nl2 = 1\n[oracle]\nenergies = {energies}\nspacings = {spacings}\n"
+        cfg.write_text(text)
+        assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "invalid [oracle] energies or spacings: " in capsys.readouterr().err
+        ys, hs = ([float(v) for v in t.replace(",", " ").split()] for t in (energies, spacings))
+        with pytest.raises(ValueError):
+            convergence_report(ys, hs, model, CouplingConfig.transmon_ratio(1.0))
+
+    @pytest.mark.parametrize("finest", [-0.01, 1e-7])
+    def test_bad_finest_spacing_raises_before_any_sum(self, model, monkeypatch, finest):
+        c = CouplingConfig.transmon_ratio(1.0)
+        calls = []
+        monkeypatch.setattr(discrete, "sigma2", lambda *args: calls.append("sigma2"))
+        monkeypatch.setattr(discrete, "discrete_self_energy_2", lambda *args: calls.append("sum"))
+        with pytest.raises(ValueError, match="spacing"):
+            convergence_report([model.b], [0.05, 0.02, finest], model, c)
+        assert calls == []
+
+    def test_cap_is_on_the_count_modes_makes(self, model):
+        # just either side of 10**6 modes: the cap is checked before any mode is made
+        width = _band(model)[1] - _band(model)[0]
+        for modes in (999_999.0, 1e6, 1e6 + 0.5, 1e6 + 1.0, 1e6 + 2.0):
+            spacing = width / modes
+            count = math.floor(width / spacing)
+            if count <= 10**6:
+                assert _mode_counts(model, [spacing]) == [count]
+            else:
+                with pytest.raises(ValueError, match="more than 1000000"):
+                    _mode_counts(model, [spacing])
 
 
 class TestOracleAgreement:

@@ -65,7 +65,8 @@ def test_cli_loads_neither_optimize_nor_integrate(tmp_path):
     runs = {
         "stable_l2_6.ini": every,
         "oracle_l2_1.ini": every,
-        "full_l2_6.ini": "spectrum,resonances,timedomain",  # FULL: the regime quad checks
+        # FULL: every command but sweep, which alone takes ~2 s on this config
+        "full_l2_6.ini": "spectrum,resonances,timedomain,oracle",
     }
     args = [arg for name, cmds in runs.items() for arg in (str(ROOT / "configs" / name), cmds)]
     done = subprocess.run(
