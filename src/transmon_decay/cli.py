@@ -25,7 +25,7 @@ from .config import ConfigError, RunConfig, _y_range, load_config
 from .discrete import convergence_report
 from .model import NumericalError
 from .resonances import find_peaks, find_roots, fwhm, spectral_callable, sweep_coupling
-from .spectrum import SigmaStats, build_grid
+from .spectrum import SigmaStats, _proxy, build_grid
 from .time_domain import rabi_metrics, survival_amplitude
 
 EXIT_OK = 0
@@ -74,8 +74,10 @@ def _sigma2_info(stats: SigmaStats) -> dict:
     """Deterministic self-energy diagnostics for a sidecar."""
     return {
         "energies": stats.energies,
+        "samples": stats.samples,
         "terms": stats.terms,
         "max_error_estimate": _jnum(stats.max_error),
+        "max_tail": _jnum(stats.max_tail),
     }
 
 
@@ -298,6 +300,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    # each command builds its own FULL proxies, so the samples and terms in
+    # its sidecar never depend on a command run earlier in the same process
+    _proxy.cache_clear()
     try:
         return _COMMANDS[args.command](cfg, out, args.format)
     except NumericalError as exc:

@@ -18,9 +18,7 @@ from operator import attrgetter
 
 from .discrete import _mode_counts
 from .model import CouplingConfig, DimensionlessModel, PhysicalParams
-from .spectrum import (
-    _MAX_SCAN_POINTS, DEFAULT_SETTINGS, Regime, _check_regime, _scan_key, regime_for
-)
+from .spectrum import _MAX_SCAN_POINTS, Regime, _check_regime, _scan_points, regime_for
 
 TWO_PI = 2.0 * math.pi
 
@@ -194,7 +192,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("grid span, t_max must be positive and time steps >= 2")
     # the grid's scan: its step is at most find_roots' 0.01, so it bounds that scan too
     with _invalid("[grid] span"):
-        _scan_key(model, coupling, regime, DEFAULT_SETTINGS, _y_range(cfg), None)
+        _scan_points(model, regime, _y_range(cfg), None)
     if cfg.sweep_l2_min <= 0 or cfg.sweep_l2_max < cfg.sweep_l2_min or cfg.sweep_steps < 1:
         raise ConfigError("sweep range must be positive and non-empty")
     for key, steps in (("[time] steps", cfg.t_steps), ("[sweep] steps", cfg.sweep_steps)):

@@ -20,7 +20,8 @@ from .spectrum import (
     SigmaStats,
     SpectralGrid,
     _brentq,
-    _root_scan,
+    _ROOT_STEP,
+    _scan,
     sigma2,
     spectral_function,
 )
@@ -92,13 +93,10 @@ def find_roots(
 ) -> list[ResonanceRecord]:
     """All roots of ``y - b - Delta_2(y)`` in the scan range, sorted by location.
 
-    Roots are bracketed on ``build_grid``'s coarse scan (``spectrum._scan``)
-    at step 0.01: ``y_range`` defaults to ``b +- 12`` and the scan holds
-    ``max(round(span/0.01), 16) + 1`` energies, one vector ``sigma2`` call.
-    When the last ``build_grid`` call scanned the same energies with the same
-    model, coupling, regime and settings, and recorded them into this same
-    ``stats`` object, that scan is used as it is, with no energy evaluated
-    again; otherwise this call makes its own scan.
+    Roots are bracketed on a uniform scan (``spectrum._scan``) at step 0.01:
+    ``y_range`` defaults to ``b +- 12`` and the scan holds
+    ``max(round(span/0.01), 16) + 1`` energies, one vector ``sigma2`` call;
+    in FULL these are ``build_grid``'s coarse points.
     A cell brackets a root when ``F`` changes sign across it or is exactly 0
     at its left end; such an exact zero is the root itself, and Brent
     bracketing refines the others (its scalar calls reproduce the scan's
@@ -107,11 +105,9 @@ def find_roots(
     ``ValueError``.  Roots closer than 1e-5 are merged into one record
     with a degeneracy flag.  Each record is annotated with the value of the
     spectral function at the root.  ``stats`` accumulates the diagnostics of
-    the ``sigma2`` energies this call evaluates: a scan taken over from
-    ``build_grid`` is not counted again, since that call counted it in the
-    same ``stats``.
+    the ``sigma2`` energies this call evaluates.
     """
-    ys, _, vals, cells = _root_scan(m, c, regime, s, y_range, stats)
+    ys, _, vals, cells = _scan(m, c, regime, s, y_range, _ROOT_STEP, stats)
     if len(cells) and (cells[0] == 0 or cells[-1] == len(ys) - 2):
         raise ScanRangeError(
             f"sign change at scan boundary of [{ys[0]}, {ys[-1]}]; widen the range"

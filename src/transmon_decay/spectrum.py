@@ -52,9 +52,20 @@ whole array of energies.
     integrals, a route kept in ``tests/reference_routes.py`` with the first
     level's PV quadrature.
 
+    ``Sigma_2`` is entire in ``d``, so ``sigma2`` runs that node sum only to
+    build a proxy (``_Proxy``, cached per coupling and tolerances by
+    ``_proxy``): a piecewise Chebyshev interpolant of ``Re Sigma_2`` and
+    ``log(-Im Sigma_2)`` on the unit bins of ``|d|``, 24 node-sum samples
+    a piece, mirrored to ``d < 0`` by ``Sigma_2(-d) = -conj Sigma_2(d)``.
+    Every FULL value is a Clenshaw sum on its piece, the same float
+    operations for one energy as for an array.  A piece whose coefficient
+    tail misses ``1e-2`` of the tolerance at its samples is bisected; its
+    error estimate is its worst sample estimate plus its tail, and an energy
+    whose estimate misses the tolerance raises ``QuadratureError`` too.
+
 ``WEAK``
-    The FULL self-energy frozen at ``y = b``; the spectral function is then
-    a plain Lorentzian with that constant.
+    The FULL self-energy frozen at ``y = b``, the proxy's value there; the
+    spectral function is then a plain Lorentzian with that constant.
 
 In every regime the spectral function is
 
@@ -63,13 +74,14 @@ In every regime the spectral function is
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import legendre
+from numpy.polynomial import chebyshev, legendre
 from scipy import special
 
 from .model import SQRT_PI, CouplingConfig, DimensionlessModel, NumericalError
@@ -84,11 +96,17 @@ _REACH = math.sqrt(746.0)  # e^{-t^2} rounds to exactly 0.0 for t^2 > 745.14
 _FLUSH = -math.log(np.finfo(float).tiny)  # 708.396: e^{-t^2} stored as 0.0 for t^2 beyond
 _BLOCK = 1 << 15  # elements of each reused block buffer; 2^13 to 2^16 time alike, 2^17 up slower
 _ROUNDOFF = 16 * np.finfo(float).eps
+_TINY = np.finfo(float).smallest_subnormal  # floor of -Im Sigma_2 under the proxy's log
 _NEWTON_STEPS = 64  # complex Newton steps taken for the kernel pole (<= 45 needed)
 _POINTS_PER_FWHM = 20  # grid spacing around a resonance: its FWHM / 20
 _MAX_REFINED_PEAKS = 16  # refinement centres per grid; more mark it incomplete
 _MAX_SCAN_POINTS = 10**6  # energies of one coarse scan (8 MB per float array)
 _ROOT_STEP = 0.01  # find_roots' scan step in y, and the FULL grid's
+_CHEB_POINTS = 24  # first-kind Chebyshev points per FULL proxy piece
+_TAIL_COEFFS = 4  # trailing Chebyshev coefficients summed into a piece's tail
+_NOISE_GAIN = 4.0  # 1 + Lebesgue constant of 24 points (3.0): the last coefficients are noise
+_SPLIT = 1e-2  # a piece whose tail exceeds this share of the node-sum tolerance is bisected
+_MIN_PIECE = 2.0**-6  # narrowest piece: a unit bin is bisected at most six times
 
 
 class QuadratureError(NumericalError):
@@ -137,23 +155,33 @@ def _check_regime(c: CouplingConfig, regime: Regime) -> None:
 
 @dataclass
 class SigmaStats:
-    """Diagnostics accumulated over the ``sigma2`` calls a caller makes:
-    energies evaluated, FULL node terms summed (rows times window width; 0
-    for STABLE) and the worst absolute error estimate of any returned
-    ``Sigma_2`` value.  A value a call takes over instead of evaluating it,
-    such as ``find_roots`` bracketing on ``build_grid``'s scan, is not
-    counted again."""
+    """Diagnostics accumulated over the ``sigma2`` calls a caller makes.
+
+    ``energies`` counts the energies evaluated and ``max_error`` is the worst
+    absolute error estimate of any returned ``Sigma_2`` value.  FULL and WEAK
+    values come from the cached piecewise Chebyshev proxy of the node sum
+    (``_Proxy``): a value's estimate is its piece's, the worst node-sum
+    estimate at the piece's samples plus the piece's coefficient tail, and
+    ``max_tail`` is the worst tail of the pieces that gave the values.
+    ``samples`` counts the node-sum energies the pieces built during these
+    calls were fitted to, and ``terms`` the node terms those samples summed
+    (rows times window width); a piece an earlier call built is not counted
+    again, and STABLE counts none."""
 
     energies: int = 0
     terms: int = 0
     max_error: float = 0.0
+    samples: int = 0
+    max_tail: float = 0.0
 
-    def record(self, errors: np.ndarray, terms: int) -> None:
+    def record(self, errors: np.ndarray, tail: float, samples: int, terms: int) -> None:
         self.energies += errors.size
+        self.samples += samples
         self.terms += terms
         # a scalar skips the array reduction (~1 us), as in sigma2
         worst = float(errors[0]) if errors.size == 1 else float(errors.max(initial=0.0))
         self.max_error = max(self.max_error, worst)
+        self.max_tail = max(self.max_tail, tail)
 
 
 def _gaussian_sigma(x, strength: float) -> np.ndarray:
@@ -476,12 +504,158 @@ def _full_sigma2(d: np.ndarray, c: CouplingConfig, s: QuadratureSettings):
         value[at] += c_z * np.exp(-np.square(d[at] - z)) - mirror
     pref = 2.0 * c.l2 / SQRT_PI
     value, error = pref * value, pref * error
-    missed = ~(error <= np.maximum(s.abs_tol, s.rel_tol * np.abs(value)))  # NaN misses too
+    _check_tolerance(d, value, error, s)
+    return value, error, terms
+
+
+def _missed(d: float, error: float) -> QuadratureError:
+    message = f"FULL self-energy at y - b = {d:.6g}: error estimate {error:.3g}"
+    return QuadratureError(message + " misses the tolerance", estimate=float(error))
+
+
+def _check_tolerance(d: np.ndarray, value: np.ndarray, error: np.ndarray, s: QuadratureSettings):
+    """Raise ``QuadratureError`` at the worst energy whose estimate misses
+    ``max(abs_tol, rel_tol |Sigma_2|)``; a NaN estimate misses too."""
+    missed = ~(error <= np.maximum(s.abs_tol, s.rel_tol * np.abs(value)))
     if missed.any():
         i = np.argmax(np.where(missed, error, -1.0))
-        message = f"FULL self-energy at y - b = {d[i]:.6g}: error estimate {error[i]:.3g}"
-        raise QuadratureError(message + " misses the tolerance", estimate=float(error[i]))
-    return value, error, terms
+        raise _missed(d[i], error[i])
+
+
+# ---------------------------------------------------------------------------
+# FULL coupling: piecewise Chebyshev proxy of the node sum
+
+
+@functools.lru_cache(maxsize=1)
+def _chebyshev() -> tuple[np.ndarray, np.ndarray]:
+    """The ``n`` first-kind Chebyshev points ``cos(pi (j + 1/2)/n)`` on
+    [-1, 1], made exactly symmetric, and the matrix ``(2/n) T_k(t_j)`` (row
+    ``k = 0`` halved) that maps values at them to the Chebyshev coefficients
+    of their interpolant (discrete orthogonality of ``T_k`` at the points).
+    The arrays are cached, so they are read-only."""
+    n = _CHEB_POINTS
+    points = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+    points = 0.5 * (points - points[::-1])
+    basis = chebyshev.chebvander(points, n - 1).T * (2.0 / n)
+    basis[0] *= 0.5
+    points.flags.writeable = basis.flags.writeable = False
+    return points, basis
+
+
+def _clenshaw(t, coef):
+    """``sum_k coef[k] T_k(t)`` by Clenshaw's recurrence.  Written once for a
+    float ``t`` with a tuple of coefficients and for arrays (``coef[k]`` one
+    per energy), so a scalar call runs the same IEEE operations, in the same
+    order, as each element of a vector call."""
+    t2, b1, b2 = 2.0 * t, 0.0, 0.0
+    for a in coef[:0:-1]:
+        b1, b2 = t2 * b1 - b2 + a, b1
+    return t * b1 - b2 + coef[0]
+
+
+class _Proxy:
+    """Piecewise Chebyshev interpolant of the FULL node sum ``_full_sigma2``
+    for one coupling and one tolerance.
+
+    Pieces are the unit bins ``[k, k + 1)``, ``k >= 0``, of ``d = y - b``
+    that the node sum groups its energies by, built when an energy first
+    falls in them; ``d < 0`` reads the mirror image ``-conj Sigma_2(-d)``,
+    so the proxy is exactly symmetric about ``b`` (the node sum is, to its
+    last digits) and samples half the bins.  A piece interpolates
+    ``Re Sigma_2`` and ``log(-Im Sigma_2)`` at ``_CHEB_POINTS`` Chebyshev
+    points of one vector ``_full_sigma2`` call, whose tolerance check covers
+    every sample; ``-Im`` is floored at the smallest subnormal, where it
+    underflows to 0.0 (from ``|y - b| ~ 39`` on), so ``Im <= 0`` holds
+    everywhere.  Its tail is ``_NOISE_GAIN``
+    times the sum of the last ``_TAIL_COEFFS`` coefficient magnitudes, the
+    log's turned into ``Im``'s by ``max |Im| expm1``: once a piece resolves
+    its function those coefficients are the rounding noise of the samples,
+    which the interpolant carries with the Lebesgue constant's gain and the
+    node sum adds again at the energy.  A piece whose tail exceeds
+    ``_SPLIT`` times the smallest tolerance at its samples is bisected,
+    down to ``_MIN_PIECE``.  A piece's error estimate is its worst sample
+    estimate plus its tail."""
+
+    def __init__(self, c: CouplingConfig, s: QuadratureSettings):
+        self.c, self.s = c, s
+        self.bins: set[float] = set()
+        self.lefts: list[float] = []  # ascending left ends of the pieces
+        # (mid, 2/width, Re coefficients, log(-Im) coefficients, estimate, tail)
+        self.pieces: list[tuple] = []
+        self.table: tuple | None = None  # the pieces as arrays, for vector calls
+
+    def build(self, bins) -> tuple[int, int]:
+        """Build every unit bin ``[k, k + 1)`` of ``bins`` (``k >= 0``) not
+        built yet; returns the node-sum samples and node terms that took.
+        Pieces are kept only once every bin is built, so a
+        ``QuadratureError`` leaves the proxy as it was."""
+        todo = sorted({float(k) for k in bins} - self.bins)
+        if not todo:
+            return 0, 0
+        points, basis = _chebyshev()
+        lo, half = np.array(todo), np.full(len(todo), 0.5)
+        new, samples, terms = [], 0, 0
+        while lo.size:
+            mid = lo + half
+            d = (mid[:, None] + half[:, None] * points).ravel()
+            value, error, n_terms = _full_sigma2(d, self.c, self.s)
+            samples, terms = samples + d.size, terms + n_terms
+            value, error = value.reshape(lo.size, -1), error.reshape(lo.size, -1)
+            neg_im = np.maximum(-value.imag, _TINY)
+            # one ddot per piece and coefficient: a piece's fit does not
+            # depend on the pieces built with it
+            re_coef = np.vecdot(value.real[:, None, :], basis)
+            im_coef = np.vecdot(np.log(neg_im)[:, None, :], basis)
+            re_tail, log_tail = (abs(a[:, -_TAIL_COEFFS:]).sum(axis=1) for a in (re_coef, im_coef))
+            with np.errstate(over="ignore"):  # an infinite tail splits the piece
+                im_tail = neg_im.max(axis=1) * np.expm1(_NOISE_GAIN * log_tail)
+            tail = _NOISE_GAIN * re_tail + im_tail
+            tol = np.maximum(self.s.abs_tol, self.s.rel_tol * np.abs(value)).min(axis=1)
+            split = (tail > _SPLIT * tol) & (half > 0.5 * _MIN_PIECE)
+            estimate = error.max(axis=1) + tail
+            for i in np.flatnonzero(~split):
+                piece = (float(mid[i]), 1.0 / half[i], tuple(re_coef[i].tolist()))
+                piece += (tuple(im_coef[i].tolist()), float(estimate[i]), float(tail[i]))
+                new.append((float(lo[i]), piece))
+            lo, half = np.concatenate([lo[split], mid[split]]), np.tile(0.5 * half[split], 2)
+        pieces = sorted([*zip(self.lefts, self.pieces), *new], key=lambda p: p[0])
+        self.lefts, self.pieces = [p[0] for p in pieces], [p[1] for p in pieces]
+        self.bins.update(todo)
+        self.table = None
+        return samples, terms
+
+    def scalar(self, d: float) -> tuple[complex, float, float]:
+        """``Sigma_2``, its estimate and its piece's tail at ``d`` (the bin
+        of ``|d|`` built)."""
+        x = abs(d)
+        mid, scale, re, im, estimate, tail = self.pieces[bisect.bisect_right(self.lefts, x) - 1]
+        t = (x - mid) * scale
+        shift = _clenshaw(t, re)
+        neg_im = float(np.exp(_clenshaw(t, im)))
+        return complex(-shift if d < 0.0 else shift, -neg_im), estimate, tail
+
+    def vector(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """``Sigma_2`` and its estimates at ``d`` (the bins of ``|d|`` built),
+        and the worst tail of the pieces used; element for element as
+        ``scalar``."""
+        if self.table is None:
+            mids, scales, re, im, estimates, tails = map(np.array, zip(*self.pieces))
+            self.table = np.array(self.lefts), mids, scales, re.T, im.T, estimates, tails
+        lefts, mids, scales, re, im, estimates, tails = self.table
+        x = np.abs(d)
+        i = np.searchsorted(lefts, x, side="right") - 1
+        t = (x - mids[i]) * scales[i]
+        shift = _clenshaw(t, re[:, i])
+        value = np.empty(d.shape, dtype=complex)
+        value.real = np.where(d < 0.0, -shift, shift)
+        value.imag = -np.exp(_clenshaw(t, im[:, i]))
+        return value, estimates[i], float(tails[i].max())
+
+
+@functools.lru_cache(maxsize=64)
+def _proxy(c: CouplingConfig, s: QuadratureSettings) -> _Proxy:
+    """The FULL proxy of one coupling and tolerance, kept across calls."""
+    return _Proxy(c, s)
 
 
 def sigma2(
@@ -496,27 +670,41 @@ def sigma2(
     """Second-level self-energy ``Delta_2(y) - i Gamma_2(y)/2``.
 
     Vectorised over ``y``; a scalar call returns exactly the value the same
-    energy gets inside an array.  ``stats``, when given, accumulates the
-    error estimates.  Raises ``ValueError`` for a non-finite energy, in every
-    regime, and for a regime that breaks the rule STABLE exactly when
-    ``v1_enabled`` is off (``_check_regime``, which ``load_config`` applies
-    too), and ``QuadratureError`` when the error estimate of a FULL energy
-    misses ``max(abs_tol, rel_tol |Sigma_2|)``.
+    energy gets inside an array.  FULL values come from the cached proxy
+    of the node sum (``_proxy``), WEAK's constant from it at ``y = b``.
+    ``stats``, when given, accumulates the diagnostics.  Raises
+    ``ValueError`` for a non-finite energy, in every regime, and for a
+    regime that breaks the rule STABLE exactly when ``v1_enabled`` is off
+    (``_check_regime``, which ``load_config`` applies too), and
+    ``QuadratureError`` when the error estimate of a FULL energy, or of a
+    node-sum sample a piece is built from, misses
+    ``max(abs_tol, rel_tol |Sigma_2|)``.
     """
     _check_regime(c, regime)
     d = np.atleast_1d(np.asarray(y, dtype=float)) - m.b
     # a scalar skips the array reduction (~1 us): Brent calls sigma2 one energy at a time
     if not (math.isfinite(d[0]) if d.size == 1 else np.isfinite(d).all()):
         raise ValueError("energies must be finite")
-    if regime is Regime.STABLE:
-        value, error, terms = _gaussian_sigma(d, c.l2), np.zeros(d.shape), 0
-    elif regime is Regime.WEAK:
-        const, err, terms = _full_sigma2(np.zeros(1), c, s)
-        value, error = np.full(d.shape, const[0]), np.full(d.shape, err[0])
+    if regime is Regime.STABLE or c.l1 == 0.0 or c.l2 == 0.0 or d.size == 0:
+        # FULL at L1 = 0 is the exact limit K(x) = 1/(x + i0): the stable form;
+        # an empty array (build_grid with nothing to refine) has nothing to build
+        at = np.zeros(d.shape) if regime is Regime.WEAK else d
+        value, error, tail, work = _gaussian_sigma(at, c.l2), np.zeros(d.shape), 0.0, (0, 0)
+    elif regime is Regime.WEAK or d.size == 1:
+        # one energy, or WEAK's constant at y = b: floats, no one-element arrays
+        at, proxy = (0.0 if regime is Regime.WEAK else float(d[0])), _proxy(c, s)
+        work = proxy.build((math.floor(abs(at)),))
+        one, estimate, tail = proxy.scalar(at)
+        if not estimate <= max(s.abs_tol, s.rel_tol * abs(one)):
+            raise _missed(at, estimate)
+        value, error = np.full(d.shape, one), np.full(d.shape, estimate)
     else:
-        value, error, terms = _full_sigma2(d, c, s)
+        proxy = _proxy(c, s)
+        work = proxy.build(np.unique(np.floor(np.abs(d))))
+        value, error, tail = proxy.vector(d)
+        _check_tolerance(d, value, error, s)
     if stats is not None:
-        stats.record(error, terms)
+        stats.record(error, tail, *work)
     return value if np.ndim(y) else complex(value[0])
 
 
@@ -583,18 +771,13 @@ def _peak_width_estimate(width_p, slope):
     return max(width_p / max(abs(1.0 - slope), 1e-3), 1e-6)
 
 
-# build_grid's latest coarse scan as (key, stats, (ys, Sigma_2, F, cells)): the
-# key from _scan_key and the SigmaStats (or None) that recorded its energies;
-# find_roots brackets on it when its own key and stats object match
-_last_scan: tuple | None = None
-
-
-def _scan_key(m, c, regime, s, y_range, step) -> tuple:
-    """Every input of ``_scan``: ``(m, c, regime, s, lo, hi, point count)``.
-    ``step`` ``None`` is the grid's step, ``_ROOT_STEP`` in FULL (so
-    ``find_roots`` can bracket on the grid's scan), else 0.002.  Raises
-    ``ValueError``, before anything is allocated, unless ``lo < hi`` are
-    finite and the scan holds at most ``_MAX_SCAN_POINTS`` energies."""
+def _scan_points(m, regime, y_range, step) -> tuple[float, float, int]:
+    """``(lo, hi, point count)`` of a uniform scan.  ``y_range`` defaults to
+    ``(b - 12, b + 12)``; ``step`` ``None`` is the grid's step,
+    ``_ROOT_STEP`` in FULL (so the grid's coarse points are the energies
+    ``find_roots`` scans), else 0.002.  Raises ``ValueError``, before
+    anything is allocated, unless ``lo < hi`` are finite and the scan holds
+    at most ``_MAX_SCAN_POINTS`` energies."""
     lo, hi = (m.b - 12.0, m.b + 12.0) if y_range is None else y_range
     if step is None:
         step = _ROOT_STEP if regime is Regime.FULL else 0.002
@@ -606,7 +789,7 @@ def _scan_key(m, c, regime, s, y_range, step) -> tuple:
             f"scan of [{lo}, {hi}] at step {step} needs {intervals + 1:.3g} energies,"
             f" more than {_MAX_SCAN_POINTS}"
         )
-    return m, c, regime, s, lo, hi, max(int(round(intervals)), 16) + 1
+    return lo, hi, max(int(round(intervals)), 16) + 1
 
 
 def _scan(
@@ -620,35 +803,17 @@ def _scan(
 ):
     """Uniform scan of the resonance function ``F(y) = y - b - Delta_2(y)``.
 
-    ``y_range`` defaults to ``(b - 12, b + 12)`` and holds
-    ``max(round((hi - lo)/step), 16) + 1`` evenly spaced energies, both ends
-    included, with ``step`` and its bounds as in ``_scan_key``; ``Sigma_2``
-    there is one vector ``sigma2`` call.  Returns the energies, ``Sigma_2``
-    and ``F`` at them, and the cells ``i`` whose interval ``[y_i, y_{i+1}]``
-    brackets a root: ``F`` changes sign across it or ``F(y_i)`` is exactly 0.
-    The arrays are read-only, so one scan can be handed from ``build_grid``
-    to ``find_roots`` (``_root_scan``).
+    The scan holds ``max(round((hi - lo)/step), 16) + 1`` evenly spaced
+    energies, both ends included, with ``y_range``, ``step`` and their
+    bounds as in ``_scan_points``; ``Sigma_2`` there is one vector
+    ``sigma2`` call.  Returns the energies, ``Sigma_2`` and ``F`` at them,
+    and the cells ``i`` whose interval ``[y_i, y_{i+1}]`` brackets a root:
+    ``F`` changes sign across it or ``F(y_i)`` is exactly 0.
     """
-    *_, lo, hi, points = _scan_key(m, c, regime, s, y_range, step)
-    ys = np.linspace(lo, hi, points)
+    ys = np.linspace(*_scan_points(m, regime, y_range, step))
     value = sigma2(ys, m, c, regime, s, stats=stats)
     f = ys - m.b - value.real
-    scan = ys, value, f, np.flatnonzero(np.diff(np.signbit(f)) | (f[:-1] == 0.0))
-    for array in scan:
-        array.flags.writeable = False
-    return scan
-
-
-def _root_scan(m, c, regime, s, y_range, stats):
-    """``_scan`` at ``_ROOT_STEP`` for ``find_roots``: the one ``build_grid``
-    made last when every input matches and it recorded into this same
-    ``stats`` object (``None`` matches ``None``), so a caller's counts never
-    miss the scan's energies; else a new scan, which is not kept."""
-    last = _last_scan
-    if last is not None and last[1] is stats:
-        if last[0] == _scan_key(m, c, regime, s, y_range, _ROOT_STEP):
-            return last[2]
-    return _scan(m, c, regime, s, y_range, _ROOT_STEP, stats)
+    return ys, value, f, np.flatnonzero(np.diff(np.signbit(f)) | (f[:-1] == 0.0))
 
 
 def build_grid(
@@ -662,16 +827,13 @@ def build_grid(
 ) -> SpectralGrid:
     """Coarse scan plus local refinement around every resonance.
 
-    The coarse scan is ``_scan``, the one ``find_roots`` brackets its roots
-    on: ``y_range`` defaults to ``b +- 12`` and the scan holds
-    ``max(round(span/step), 16) + 1`` energies (``step`` 0.01 in FULL, else
-    0.002), at most ``_MAX_SCAN_POINTS``.  The scan is kept
-    until the next ``build_grid`` call, and a ``find_roots`` call that would
-    scan the same energies with the same inputs and the same ``stats``
-    object brackets on it instead of scanning again.  Refinement
-    centres are one point per root cell of
-    ``F(y) = y - b - Delta_2(y)`` (the secant crossing, or ``y_i`` itself
-    where ``F(y_i)`` is exactly 0; cells that give the same point count once)
+    The coarse scan is ``_scan``: ``y_range`` defaults to ``b +- 12`` and
+    the scan holds ``max(round(span/step), 16) + 1`` energies (``step`` 0.01
+    in FULL, where they are the energies ``find_roots`` scans, else 0.002),
+    at most ``_MAX_SCAN_POINTS``.  Refinement centres are one point per root
+    cell of ``F(y) = y - b - Delta_2(y)`` (the secant crossing, or ``y_i``
+    itself where ``F(y_i)`` is exactly 0; cells that give the same point
+    count once)
     and the local maxima of the coarse spectral function; beyond the 16
     tallest, the grid is marked incomplete.  Around each centre points are
     laid with spacing ``FWHM / 20`` in a linear core and geometric tails, so
@@ -680,10 +842,7 @@ def build_grid(
     A ``y_range`` that is not finite and increasing, or a scan of more
     energies, raises ``ValueError`` before any ``sigma2`` call.
     """
-    global _last_scan
-    scan = _scan(m, c, regime, s, y_range, None, stats)
-    _last_scan = (_scan_key(m, c, regime, s, y_range, None), stats, scan)
-    ys, value, resfun, cells = scan
+    ys, value, resfun, cells = _scan(m, c, regime, s, y_range, None, stats)
     lo, hi = ys[0], ys[-1]
     u, width = _lineshape(ys - m.b, value)
     shift = value.real

@@ -2,9 +2,9 @@
 
 Adaptively refined full-coupling grids are the most expensive objects in the
 suite, so they are built once per (l2, regime) pair and shared between the
-unit tests and the acceptance module.  Every test starts without the coarse
-scan that ``build_grid`` keeps for ``find_roots``, so a test that counts
-``sigma2`` energies does not depend on which test built a grid before it.
+unit tests and the acceptance module.  Every test starts with an empty cache
+of FULL self-energy proxies, so a test that counts the node-sum samples
+behind ``sigma2`` does not depend on which test built a proxy before it.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ B_REF = 98.5
 
 
 @pytest.fixture(autouse=True)
-def no_kept_scan():
-    spectrum._last_scan = None
+def no_cached_proxy():
+    spectrum._proxy.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -199,7 +199,7 @@ NUMERICAL_FAILURES = {
     "quadrature-tolerance": (
         "spectrum",
         "[coupling]\nl2 = 25000\n[grid]\nspan = 183\n",
-        "FULL self-energy at y - b = -182.58",
+        "FULL self-energy at y - b = 182.598",
     ),
     "scan-range": (
         "resonances",
@@ -363,8 +363,8 @@ class TestOtherCommands:
 
     def test_sweep_outputs_do_not_depend_on_an_earlier_command(self, tmp_path):
         # the last sweep step, geomspace(0.05, 6, 2)[-1], is exactly the
-        # config's L2 = 6, so its root scan has the inputs of the grid scan
-        # that spectrum keeps; sweep must still count its own scan
+        # config's L2 = 6, whose FULL proxy spectrum builds; sweep starts
+        # with an empty proxy cache all the same and counts its own samples
         cfg = tmp_path / "full.ini"
         cfg.write_text((CONFIGS / "full_l2_6.ini").read_text() + "\n[sweep]\nsteps = 2\n")
         alone, after = tmp_path / "alone", tmp_path / "after"
@@ -444,8 +444,10 @@ class TestSelfEnergyDiagnostics:
         assert resonances["energies"] > spectrum["energies"]
         assert timedomain["sigma2"] == spectrum
         for info in (spectrum, resonances):
-            assert set(info) == {"energies", "terms", "max_error_estimate"}
+            assert set(info) == {"energies", "samples", "terms", "max_error_estimate", "max_tail"}
             assert 0.0 < info["max_error_estimate"] < 1e-10
+            # a piece's tail is part of each of its estimates
+            assert 0.0 < info["max_tail"] < info["max_error_estimate"]
         record = timedomain["time_domain"]
         assert record["energies"] == meta["n_points"]
         assert record["times"] == timedomain["config"]["time"]["steps"]
@@ -472,21 +474,28 @@ class TestSelfEnergyDiagnostics:
                 assert run(command, "--config", path, "--out", str(out)) == EXIT_OK
         grid_info = json.loads((full / "spectrum.meta.json").read_text())["sigma2"]
         roots_info = json.loads((full / "resonances.json").read_text())["sigma2"]
-        # each FULL energy sums at most one node set of 1470 nodes
-        assert 0 < grid_info["terms"] < 1470 * grid_info["energies"]
-        assert roots_info["terms"] > grid_info["terms"]
+        # each node-sum sample sums at most one node set of 1470 nodes, and
+        # the proxy's pieces take fewer samples than the grid has energies
+        assert 0 < grid_info["terms"] < 1470 * grid_info["samples"]
+        assert 0 < grid_info["samples"] < grid_info["energies"]
+        # the root scan, Brent and FWHM energies all fall in the grid's pieces
+        assert roots_info["terms"] == grid_info["terms"]
         for name in ("spectrum.meta.json", "resonances.json"):
             assert json.loads((stable / name).read_text())["sigma2"]["terms"] == 0
 
     @pytest.mark.parametrize(
         "config, counts",
         [
-            # FULL: the resonances command brackets its roots on the grid's
-            # 2401-energy scan, so it evaluates those energies once; Brent's
-            # step count moves with the last digits of Sigma_2
-            ("full_l2_6", {"spectrum": (5398, 6566553), "resonances": (5582, 6794529)}),
+            # FULL: each command builds the 13 proxy pieces of |y - b| <= 12
+            # from 24 node-sum samples each, and evaluates every energy on
+            # them; the resonances command rescans the grid's 2401 energies
+            # and Brent's step count moves with the last digits of Sigma_2
+            (
+                "full_l2_6",
+                {"spectrum": (5398, 312, 372456), "resonances": (7983, 312, 372456)},
+            ),
             # STABLE: the grid scans at step 0.002 and find_roots at 0.01
-            ("stable_l2_6", {"spectrum": (14311, 0), "resonances": (16833, 0)}),
+            ("stable_l2_6", {"spectrum": (14311, 0, 0), "resonances": (16833, 0, 0)}),
         ],
     )
     def test_shipped_config_work_counts(self, tmp_path, config, counts):
@@ -500,7 +509,7 @@ class TestSelfEnergyDiagnostics:
         for command, name in sidecars.items():
             assert run(command, "--config", path, "--out", str(tmp_path)) == EXIT_OK
             info = json.loads((tmp_path / name).read_text())["sigma2"]
-            found[command] = (info["energies"], info["terms"])
+            found[command] = (info["energies"], info["samples"], info["terms"])
         assert found == {**counts, "timedomain": counts["spectrum"]}
 
     def test_stable_sidecar_has_no_quadrature_error(self, config_path, tmp_path):

@@ -61,6 +61,17 @@ class TestFindRoots:
         for r in (roots[0], roots[2]):
             assert abs(r.y_r - model.b) == pytest.approx(3.34604, abs=1e-4)
 
+    def test_weak_samples_one_piece(self, model, settings):
+        # WEAK's constant is the FULL proxy at y = b: the scan, Brent and the
+        # root's height all read the one piece of [b, b + 1), which 24
+        # node-sum samples build once
+        stats = SigmaStats()
+        c = CouplingConfig.transmon_ratio(1.0)
+        assert len(find_roots(model, c, Regime.WEAK, settings, stats=stats)) == 1
+        assert stats.energies > 2401
+        assert stats.samples == spectrum._CHEB_POINTS
+        assert spectrum._proxy(c, settings).bins == {0.0}
+
     def test_boundary_crossing_raises(self, model, settings):
         c = CouplingConfig.stable_second_level(6.0)
         # outer root at b+3.54 sits in the last scan cell of this range
@@ -98,11 +109,12 @@ def fake_sigma2(g):
 
 
 class TestOneScan:
-    """``build_grid`` and ``find_roots`` bracket roots on one scan."""
+    """``build_grid`` and ``find_roots`` bracket roots on the same kind of
+    scan; in FULL the grid's coarse points are the root scan's energies, and
+    ``find_roots`` always makes that scan itself."""
 
     def test_grid_coarse_points_are_the_root_scan(self, model, settings, grids, monkeypatch):
         grid = grids.get(6.0, Regime.FULL)
-        spectrum._last_scan = None  # find_roots makes its own scan
         calls = record_vector_calls(monkeypatch)
         find_roots(model, CouplingConfig.transmon_ratio(6.0), Regime.FULL, settings)
         coarse = grid.energies[grid.refinement_level == 0]
@@ -159,24 +171,10 @@ class TestOneScan:
             grid = build_grid(model, None, Regime.FULL, window, settings)
         assert not grid.complete
 
-    def test_find_roots_takes_over_the_grid_scan(self, model, settings):
-        c = CouplingConfig.transmon_ratio(6.0)
-        handed = SigmaStats()
-        build_grid(model, c, Regime.FULL, s=settings, stats=handed)
-        grid_energies, grid_terms = handed.energies, handed.terms
-        roots = find_roots(model, c, Regime.FULL, settings, stats=handed)
-        taken = SigmaStats(handed.energies - grid_energies, handed.terms - grid_terms)
-        spectrum._last_scan = None
-        own = SigmaStats()
-        assert find_roots(model, c, Regime.FULL, settings, stats=own) == roots
-        assert taken.energies < 2401
-        assert own.energies - taken.energies == 2401
-        assert own.terms - taken.terms == 2886492  # the scan's node terms
-
     @pytest.mark.parametrize("grid_stats", [None, SigmaStats()], ids=["none", "other"])
     def test_another_recorder_rescans(self, model, settings, grid_stats):
-        # a scan is taken over only by a call that records into the same
-        # object, so no caller's counts depend on an earlier caller's grid
+        # find_roots scans for itself, so no caller's counts depend on an
+        # earlier caller's grid
         c = CouplingConfig.transmon_ratio(6.0)
         build_grid(model, c, Regime.FULL, s=settings, stats=grid_stats)
         stats = SigmaStats()
@@ -204,22 +202,6 @@ class TestOneScan:
         before = stats.energies
         find_roots(model, c, regime, settings, stats=stats)
         assert stats.energies - before > 2401
-
-    def test_find_roots_keeps_no_scan_of_its_own(self, model, settings):
-        c = CouplingConfig.transmon_ratio(6.0)
-        for _ in range(2):
-            stats = SigmaStats()
-            find_roots(model, c, Regime.FULL, settings, stats=stats)
-            assert stats.energies > 2401
-        assert spectrum._last_scan is None
-
-    def test_kept_scan_is_read_only(self, model, settings):
-        build_grid(model, CouplingConfig.stable_second_level(1.0), Regime.STABLE, s=settings)
-        _, _, scan = spectrum._last_scan
-        for array in scan:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = array[0]
 
 
 class TestFindPeaks:

@@ -25,6 +25,7 @@ from transmon_decay import (
 from transmon_decay import spectrum
 from transmon_decay.spectrum import (
     _full_sigma2,
+    _chebyshev,
     _kronrod_rule,
     _node_set,
     _resonant_offsets,
@@ -35,6 +36,7 @@ from reference_routes import _full_integrals
 
 SQRT_PI = math.sqrt(math.pi)
 SCAN_TERMS = 2886492  # node terms of the 2401-energy FULL scan on b +- 12 at L2 = 6
+PIECE_TERMS = 372456  # node terms of the 312 samples of its 13 proxy pieces
 # tight enough that quad's own error stays well below 1e-12 of max |Sigma_2|;
 # at (1e-13, 1e-12) quad is itself off by 1.3e-12 of it at L2 = 6, y - b = 2.25
 TIGHT = QuadratureSettings(abs_tol=1e-15, rel_tol=1e-13)
@@ -127,7 +129,7 @@ class TestKronrodRule:
     def test_cached_arrays_are_read_only(self, settings):
         # a write into a cached array would change every later Sigma_2
         nodes = _node_set(CouplingConfig.transmon_ratio(6.0).l1, 24.0)
-        for array in (*_kronrod_rule(), nodes.x, nodes.weights):
+        for array in (*_kronrod_rule(), *_chebyshev(), nodes.x, nodes.weights):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
@@ -209,21 +211,24 @@ class TestAgainstQuad:
 
 class TestInvariants:
     @pytest.mark.parametrize(
-        "regime, l2", [(Regime.FULL, 6.0), (Regime.FULL, 0.05), (Regime.WEAK, 1.0)]
+        "regime, l2",
+        [(Regime.FULL, 6.0), (Regime.FULL, 0.05), (Regime.WEAK, 1.0), (Regime.FULL, 20.0)],
     )
     def test_scalar_and_vector_calls_bit_identical(self, model, settings, regime, l2):
         c = CouplingConfig.transmon_ratio(l2)
-        # the FULL sum groups energies by floor(y - b): put some on and next to
-        # the bin edges, and on both sides of the cover edges at +-24
-        edges = model.b + np.array([-24.0, 24.0])
+        # the FULL proxy's pieces are the unit bins of |y - b|, halved where
+        # they are bisected (at L2 = 20): put energies on and next to every
+        # quarter of b +- 12, on both sides of the node sum's cover edges at
+        # +-24, and at random
+        edges = model.b + np.concatenate([np.arange(-12.0, 12.25, 0.25), [-24.0, 24.0]])
         edges = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
         ys = np.concatenate(
             [
                 np.linspace(model.b - 12.0, model.b + 12.0, 241),
                 [model.b],
-                model.b + np.arange(-12.0, 13.0),
                 edges,
                 model.b + np.array([-25.0, 30.0]),
+                model.b + np.random.default_rng(11).uniform(-12.0, 12.0, 500),
             ]
         )
         vector = sigma2(ys, model, c, regime, settings)
@@ -330,29 +335,41 @@ class TestWindow:
             assert np.array_equal(got, want)
 
     def test_scan_term_count(self, model, settings):
-        # a 2401-energy scan on b +- 12 at L2 = 6 sums ~80% of the full node
-        # set's terms; summing every column again would fail the bound
+        # the node sum of a 2401-energy scan on b +- 12 at L2 = 6 sums ~80% of
+        # the full node set's terms; summing every column again would fail
+        # the bound.  sigma2 sums only the 24 samples of each of the 13 unit
+        # bins of |y - b| <= 12, the pieces of its proxy
         c = CouplingConfig.transmon_ratio(6.0)
-        stats = SigmaStats()
         ys = np.linspace(model.b - 12.0, model.b + 12.0, 2401)
-        sigma2(ys, model, c, Regime.FULL, settings, stats=stats)
         nodes = _node_set(c.l1, 24.0).x.size
-        assert stats.terms == SCAN_TERMS
-        assert stats.terms < 0.85 * 2401 * nodes
+        terms = _full_sigma2(ys - model.b, c, settings)[2]
+        assert terms == SCAN_TERMS
+        assert terms < 0.85 * 2401 * nodes
+        stats = SigmaStats()
+        sigma2(ys, model, c, Regime.FULL, settings, stats=stats)
+        assert (stats.energies, stats.samples, stats.terms) == (2401, 312, PIECE_TERMS)
+        assert stats.terms < 0.85 * 312 * nodes
 
     def test_terms_per_regime(self, model, settings):
         c = CouplingConfig.transmon_ratio(6.0)
         ys = model.b + np.array([-3.0, 0.5, 2.0])
         counts = {}
         for regime in Regime:
+            spectrum._proxy.cache_clear()  # WEAK and FULL share the proxy
             stats = SigmaStats()
             coupling = CouplingConfig.stable_second_level(6.0) if regime is Regime.STABLE else c
             sigma2(ys, model, coupling, regime, settings, stats=stats)
-            counts[regime] = stats.terms
+            counts[regime] = (stats.samples, stats.terms)
         x = _node_set(c.l1, 24.0).x
-        # WEAK sums one row, at y = b, on each call
-        widths = [hi - lo for lo, hi in (_window(x, k) for k in (-3.0, 0.0, 2.0))]
-        assert counts == {Regime.STABLE: 0, Regime.WEAK: widths[1], Regime.FULL: sum(widths)}
+        # 24 samples build each piece: WEAK's one at y = b, FULL's one per
+        # bin of |y - b|
+        n = spectrum._CHEB_POINTS
+        widths = [hi - lo for lo, hi in (_window(x, k) for k in (3.0, 0.0, 2.0))]
+        assert counts == {
+            Regime.STABLE: (0, 0),
+            Regime.WEAK: (n, n * widths[1]),
+            Regime.FULL: (3 * n, n * sum(widths)),
+        }
 
     def test_non_finite_node_weight_raises(self, model, settings, monkeypatch):
         # without the check, the window would leave the infinite column out of
@@ -433,9 +450,86 @@ class TestDiagnostics:
         c = CouplingConfig.transmon_ratio(1.0)
         runs = []
         for _ in range(2):
+            spectrum._proxy.cache_clear()  # else the second run samples nothing
             stats = SigmaStats()
             build_grid(model, c, Regime.WEAK, (model.b - 4, model.b + 4), settings, stats=stats)
             build_grid(model, c, Regime.FULL, (model.b - 4, model.b + 4), settings, stats=stats)
             runs.append(stats)
         assert runs[0] == runs[1]
         assert 0.0 < runs[0].max_error < settings.abs_tol
+
+
+class TestProxy:
+    """FULL ``sigma2`` evaluates a piecewise Chebyshev proxy of the node sum
+    ``_full_sigma2``: one piece per unit bin of ``|y - b|``, or its halves,
+    mirrored to ``y < b``."""
+
+    @hyp_settings(max_examples=25, deadline=None)
+    @given(
+        st.floats(min_value=0.05, max_value=20.0),
+        st.lists(st.floats(min_value=-12.0, max_value=12.0), min_size=1, max_size=12),
+    )
+    @example(20.0, [-2.7, 2.3, 2.9])  # bin [2, 3) of |y - b| is bisected
+    def test_within_its_estimate_of_the_node_sum(self, model, settings, l2, xs):
+        c = CouplingConfig.transmon_ratio(l2)
+        ys = model.b + np.array(xs + [-12.0, 12.0])
+        got = sigma2(ys, model, c, Regime.FULL, settings)
+        want, _, _ = _full_sigma2(ys - model.b, c, settings)
+        _, estimate, _ = spectrum._proxy(c, settings).vector(ys - model.b)
+        tol = np.maximum(settings.abs_tol, settings.rel_tol * np.abs(want))
+        assert np.all(np.abs(got - want) <= estimate)
+        assert np.all(np.abs(got - want) <= 1e-2 * tol)
+
+    @pytest.mark.parametrize("l2", [0.05, 1.0, 6.0, 20.0])
+    def test_matches_the_node_sum_on_the_scan(self, model, settings, l2):
+        c = CouplingConfig.transmon_ratio(l2)
+        ys = np.concatenate(
+            [
+                np.linspace(model.b - 12.0, model.b + 12.0, 2401),
+                model.b + np.random.default_rng(5).uniform(-12.0, 12.0, 2000),
+            ]
+        )
+        got = sigma2(ys, model, c, Regime.FULL, settings)
+        want, _, _ = _full_sigma2(ys - model.b, c, settings)
+        tol = np.maximum(settings.abs_tol, settings.rel_tol * np.abs(want))
+        assert np.all(np.abs(got - want) <= 1e-2 * tol)
+        # the log keeps Im to near its last digits, far tails included
+        assert np.all(np.abs(got.imag - want.imag) <= 1e-11 * np.abs(want.imag))
+        proxy = spectrum._proxy(c, settings)
+        assert (len(proxy.pieces) > len(proxy.bins)) == (l2 == 20.0)  # only L2 = 20 bisects
+
+    @pytest.mark.parametrize("l2", [6.0, 1.0])
+    def test_matches_the_node_sum_on_the_grid(self, model, settings, grids, l2):
+        # every energy of the grids of configs/full_l2_6.ini and oracle_l2_1.ini
+        c = CouplingConfig.transmon_ratio(l2)
+        ys = grids.get(l2, Regime.FULL).energies
+        got = sigma2(ys, model, c, Regime.FULL, settings)
+        want, _, _ = _full_sigma2(ys - model.b, c, settings)
+        tol = np.maximum(settings.abs_tol, settings.rel_tol * np.abs(want))
+        assert np.all(np.abs(got - want) <= 1e-2 * tol)
+
+    def test_piece_with_zero_width_samples(self, model, settings):
+        # -Im Sigma_2 underflows to exactly 0.0 from y - b ~ 39 on; the log is
+        # floored at the smallest subnormal, so the pieces there are no worse
+        c = CouplingConfig.transmon_ratio(6.0)
+        ds = np.linspace(36.0, 43.0, 701)
+        want, _, _ = _full_sigma2(ds, c, settings)
+        assert np.any(want.imag == 0.0) and np.any(want.imag < 0.0)
+        stats = SigmaStats()
+        got = sigma2(model.b + ds, model, c, Regime.FULL, settings, stats=stats)
+        _, estimate, _ = spectrum._proxy(c, settings).vector((model.b + ds) - model.b)
+        assert stats.samples == 8 * spectrum._CHEB_POINTS  # no bin bisected
+        assert np.all(np.abs(got - want) <= estimate)
+        assert np.all(got.imag <= 0.0)
+        normal = want.imag < -np.finfo(float).tiny
+        assert np.all(np.abs(got.imag - want.imag)[normal] <= 1e-10 * -want.imag[normal])
+        assert np.all(got.imag[~normal] > -1e-300)
+
+    def test_build_failure_keeps_no_piece(self, model):
+        # a sample that misses the tolerance raises, and the bins it was
+        # building stay unbuilt
+        c = CouplingConfig.transmon_ratio(20.0)
+        strict = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-300)
+        with pytest.raises(QuadratureError, match="misses the tolerance"):
+            sigma2(model.b + np.array([0.5, 8.3]), model, c, Regime.FULL, strict)
+        assert spectrum._proxy(c, strict).bins == set()

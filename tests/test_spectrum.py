@@ -157,6 +157,17 @@ class TestBuildGrid:
         assert grid.energies[0] >= model.b - 5.0 - 1e-12
         assert grid.energies[-1] <= model.b + 5.0 + 1e-12
 
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_window_with_nothing_to_refine(self, model, settings, regime):
+        # on b + 20..30 F has no root and U no maximum, so the refinement
+        # asks sigma2 for an empty array of energies
+        c = CouplingConfig.stable_second_level(6.0)
+        if regime is not Regime.STABLE:
+            c = CouplingConfig.transmon_ratio(6.0)
+        grid = build_grid(model, c, regime, (model.b + 20.0, model.b + 30.0), settings)
+        assert grid.complete and not grid.refinement_level.any()
+        assert sigma2(np.array([]), model, c, regime, settings).shape == (0,)
+
     @pytest.mark.parametrize(
         "window",
         [
