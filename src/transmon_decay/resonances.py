@@ -8,6 +8,7 @@ full coupling some roots fall where the width is large and raise no peak.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +30,8 @@ from .spectrum import (
 _ROOT_TOL = 1e-9  # Brent's absolute tolerance on a root
 _MERGE_TOL = 1e-5  # roots closer than this form one degenerate record
 _FWHM_SPAN = 6.0  # farthest flank search from a peak
+# the flank search's steps from a peak, 1e-6 doubled while within _FWHM_SPAN
+_FWHM_STEPS = 1e-6 * 2.0 ** np.arange(int(math.log2(_FWHM_SPAN / 1e-6)) + 1)
 _FWHM_RTOL = 1e-8  # Brent's relative tolerance on a flank crossing
 _CROSSOVER_TOL = 1e-3  # width in L_2 at which the crossover bisection stops
 
@@ -78,8 +81,9 @@ def spectral_callable(
     *,
     stats: SigmaStats | None = None,
 ):
-    """Scalar ``y -> U(y)`` closure for the given configuration."""
-    return lambda y: float(spectral_function(float(y), m, c, regime, s, stats=stats))
+    """``y -> U(y)`` closure for the given configuration, vectorised like
+    ``spectral_function``: a float for a float, an array for an array."""
+    return lambda y: spectral_function(y, m, c, regime, s, stats=stats)
 
 
 def find_roots(
@@ -99,13 +103,15 @@ def find_roots(
     in FULL these are ``build_grid``'s coarse points.
     A cell brackets a root when ``F`` changes sign across it or is exactly 0
     at its left end; such an exact zero is the root itself, and Brent
-    bracketing refines the others (its scalar calls reproduce the scan's
-    values exactly).  A sign change in the first or last cell raises
+    bracketing refines the others, seeded with the scan's values at the cell
+    ends (its scalar calls inside the cell agree with a vector call bit for
+    bit).  A sign change in the first or last cell raises
     ``ScanRangeError``; a ``y_range`` that is not finite and increasing raises
     ``ValueError``.  Roots closer than 1e-5 are merged into one record
     with a degeneracy flag.  Each record is annotated with the value of the
-    spectral function at the root.  ``stats`` accumulates the diagnostics of
-    the ``sigma2`` energies this call evaluates.
+    spectral function at the root, all roots in one vector call.  ``stats``
+    accumulates the diagnostics of the ``sigma2`` energies this call
+    evaluates.
     """
     ys, _, vals, cells = _scan(m, c, regime, s, y_range, _ROOT_STEP, stats)
     if len(cells) and (cells[0] == 0 or cells[-1] == len(ys) - 2):
@@ -117,17 +123,21 @@ def find_roots(
         return float(y) - m.b - sigma2(float(y), m, c, regime, s, stats=stats).real
 
     roots = [
-        ys[i] if vals[i] == 0.0 else _brentq(resfun, ys[i], ys[i + 1], xtol=_ROOT_TOL)
+        ys[i]
+        if vals[i] == 0.0
+        else _brentq(resfun, ys[i], ys[i + 1], vals[i], vals[i + 1], xtol=_ROOT_TOL)
         for i in cells
     ]
     roots = np.unique(roots)  # an exact zero also ends the bracket before it
-    gaps = np.flatnonzero(np.diff(roots) >= _MERGE_TOL) + 1
-    records = []
-    for run in np.split(roots, gaps) if roots.size else []:
-        y_r = float(np.mean(run))
-        height = float(spectral_function(y_r, m, c, regime, s, stats=stats))
-        records.append(ResonanceRecord(y_r, "root", height, degenerate=run.size > 1))
-    return records
+    if not roots.size:
+        return []
+    runs = np.split(roots, np.flatnonzero(np.diff(roots) >= _MERGE_TOL) + 1)
+    y_rs = [float(np.mean(run)) for run in runs]
+    heights = spectral_function(np.array(y_rs), m, c, regime, s, stats=stats).tolist()
+    return [
+        ResonanceRecord(y_r, "root", height, degenerate=run.size > 1)
+        for y_r, height, run in zip(y_rs, heights, runs)
+    ]
 
 
 def find_peaks(
@@ -179,33 +189,40 @@ def fwhm(
 
     On each flank the step from the peak doubles, from 1e-6, until ``U``
     falls below half height; Brent's method then locates the crossing inside
-    the last step.  ``u`` is a scalar callable ``y -> U(y)``.  When a flank
-    never falls to half height within 6 of the peak (overlapping peaks), the
-    attainable half-width is doubled and flagged incomplete.  ``s`` is not
-    used.  ``U(y_r)`` below half height raises ``NumericalError`` (under-resolved peak).
+    the last step.  The steps of both flanks, out to 6 from the peak, go to
+    ``u`` in one vector call, and Brent starts from the values it returned.
+    So ``u`` maps an array of energies to an array of ``U`` and a float to a
+    float, the same value for an energy either way, as ``spectral_callable``
+    does; Brent's own calls are scalar.  When a flank never falls to half
+    height within 6 of the peak (overlapping peaks), the attainable
+    half-width is doubled and flagged incomplete.  ``s`` is not used.
+    ``U(y_r)`` below half height raises ``NumericalError`` (under-resolved
+    peak).
     """
     if record.height <= 0:
         raise ValueError("fwhm needs a peak with positive height")
     y_p, half = record.y_r, 0.5 * record.height
+    # row 0 steps left of the peak, row 1 right: y_p -+ step, exactly
+    ladder = y_p + np.multiply.outer([-1.0, 1.0], _FWHM_STEPS)
+    rungs = np.asarray(u(ladder.ravel()), dtype=float).reshape(ladder.shape)
 
     def crossing(direction: int) -> float | None:
-        # expand outward until below half height, then solve on the last step
-        step = 1e-6
-        prev = y_p
-        while step <= _FWHM_SPAN:
-            y_try = y_p + direction * step
-            if u(y_try) < half:
-                if prev == y_p and (u_p := u(y_p)) < half:
-                    raise NumericalError(
-                        f"peak at y = {y_p:.8g}: U = {u_p:.6g} is below half its height "
-                        f"{record.height:.6g}; the grid under-resolves this peak"
-                    )
-                f = lambda y: u(y) - half
-                lo, hi = (prev, y_try) if direction > 0 else (y_try, prev)
-                return _brentq(f, lo, hi, rtol=_FWHM_RTOL, xtol=1e-14)
-            prev = y_try
-            step *= 2.0
-        return None
+        # the first step below half height; solve between it and the one before
+        ys, us = ladder[int(direction > 0)], rungs[int(direction > 0)]
+        below = np.flatnonzero(us < half)
+        if not below.size:
+            return None
+        k = below[0]
+        prev, u_prev = (ys[k - 1], us[k - 1]) if k else (y_p, u(y_p))
+        if prev == y_p and u_prev < half:
+            raise NumericalError(
+                f"peak at y = {y_p:.8g}: U = {u_prev:.6g} is below half its height "
+                f"{record.height:.6g}; the grid under-resolves this peak"
+            )
+        inner, outer = (prev, u_prev - half), (ys[k], us[k] - half)
+        (lo, f_lo), (hi, f_hi) = (inner, outer) if direction > 0 else (outer, inner)
+        f = lambda y: u(y) - half
+        return _brentq(f, lo, hi, f_lo, f_hi, rtol=_FWHM_RTOL, xtol=1e-14)
 
     left = crossing(-1)
     right = crossing(+1)

@@ -220,6 +220,8 @@ def _brentq(
     f,
     xa: float,
     xb: float,
+    fa: float,
+    fb: float,
     xtol: float = 2e-12,
     rtol: float = 4 * np.finfo(float).eps,
     maxiter: int = 100,
@@ -227,26 +229,27 @@ def _brentq(
     """Root of the scalar ``f`` bracketed by ``[xa, xb]``, by Brent's method
     (Brent 1973, *Algorithms for Minimization Without Derivatives*, ch. 4).
 
+    ``fa`` and ``fb`` are ``f(xa)`` and ``f(xb)``, which every caller has
+    already computed; ``f`` is called only at the iterates inside the bracket.
     A line-for-line port of scipy's ``brentq`` (``Zeros/brentq.c``): the same
     iterates, sign test, tolerance ``(xtol + rtol |x|)/2`` and step rules, so
-    it returns ``scipy.optimize.brentq``'s root bit for bit after the same
-    evaluations of ``f``.  That exactness is a contract until the
-    stable-doublet FWHM reference is refreshed (ROADMAP 5(b)): ``fwhm`` places
-    each flank only to its ``rtol``, and another solver would stop elsewhere
-    inside that bracket.  Raises ``ValueError`` when ``f`` returns NaN or the
+    it returns ``scipy.optimize.brentq``'s root bit for bit after scipy's two
+    end evaluations.  That exactness is a contract until the stable-doublet
+    FWHM reference is refreshed (ROADMAP 5(b)): ``fwhm`` places each flank
+    only to its ``rtol``, and another solver would stop elsewhere inside that
+    bracket.  Raises ``ValueError`` when ``fa``, ``fb`` or ``f`` is NaN or the
     bracket has no sign change, and ``RuntimeError`` after ``maxiter``
     iterations without convergence.
     """
 
-    def call(x: float) -> float:
-        fx = f(x)
+    def checked(x: float, fx) -> float:
         if math.isnan(fx):
             raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
         return float(fx)
 
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
+    fpre, fcur = checked(xpre, fa), checked(xcur, fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -279,7 +282,7 @@ def _brentq(
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
+        fcur = checked(xcur, f(xcur))
     raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur!r}")
 
 
@@ -290,7 +293,8 @@ def _resonant_offsets(l1: float) -> tuple[float, ...]:
     if 4.0 * l1 <= 1.0:
         return (0.0,)
     f = lambda u: u - 4.0 * l1 * special.dawsn(u)
-    u_r = _brentq(f, 1e-9, 2.2 * l1, xtol=1e-13)
+    ends = np.array([1e-9, 2.2 * l1])
+    u_r = _brentq(f, *ends, *f(ends), xtol=1e-13)
     return (-u_r, 0.0, u_r)
 
 

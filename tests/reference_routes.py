@@ -1,4 +1,5 @@
-"""Independent verification routes: adaptive and principal-value quadrature.
+"""Independent verification routes: adaptive and principal-value quadrature,
+and the one-energy-at-a-time FWHM flank search.
 
 ``integrate_adaptive`` wraps ``scipy.integrate.quad`` with tolerance checking
 and Gaussian tail truncation; ``pv_integrate`` takes the principal value of
@@ -8,7 +9,10 @@ function, PV int e^{-t^2} / (x - t) dt = 2 sqrt(pi) D(x)) and the FULL
 Gauss-Kronrod node sum are the package's only routes; these share no code
 with them and are what the tests compare them against, to tight tolerance:
 ``delta1_pv`` for the first-level shift and ``_full_integrals`` for the FULL
-second-level self-energy.
+second-level self-energy.  ``fwhm_sequential`` walks each flank of a peak
+one scalar ``U`` call at a time and lets ``scipy.optimize.brentq`` evaluate
+the bracket ends again, the search ``resonances.fwhm`` does with one vector
+call; the tests hold the two to the same widths bit for bit.
 
 This is a support module, not a test file: pytest does not collect it.
 """
@@ -18,9 +22,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 
-from transmon_decay.model import CouplingConfig, DimensionlessModel
+from transmon_decay.model import CouplingConfig, DimensionlessModel, NumericalError
+from transmon_decay.resonances import _FWHM_RTOL, _FWHM_SPAN, FwhmResult, ResonanceRecord
 from transmon_decay.spectrum import (
     DEFAULT_SETTINGS,
     SQRT_PI,
@@ -170,3 +175,41 @@ def _full_integrals(d: float, c: CouplingConfig, s: QuadratureSettings, limit: i
     shift, shift_err = _quad(shift_integrand, -_TAIL, _TAIL, s, points=points, limit=limit)
     width, width_err = _quad(width_integrand, -_TAIL, _TAIL, s, points=points, limit=limit)
     return shift, width, shift_err, width_err
+
+
+def fwhm_sequential(record: ResonanceRecord, u) -> FwhmResult:
+    """``resonances.fwhm`` with its flank search one scalar ``u(y)`` at a
+    time: the step from the peak doubles, from 1e-6, until ``U`` falls below
+    half height, and ``scipy.optimize.brentq`` solves inside the last step."""
+    if record.height <= 0:
+        raise ValueError("fwhm needs a peak with positive height")
+    y_p, half = record.y_r, 0.5 * record.height
+
+    def crossing(direction: int) -> float | None:
+        # expand outward until below half height, then solve on the last step
+        step = 1e-6
+        prev = y_p
+        while step <= _FWHM_SPAN:
+            y_try = y_p + direction * step
+            if u(y_try) < half:
+                if prev == y_p and (u_p := u(y_p)) < half:
+                    raise NumericalError(
+                        f"peak at y = {y_p:.8g}: U = {u_p:.6g} is below half its height "
+                        f"{record.height:.6g}; the grid under-resolves this peak"
+                    )
+                f = lambda y: u(y) - half
+                lo, hi = (prev, y_try) if direction > 0 else (y_try, prev)
+                return optimize.brentq(f, lo, hi, rtol=_FWHM_RTOL, xtol=1e-14)
+            prev = y_try
+            step *= 2.0
+        return None
+
+    left = crossing(-1)
+    right = crossing(+1)
+    if left is not None and right is not None:
+        return FwhmResult(width=right - left)
+    # overlap: report twice the attainable one-sided half width
+    side = right - y_p if right is not None else (y_p - left if left is not None else None)
+    if side is None:
+        raise ValueError("half height not attained on either flank within the search span")
+    return FwhmResult(width=2.0 * side, complete=False)

@@ -289,6 +289,17 @@ class TestWriteCsv:
         assert fields[0] == [text for _, text in CSV_FIELDS]
         assert fields == [["%.12g" % float(v) for v in row] for row in table]
 
+    @pytest.mark.parametrize("n", [0, 1, cli._ROW_BLOCK, 2 * cli._ROW_BLOCK + 3])
+    def test_block_rows_format_like_numpy_scalars(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n) for _ in range(3)]
+        columns[0][:2] = [-0.0, np.inf][:n]
+        rows = list(cli._rows(*columns))
+        assert len(rows) == n and all(type(v) is float for row in rows for v in row)
+        header = ["a", "b", "c"]
+        path = tmp_path / "rows.csv"
+        assert cli._write_csv(path, header, rows) == cli._write_csv(path, header, zip(*columns))
+
     def test_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         digest = cli._write_csv(path, ["a", "b"], [])
@@ -488,14 +499,20 @@ class TestSelfEnergyDiagnostics:
         [
             # FULL: each command builds the 13 proxy pieces of |y - b| <= 12
             # from 24 node-sum samples each, and evaluates every energy on
-            # them; the resonances command rescans the grid's 2401 energies
-            # and Brent's step count moves with the last digits of Sigma_2
+            # them; the resonances command rescans the grid's 2401 energies,
+            # evaluates 46 flank steps per peak, and Brent's step count moves
+            # with the last digits of Sigma_2
             (
                 "full_l2_6",
-                {"spectrum": (5398, 312, 372456), "resonances": (7983, 312, 372456)},
+                {"spectrum": (5398, 312, 372456), "resonances": (7987, 312, 372456)},
             ),
             # STABLE: the grid scans at step 0.002 and find_roots at 0.01
-            ("stable_l2_6", {"spectrum": (14311, 0, 0), "resonances": (16833, 0, 0)}),
+            ("stable_l2_6", {"spectrum": (14311, 0, 0), "resonances": (16883, 0, 0)}),
+            # FULL at L2 = 1: the same 13 pieces, a coarser grid
+            (
+                "oracle_l2_1",
+                {"spectrum": (2877, 312, 372456), "resonances": (5448, 312, 372456)},
+            ),
         ],
     )
     def test_shipped_config_work_counts(self, tmp_path, config, counts):

@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from reference_routes import fwhm_sequential
 
 from transmon_decay import (
     CouplingConfig,
@@ -18,6 +20,8 @@ from transmon_decay import (
     spectrum,
     sweep_coupling,
 )
+from transmon_decay.cli import _y_range
+from transmon_decay.config import load_config
 from transmon_decay.model import NumericalError
 from transmon_decay.resonances import ScanRangeError
 
@@ -218,6 +222,30 @@ class TestFindPeaks:
         assert outer[0].height == pytest.approx(outer[1].height, rel=0.01)
 
 
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
+
+
+def lorentzian(y):
+    return (1e-3 / (2 * math.pi)) / ((y - 98.5) ** 2 + 0.25e-6)
+
+
+def pedestal(y):
+    return np.exp(-((y - 1.0) ** 2)) + np.where(y > 1.0, 0.9, 0.0)
+
+
+def overshoot(y):  # U at 1.0 below half of a record height 2.5
+    return 1.0 / (1.0 + (y - 1.0) ** 2)
+
+
+def outcome(width_of, record, u):
+    """``(width.hex(), complete)``, or ``(error type, message)``."""
+    try:
+        res = width_of(record, u)
+    except (NumericalError, ValueError) as exc:
+        return type(exc), str(exc)
+    return res.width.hex(), res.complete
+
+
 class TestFwhm:
     def test_synthetic_lorentzian_recovered(self):
         gamma = 1e-3
@@ -234,22 +262,16 @@ class TestFwhm:
 
     def test_incomplete_flank_flagged(self):
         # a peak on a pedestal never falls to half height on one side
-        def u(y):
-            return math.exp(-((y - 1.0) ** 2)) + (0.9 if y > 1.0 else 0.0)
-
         rec = ResonanceRecord(y_r=1.0, kind="peak", height=1.0)
-        res = fwhm(rec, u)
+        res = fwhm(rec, pedestal)
         assert not res.complete
         assert res.width > 0
 
     def test_overshot_height_is_a_numerical_error(self):
         # a record taller than twice U at its location: no flank brackets half height
-        def u(y):
-            return 1.0 / (1.0 + (y - 1.0) ** 2)
-
         rec = ResonanceRecord(y_r=1.0, kind="peak", height=2.5)
         with pytest.raises(NumericalError, match="under-resolves this peak"):
-            fwhm(rec, u)
+            fwhm(rec, overshoot)
 
     def test_rejects_flat_record(self):
         rec = ResonanceRecord(y_r=0.0, kind="peak", height=0.0)
@@ -280,6 +302,46 @@ class TestFwhm:
         grid = build_grid(model, c, Regime.STABLE, window, settings)
         assert grid.complete
         assert np.trapezoid(grid.u_ff, grid.energies) < 0.01
+
+
+class TestFwhmLadder:
+    """``fwhm`` evaluates both flank ladders in one vector call and seeds
+    Brent with them; ``fwhm_sequential`` walks each flank one scalar call at
+    a time.  Widths agree bit for bit, and flags and errors alike."""
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+    def test_every_peak_of_the_shipped_configs(self, config):
+        cfg = load_config(config)
+        grid = build_grid(cfg.model, cfg.coupling, cfg.regime, _y_range(cfg))
+        u = spectral_callable(cfg.model, cfg.coupling, cfg.regime)
+        peaks = find_peaks(grid)
+        assert peaks
+        for p in peaks:
+            found = outcome(fwhm, p, u)
+            assert isinstance(found[0], str)
+            assert found == outcome(fwhm_sequential, p, u)
+
+    @pytest.mark.parametrize(
+        "u, record",
+        [
+            (lorentzian, ResonanceRecord(98.5, "peak", lorentzian(98.5))),
+            (pedestal, ResonanceRecord(1.0, "peak", 1.0)),  # one flank incomplete
+            (overshoot, ResonanceRecord(1.0, "peak", 2.5)),  # under-resolved
+        ],
+        ids=["lorentzian", "pedestal", "overshoot"],
+    )
+    def test_synthetic_peaks(self, u, record):
+        assert outcome(fwhm, record, u) == outcome(fwhm_sequential, record, u)
+
+    def test_unresolved_poles_raise_alike(self, model):
+        # STABLE L2 = 49.5407 on b +- 15 (TestFwhm.test_low_far_maxima_are_unresolved_poles)
+        c = CouplingConfig.stable_second_level(49.5407)
+        grid = build_grid(model, c, Regime.STABLE, (model.b - 15.0, model.b + 15.0))
+        u = spectral_callable(model, c, Regime.STABLE)
+        peaks = find_peaks(grid)
+        found = [outcome(fwhm, p, u) for p in peaks]
+        assert found == [outcome(fwhm_sequential, p, u) for p in peaks]
+        assert any(f[0] is NumericalError and "under-resolves" in f[1] for f in found)
 
 
 class TestResonanceRecord:
