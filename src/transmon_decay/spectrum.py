@@ -98,7 +98,7 @@ _FLUSH = -math.log(np.finfo(float).tiny)  # 708.396: e^{-t^2} stored as 0.0 for 
 _BLOCK = 1 << 15  # elements of each reused block buffer; 2^13 to 2^16 time alike, 2^17 up slower
 _ROUNDOFF = 16 * np.finfo(float).eps
 _TINY = np.finfo(float).smallest_subnormal  # floor of -Im Sigma_2 under the proxy's log
-_NEWTON_STEPS = 64  # complex Newton steps taken for the kernel pole (<= 45 needed)
+_NEWTON_STEPS = 64  # complex Newton steps at most for the kernel pole (<= 45 needed)
 _POINTS_PER_FWHM = 20  # grid spacing around a resonance: its FWHM / 20
 _MAX_REFINED_PEAKS = 16  # refinement centres per grid; more mark it incomplete
 _MAX_SCAN_POINTS = 10**6  # energies of one coarse scan (8 MB per float array)
@@ -201,19 +201,24 @@ def _dawson(z):
     where the ``m = +-1`` samples cancel, the Maclaurin series
     ``sum_k (-2)^k z^{2k+1}/(2k+1)!!`` to ``k = 8`` takes over.  Both are
     evaluated at whichever of ``z``, ``-z`` has the sign bit of its real part
-    clear, and negated back, so ``D(-z) = -D(z)`` exactly.  A real ``z``
-    gets the same value alone as inside any array.
+    clear, and negated back, so ``D(-z) = -D(z)`` exactly and
+    ``D(+-inf) = +-0``.  A real ``z`` gets the same value alone as inside any
+    array.
     """
     z = np.asarray(z)
     flip = np.signbit(z.real)
     a = np.where(flip, -z, z)
-    a2, series = a * a, 0.0
+    far = np.isinf(a.real)
+    a = np.where(far, 0.0, a)  # inf - inf in the samples would be nan
+    small = abs(a) < 0.2
+    s = np.where(small, a, 0.0)  # the series overflows from |z| ~ 1e19
+    s2, series = s * s, 0.0
     for coef in _DAWSON_SERIES[::-1]:
-        series = series * a2 + coef
+        series = series * s2 + coef
     n0 = 2.0 * np.floor(a.real / (2.0 * _DAWSON_H) + 0.5)
     t = (a - n0 * _DAWSON_H)[..., None] - _DAWSON_N * _DAWSON_H
     sampled = (np.exp(-t * t) / (n0[..., None] + _DAWSON_N)).sum(axis=-1) / SQRT_PI
-    d = np.where(abs(a) < 0.2, a * series, sampled)
+    d = np.where(far, 0.0, np.where(small, s * series, sampled))
     return np.where(flip, -d, d)[()]
 
 
@@ -357,10 +362,11 @@ def _faddeeva(z: complex) -> complex:
 def _kernel_pole(l1: float, u: float) -> tuple[complex, complex] | None:
     """Pole ``z`` of ``K`` next to the fixed point ``u > 0`` and its residue
     ``r = 1/h'(z)`` (the mirror pole ``-conj(z)`` has ``conj(r)``), by
-    complex Newton on ``h(x) = x - Sigma_1(x)`` from ``u``, all steps taken
-    (converged iterates move only within the rounding noise of ``h``).  None
-    without fixed points (``u = 0``), or if Newton has not settled (only
-    within ~1e-12 of ``4 l1 = 1``, where ``Im z = -0.36``)."""
+    complex Newton on ``h(x) = x - Sigma_1(x)`` from ``u``, until a step
+    leaves the iterate unchanged or ``_NEWTON_STEPS`` are taken (converged
+    iterates move only within the rounding noise of ``h``).  None without
+    fixed points (``u = 0``), or if Newton has not settled (only within
+    ~1e-12 of ``4 l1 = 1``, where ``Im z = -0.36``)."""
     z = complex(u)
     if z == 0.0:
         return None
@@ -368,6 +374,8 @@ def _kernel_pole(l1: float, u: float) -> tuple[complex, complex] | None:
         w = _faddeeva(z)
         dh = 1.0 - 4.0 * l1 - 4j * SQRT_PI * l1 * z * w  # w' = 2i/sqrt(pi) - 2 z w
         step = (z + 2j * SQRT_PI * l1 * w) / dh
+        if z - step == z:  # every later step would repeat this one
+            break
         z -= step
     z = complex(z.real, min(z.imag, -1e-250))  # from L2 ~ 440 on, Im z would underflow in c
     return (z, 1.0 / dh) if abs(step) <= 1e-8 * abs(z) else None

@@ -1,5 +1,6 @@
 """Independent verification routes: adaptive and principal-value quadrature,
-and the one-energy-at-a-time FWHM flank search.
+the one-energy-at-a-time FWHM flank search, the per-row table writer and
+the fixed-step kernel-pole Newton.
 
 ``integrate_adaptive`` wraps ``scipy.integrate.quad`` with tolerance checking
 and Gaussian tail truncation; ``pv_integrate`` takes the principal value of
@@ -13,24 +14,32 @@ second-level self-energy.  ``fwhm_sequential`` walks each flank of a peak
 one scalar ``U`` call at a time and lets ``scipy.optimize.brentq`` evaluate
 the bracket ends again, the search ``resonances.fwhm`` does with one vector
 call; the tests hold the two to the same widths bit for bit.
+``write_csv_rows`` and ``json_rows`` write a table one row at a time through
+Python's ``"%.12g" %``, the contract the column-wise ``cli`` writer keeps
+byte for byte.  ``kernel_pole_all_steps`` always takes ``_NEWTON_STEPS``
+Newton steps, where ``spectrum._kernel_pole`` stops once an iterate repeats.
 
 This is a support module, not a test file: pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 from scipy import integrate, optimize, special
 
+from transmon_decay.cli import _jnum
 from transmon_decay.model import CouplingConfig, DimensionlessModel, NumericalError
 from transmon_decay.resonances import _FWHM_RTOL, _FWHM_SPAN, FwhmResult, ResonanceRecord
 from transmon_decay.spectrum import (
+    _NEWTON_STEPS,
     DEFAULT_SETTINGS,
     SQRT_PI,
     QuadratureError,
     QuadratureSettings,
+    _faddeeva,
 )
 
 _TAIL = 10.0  # unit-width Gaussians are cut this far from their centre
@@ -223,3 +232,36 @@ def fwhm_sequential(record: ResonanceRecord, u) -> FwhmResult:
     if side is None:
         raise ValueError("half height not attained on either flank within the search span")
     return FwhmResult(width=2.0 * side, complete=False)
+
+
+def _rows(columns):
+    """Rows of Python floats from a table's columns."""
+    return zip(*(np.asarray(column, dtype=np.float64).tolist() for column in columns))
+
+
+def write_csv_rows(path, header: list[str], columns) -> str:
+    """``cli._write_csv`` one row at a time: header line, then one line of
+    ``%.12g`` fields per row; returns the sha256 of the bytes written."""
+    fmt = ",".join(["%.12g"] * len(header))
+    data = "\n".join([",".join(header), *(fmt % row for row in _rows(columns)), ""]).encode()
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def json_rows(header: list[str], columns) -> list[dict]:
+    """``cli._json_rows`` one value at a time, through ``cli._jnum``."""
+    return [{k: _jnum(v) for k, v in zip(header, row)} for row in _rows(columns)]
+
+
+def kernel_pole_all_steps(l1: float, u: float) -> tuple[complex, complex] | None:
+    """``spectrum._kernel_pole`` with all ``_NEWTON_STEPS`` steps taken."""
+    z = complex(u)
+    if z == 0.0:
+        return None
+    for _ in range(_NEWTON_STEPS):
+        w = _faddeeva(z)
+        dh = 1.0 - 4.0 * l1 - 4j * SQRT_PI * l1 * z * w
+        step = (z + 2j * SQRT_PI * l1 * w) / dh
+        z -= step
+    z = complex(z.real, min(z.imag, -1e-250))
+    return (z, 1.0 / dh) if abs(step) <= 1e-8 * abs(z) else None

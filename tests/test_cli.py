@@ -9,6 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import settings as hyp_settings
+from hypothesis import strategies as st
+from reference_routes import json_rows, write_csv_rows
 
 import transmon_decay
 from transmon_decay import cli
@@ -269,16 +273,39 @@ CSV_FIELDS = [
 ]
 
 
+def csv_fields(values) -> list[str]:
+    """The writer's field for each of ``values``, from a one-column table."""
+    seps = np.full(len(values), ord(","), dtype=np.uint8)
+    text, length = cli._fields(np.asarray(values, dtype=np.float64), seps)
+    assert (text[np.arange(len(values)), length] == ord(",")).all()
+    return [row[:n].tobytes().decode("ascii") for row, n in zip(text, length.tolist())]
+
+
+def powers_of_ten_and_neighbours() -> np.ndarray:
+    powers = 10.0 ** np.arange(-323, 309)
+    return np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+
+
+def decimal_near_ties(n: int) -> np.ndarray:
+    """Doubles nearest 13-digit decimals that end in 5: the 12th digit is
+    within an ulp of a rounding tie, at every exponent of the numpy path."""
+    rng = np.random.default_rng(12)
+    digits, exponents = rng.integers(10**11, 10**12, n), rng.integers(-290, 280, n)
+    return np.array([float(f"{d}5e{k}") for d, k in zip(digits.tolist(), exponents.tolist())])
+
+
 class TestWriteCsv:
     @pytest.mark.parametrize("shape", ["zip", "tuples"])
     def test_fields_layout_and_digest(self, tmp_path, shape):
+        # columns as a one-pass iterator of tuples, or as an array and tuples
         values = [v for v, _ in CSV_FIELDS]
         table = [tuple(values), tuple(values[::-1])]
         header = [f"c{i}" for i in range(len(values))]
-        columns = [np.array(col) if i == 0 else list(col) for i, col in enumerate(zip(*table))]
-        rows = zip(*columns) if shape == "zip" else table
+        columns = zip(*table)
+        if shape == "tuples":
+            columns = [np.array(col) if i == 0 else col for i, col in enumerate(columns)]
         path = tmp_path / "table.csv"
-        digest = cli._write_csv(path, header, rows)
+        digest = cli._write_csv(path, header, columns)
 
         data = path.read_bytes()
         assert digest == hashlib.sha256(data).hexdigest()
@@ -289,22 +316,107 @@ class TestWriteCsv:
         assert fields[0] == [text for _, text in CSV_FIELDS]
         assert fields == [["%.12g" % float(v) for v in row] for row in table]
 
-    @pytest.mark.parametrize("n", [0, 1, cli._ROW_BLOCK, 2 * cli._ROW_BLOCK + 3])
+    @pytest.mark.parametrize("n", [0, 1, 1024, 2051, cli._BLOCK // 3, 2 * (cli._BLOCK // 3) + 3])
     def test_block_rows_format_like_numpy_scalars(self, tmp_path, n):
+        # float64 columns, a block of _BLOCK // 3 rows at a time, give the
+        # bytes "%" gives their Python floats one row at a time
         rng = np.random.default_rng(n)
         columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n) for _ in range(3)]
         columns[0][:2] = [-0.0, np.inf][:n]
-        rows = list(cli._rows(*columns))
-        assert len(rows) == n and all(type(v) is float for row in rows for v in row)
         header = ["a", "b", "c"]
-        path = tmp_path / "rows.csv"
-        assert cli._write_csv(path, header, rows) == cli._write_csv(path, header, zip(*columns))
+        digest = cli._write_csv(tmp_path / "columns.csv", header, columns)
+        assert write_csv_rows(tmp_path / "rows.csv", header, columns) == digest
+        assert cli._json_rows(header, columns) == json_rows(header, columns)
+
+    def test_random_bit_patterns_match_the_row_writer(self, tmp_path):
+        # every float64 class: nan payloads, subnormals, all exponents
+        bits = np.random.default_rng(25).integers(0, 2**64, 10**5, dtype=np.uint64)
+        columns = list(bits.view(np.float64).reshape(-1, 4).T)
+        header = ["a", "b", "c", "d"]
+        digest = cli._write_csv(tmp_path / "columns.csv", header, columns)
+        assert write_csv_rows(tmp_path / "rows.csv", header, columns) == digest
+        assert json.dumps(cli._json_rows(header, columns)) == json.dumps(json_rows(header, columns))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param(powers_of_ten_and_neighbours(), id="powers-of-ten"),
+            # fixed notation from 1e-4 up to 1e12, scientific outside
+            pytest.param(
+                [1e-5, 9.99999999999e-5, 9.999999999995e-5, 1e-4, 1e11, 99999999999.95]
+                + [999999999999.0, 999999999999.4, 999999999999.5, 1e12, 1.0000000000005e12],
+                id="notation-switches",
+            ),
+            # ties and near-ties of the 12th digit
+            pytest.param(
+                [9.999999999995, 9.9999999999949, 9.9999999999951, 1.0000000000005, 0.5]
+                + [2.5e-5, 1234567890125.0, 1234567890135.0, 0.1234567890125, 4.0000000000005]
+                + [8.000000000000499, 12345678901.25, 12345678901.35, 1.5e-300, 2.5e280]
+                # scaled by an inexact power of ten, these round the wrong way
+                # without the fallback next to a tie
+                + [2.057988080095e-135, -7.883194060195e125, 7.924726825005e-210]
+                + [3.164176743615e-82, 1.983654071035e58, 1.287127376185e-262],
+                id="near-ties",
+            ),
+            pytest.param(decimal_near_ties(20_000), id="decimal-near-ties"),
+            # exponents of three digits, and the ends of the numpy path
+            pytest.param(
+                [1e100, 1e-100, 9.99999999999e99, 1.5e-99, -3.3e-150, 1e280, 1e-280, 1.7e308]
+                + [np.nextafter(1e280, np.inf), np.nextafter(1e-280, 0.0), 2.2250738585072014e-308],
+                id="large-exponents",
+            ),
+        ],
+    )
+    def test_targeted_values(self, values):
+        values = np.concatenate([values, np.negative(values)])
+        assert csv_fields(values) == ["%.12g" % v for v in values.tolist()]
+
+    @hyp_settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=50))
+    @example([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308])
+    def test_field_is_percent_12g(self, values):
+        assert csv_fields(values) == ["%.12g" % v for v in values]
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        digest = cli._write_csv(path, ["a", "b"], [])
+        digest = cli._write_csv(path, ["a", "b"], [[], []])
         assert path.read_bytes() == b"a,b\n"
         assert digest == hashlib.sha256(b"a,b\n").hexdigest()
+        assert cli._json_rows(["a", "b"], [[], []]) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("config", ["full_l2_6", "stable_l2_6", "oracle_l2_1"])
+def test_shipped_configs_write_what_the_row_writer_writes(tmp_path, monkeypatch, config, fmt):
+    # every table of the five commands, written column-wise and by the
+    # reference route one row at a time, from the same columns
+    write_csv, json_table, tables = cli._write_csv, cli._json_rows, []
+
+    def csv_both(path, header, columns):
+        digest = write_csv(path, header, columns)
+        reference = tmp_path / "reference.csv"
+        assert write_csv_rows(reference, header, columns) == digest, path.name
+        assert reference.read_bytes() == path.read_bytes()
+        tables.append(path.name)
+        return digest
+
+    def json_both(header, columns):
+        rows = json_table(header, columns)
+        assert json.dumps(rows) == json.dumps(json_rows(header, columns)), header
+        tables.append(header[0])
+        return rows
+
+    monkeypatch.setattr(cli, "_write_csv", csv_both)
+    monkeypatch.setattr(cli, "_json_rows", json_both)
+    path, out = str(CONFIGS / f"{config}.ini"), str(tmp_path / "out")
+    for command in ("spectrum", "resonances", "sweep", "timedomain", "oracle"):
+        assert run(command, "--config", path, "--out", out, "--format", fmt) == EXIT_OK
+    # the oracle's rows go to oracle.json in both formats
+    if fmt == "csv":
+        csvs = ["spectrum.csv", "resonances.csv", "sweep.csv", "timedomain.csv"]
+        assert tables == [*csvs, "spacing", "oracle.csv"]
+    else:
+        assert tables == ["y", "l2", "t", "spacing"]
 
 
 class TestSpectrumCommand:

@@ -93,6 +93,21 @@ def test_import_loads_no_scipy():
     assert scipy_modules(loaded_modules(IMPORT)) == []
 
 
+def test_cli_import_builds_no_format_table_and_loads_only_what_it_names():
+    # the CSV formatter's tables are built on the first table written, and
+    # cli adds no module to those its own import statements name
+    built, *modules = loaded_modules(
+        "import sys, transmon_decay.cli as cli; print(cli._format_tables.cache_info().currsize); "
+        "print(*sorted(sys.modules))"
+    )
+    assert built == "0"
+    named = loaded_modules(
+        "import sys, argparse, functools, hashlib, json, math, pathlib, numpy, "
+        "transmon_decay.config; print(*sorted(sys.modules))"
+    )
+    assert set(modules) - set(named) == {"transmon_decay.cli"}
+
+
 def test_cli_loads_no_scipy_on_full_and_oracle_configs(tmp_path):
     # every command, FULL sweep included; the oracle config is FULL too
     modules = cli_modules(tmp_path, {"full_l2_6.ini": EVERY, "oracle_l2_1.ini": EVERY})

@@ -33,7 +33,7 @@ from transmon_decay.spectrum import (
     _window,
 )
 
-from reference_routes import _full_integrals
+from reference_routes import _full_integrals, kernel_pole_all_steps
 
 SQRT_PI = math.sqrt(math.pi)
 SCAN_TERMS = 2886492  # node terms of the 2401-energy FULL scan on b +- 12 at L2 = 6
@@ -132,6 +132,23 @@ class TestKernelPole:
                 for part in ("real", "imag"):
                     exact = getattr(want, part)
                     assert abs(getattr(got, part) - exact) <= 3e-14 * abs(exact), (part, got)
+
+
+    @pytest.mark.parametrize(
+        "l1",
+        # L1 = 2 L2 / 3 at L2 = 1, 6, 20, 29, 40, then next to 4 L1 = 1
+        [2.0 * l2 / 3.0 for l2 in (1.0, 6.0, 20.0, 29.0, 40.0)]
+        + [0.25 * (1.0 + eps) for eps in (1e-3, 1e-9, 1e-12)],
+    )
+    def test_stopping_at_a_repeated_iterate_changes_no_bit(self, l1):
+        # Newton stops once a step leaves z unchanged; all 64 steps give the
+        # same pole, residue and convergence verdict
+        u = _resonant_offsets(l1)[-1]
+        got, want = _kernel_pole(l1, u), kernel_pole_all_steps(l1, u)
+        assert want is not None
+        assert [(v.real.hex(), v.imag.hex()) for v in got] == [
+            (v.real.hex(), v.imag.hex()) for v in want
+        ]
 
 
 class TestKronrodRule:

@@ -11,6 +11,7 @@ from transmon_decay import (
     SpectralGrid,
     build_grid,
     find_roots,
+    sigma1,
     sigma2,
     spectral_function,
 )
@@ -64,35 +65,77 @@ def max_rel_error(got, want) -> float:
     return float(np.max(np.abs(got - want) / np.abs(want)))
 
 
+def unguarded_dawson(z):
+    """``spectrum._dawson`` without its guards: no ``+-inf`` case, and the
+    Maclaurin series evaluated at every argument."""
+    z = np.asarray(z)
+    flip = np.signbit(z.real)
+    a = np.where(flip, -z, z)
+    a2, series = a * a, 0.0
+    for coef in spectrum._DAWSON_SERIES[::-1]:
+        series = series * a2 + coef
+    n0 = 2.0 * np.floor(a.real / (2.0 * spectrum._DAWSON_H) + 0.5)
+    t = (a - n0 * spectrum._DAWSON_H)[..., None] - spectrum._DAWSON_N * spectrum._DAWSON_H
+    sampled = (np.exp(-t * t) / (n0[..., None] + spectrum._DAWSON_N)).sum(axis=-1) / SQRT_PI
+    d = np.where(abs(a) < 0.2, a * series, sampled)
+    return np.where(flip, -d, d)[()]
+
+
+def hexes(values) -> list[str]:
+    values = np.asarray(values, dtype=complex).ravel().tolist()
+    return [part.hex() for v in values for part in (v.real, v.imag)]
+
+
 class TestDawson:
     """``spectrum._dawson``, Rybicki's sum with the Maclaurin series below
     ``|z| = 0.2``, against 40-digit mpmath."""
 
+    REAL = np.concatenate(
+        [
+            np.linspace(-12.0, 12.0, 240),
+            [np.nextafter(0.2, 0.0), 0.2, np.nextafter(0.2, 1.0)],  # the branch edge
+            np.linspace(0.01, 0.3, 59),  # the series below 0.2, the m = +-1 samples above
+            np.geomspace(1e-300, 1e-3, 30),  # D(x) = x to double precision
+            np.geomspace(12.0, 1e3, 30),  # D(x) ~ 1/(2x)
+        ]
+    )
+    REAL = np.concatenate([REAL, -REAL])
+    _rng = np.random.default_rng(7)
+    STRIP = np.concatenate(
+        [
+            _rng.uniform(-12.0, 12.0, 300) + 1j * _rng.uniform(-1.0, 1.0, 300),
+            _rng.uniform(-0.3, 0.3, 100) + 1j * _rng.uniform(-0.3, 0.3, 100),
+            1j * np.linspace(-1.0, 1.0, 20),
+        ]
+    )
+
     def test_real_axis(self):
-        xs = np.concatenate(
-            [
-                np.linspace(-12.0, 12.0, 240),
-                [np.nextafter(0.2, 0.0), 0.2, np.nextafter(0.2, 1.0)],  # the branch edge
-                np.linspace(0.01, 0.3, 59),  # the series below 0.2, the m = +-1 samples above
-                np.geomspace(1e-300, 1e-3, 30),  # D(x) = x to double precision
-                np.geomspace(12.0, 1e3, 30),  # D(x) ~ 1/(2x)
-            ]
-        )
-        xs = np.concatenate([xs, -xs])
-        want = np.array([mp_dawson(float(x)).real for x in xs])
-        assert max_rel_error(_dawson(xs), want) <= 1.5e-15
+        want = np.array([mp_dawson(float(x)).real for x in self.REAL])
+        assert max_rel_error(_dawson(self.REAL), want) <= 1.5e-15
 
     def test_strip(self):
-        rng = np.random.default_rng(7)
-        zs = np.concatenate(
-            [
-                rng.uniform(-12.0, 12.0, 300) + 1j * rng.uniform(-1.0, 1.0, 300),
-                rng.uniform(-0.3, 0.3, 100) + 1j * rng.uniform(-0.3, 0.3, 100),
-                1j * np.linspace(-1.0, 1.0, 20),
-            ]
-        )
-        want = np.array([mp_dawson(complex(z)) for z in zs])
-        assert max_rel_error(_dawson(zs), want) <= 3e-15
+        want = np.array([mp_dawson(complex(z)) for z in self.STRIP])
+        assert max_rel_error(_dawson(self.STRIP), want) <= 3e-15
+
+    def test_guards_leave_finite_values_bit_identical(self):
+        for z in (self.REAL, self.STRIP):
+            assert hexes(_dawson(z)) == hexes(unguarded_dawson(z))
+            assert hexes([_dawson(v) for v in z.tolist()]) == hexes(unguarded_dawson(z))
+
+    def test_infinities_and_large_arguments(self):
+        # as scipy's dawsn: D(+-inf) = +-0, and no warning (the suite makes
+        # warnings errors) from the series, which overflowed from |x| ~ 1e19
+        assert hexes(_dawson(np.array([np.inf, -np.inf]))) == hexes([0.0, -0.0])
+        assert hexes([_dawson(math.inf), _dawson(-math.inf)]) == hexes(dawson([np.inf, -np.inf]))
+        x = np.array([1e19, 1e20, 1e100, 1e300])
+        assert _dawson(x) == pytest.approx(0.5 / x, rel=1e-15)
+        assert np.isnan(_dawson(math.nan))
+
+    def test_sigma1_is_finite_at_infinite_energies(self, model):
+        c = CouplingConfig.transmon_ratio(6.0)
+        got = sigma1(np.array([np.inf, -np.inf]), 48.0, model, c)
+        assert np.isfinite(got).all() and np.array_equal(got, [0.0, 0.0])
+        assert hexes(got.real) == hexes([0.0, -0.0])
 
     def test_exactly_odd(self):
         rng = np.random.default_rng(8)
