@@ -26,7 +26,7 @@ from .config import ConfigError, RunConfig, _y_range, load_config
 from .discrete import convergence_report
 from .model import NumericalError
 from .resonances import find_peaks, find_roots, fwhm, spectral_callable, sweep_coupling
-from .spectrum import SigmaStats, _proxy, build_grid
+from .spectrum import SigmaStats, _dawson_scan, _proxy, build_grid
 from .time_domain import rabi_metrics, survival_amplitude
 
 EXIT_OK = 0
@@ -433,8 +433,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     # each command builds its own FULL proxies, so the samples and terms in
-    # its sidecar never depend on a command run earlier in the same process
+    # its sidecar never depend on a command run earlier in the same process,
+    # and its own STABLE Dawson scans
     _proxy.cache_clear()
+    _dawson_scan.cache_clear()
     try:
         return _COMMANDS[args.command](cfg, out, args.format)
     except NumericalError as exc:

@@ -23,6 +23,7 @@ from .spectrum import (
     _brentq,
     _ROOT_STEP,
     _scan,
+    _stable_root_scan,
     sigma2,
     spectral_function,
 )
@@ -34,6 +35,7 @@ _FWHM_SPAN = 6.0  # farthest flank search from a peak
 _FWHM_STEPS = 1e-6 * 2.0 ** np.arange(int(math.log2(_FWHM_SPAN / 1e-6)) + 1)
 _FWHM_RTOL = 1e-8  # Brent's relative tolerance on a flank crossing
 _CROSSOVER_TOL = 1e-3  # width in L_2 at which the crossover bisection stops
+_MIN_HEIGHT = np.finfo(float).tiny  # lowest peak find_peaks reports: the smallest normal double
 
 
 class ScanRangeError(NumericalError):
@@ -100,42 +102,48 @@ def find_roots(
     Roots are bracketed on a uniform scan (``spectrum._scan``) at step 0.01:
     ``y_range`` defaults to ``b +- 12`` and the scan holds
     ``max(round(span/0.01), 16) + 1`` energies, one vector ``sigma2`` call;
-    in FULL these are ``build_grid``'s coarse points.
+    in FULL these are ``build_grid``'s coarse points.  In STABLE ``F`` is
+    ``(y - b) - 4 L_2 D(y - b)`` from one Dawson scan of the window, kept
+    across calls (``spectrum._stable_root_scan``), bit for bit the vector
+    call's, so a coupling sweep evaluates ``D`` there once.
     A cell brackets a root when ``F`` changes sign across it or is exactly 0
     at its left end; such an exact zero is the root itself, and Brent
     bracketing refines the others, seeded with the scan's values at the cell
     ends (its scalar calls inside the cell agree with a vector call bit for
     bit).  A sign change in the first or last cell raises
     ``ScanRangeError``; a ``y_range`` that is not finite and increasing raises
-    ``ValueError``.  Roots closer than 1e-5 are merged into one record
-    with a degeneracy flag.  Each record is annotated with the value of the
-    spectral function at the root, all roots in one vector call.  ``stats``
-    accumulates the diagnostics of the ``sigma2`` energies this call
-    evaluates.
+    ``ValueError``.  Roots closer than 1e-5 are merged, over Python floats,
+    into one record at their mean with a degeneracy flag.  Each record is
+    annotated with the value of the spectral function at the root, one float
+    call per root (the same bits as a vector call).  ``stats`` accumulates the diagnostics of the
+    ``sigma2`` energies this call evaluates, every scan energy included.
     """
-    ys, _, vals, cells = _scan(m, c, regime, s, y_range, _ROOT_STEP, stats)
+    if regime is Regime.STABLE:
+        ys, vals, cells = _stable_root_scan(m, c, y_range, stats)
+    else:
+        ys, _, vals, cells = _scan(m, c, regime, s, y_range, _ROOT_STEP, stats)
     if len(cells) and (cells[0] == 0 or cells[-1] == len(ys) - 2):
         raise ScanRangeError(
             f"sign change at scan boundary of [{ys[0]}, {ys[-1]}]; widen the range"
         )
 
     def resfun(y):
-        return float(y) - m.b - sigma2(float(y), m, c, regime, s, stats=stats).real
+        return y - m.b - sigma2(y, m, c, regime, s, stats=stats).real
 
-    roots = [
-        ys[i]
-        if vals[i] == 0.0
-        else _brentq(resfun, ys[i], ys[i + 1], vals[i], vals[i + 1], xtol=_ROOT_TOL)
-        for i in cells
-    ]
-    roots = np.unique(roots)  # an exact zero also ends the bracket before it
-    if not roots.size:
-        return []
-    runs = np.split(roots, np.flatnonzero(np.diff(roots) >= _MERGE_TOL) + 1)
-    y_rs = [float(np.mean(run)) for run in runs]
-    heights = spectral_function(np.array(y_rs), m, c, regime, s, stats=stats).tolist()
+    roots = []
+    for i in cells.tolist():
+        y0, y1, f0, f1 = float(ys[i]), float(ys[i + 1]), float(vals[i]), float(vals[i + 1])
+        roots.append(y0 if f0 == 0.0 else _brentq(resfun, y0, y1, f0, f1, xtol=_ROOT_TOL))
+    runs = []
+    for y in sorted(set(roots)):  # an exact zero also ends the bracket before it
+        if runs and y - runs[-1][-1] < _MERGE_TOL:
+            runs[-1].append(y)
+        else:
+            runs.append([y])
+    y_rs = [run[0] if len(run) == 1 else float(np.mean(run)) for run in runs]
+    heights = [spectral_function(y_r, m, c, regime, s, stats=stats) for y_r in y_rs]
     return [
-        ResonanceRecord(y_r, "root", height, degenerate=run.size > 1)
+        ResonanceRecord(y_r, "root", height, degenerate=len(run) > 1)
         for y_r, height, run in zip(y_rs, heights, runs)
     ]
 
@@ -146,13 +154,17 @@ def find_peaks(
 ) -> list[ResonanceRecord]:
     """Local maxima of the gridded spectral function with parabolic refinement.
 
-    Every local maximum is returned, however low; a caller that wants only
-    the dominant peaks filters the list by height.  Each peak is paired with
-    the nearest root when that root lies within one estimated FWHM of the
-    peak; otherwise the peak stands alone.
+    Every local maximum of a normal height is returned, however low; a
+    caller that wants only the dominant peaks filters the list by height.
+    Maxima below ``np.finfo(float).tiny`` are skipped: where ``Gamma_2`` is
+    subnormal ``U`` takes quantised subnormal values, whose staircase has
+    maxima of no width, and half such a height rounds to 0.  Each peak is
+    paired with the nearest root when that root lies within one estimated
+    FWHM of the peak; otherwise the peak stands alone.
     """
     y, u = grid.energies, grid.u_ff
-    idx = np.nonzero((u[1:-1] > u[:-2]) & (u[1:-1] >= u[2:]))[0] + 1  # U rises into each, so U > 0
+    mid = u[1:-1]
+    idx = np.flatnonzero((mid > u[:-2]) & (mid >= u[2:]) & (mid >= _MIN_HEIGHT)) + 1
     records = []
     for i in idx:
         y0, y1, y2 = y[i - 1], y[i], y[i + 1]

@@ -11,12 +11,17 @@ sum in numpy, and ``exp``; ``_faddeeva`` is ``w`` from the same ``_dawson``.
 ``sigma1`` is the first-level self-energy at ``x = y - w - a``.  Every
 regime of the second level goes through one complex evaluator, ``sigma2``,
 which returns ``Sigma_2(y) = Delta_2(y) - i Gamma_2(y)/2`` for a whole array
-of energies.
+of energies, or for one float by float operations with no array built, the
+same bits as inside an array (``spectral_function`` likewise).
 
 ``STABLE``
     The |g>-|e> coupling is off and ``Sigma_2`` is the Gaussian form with
     ``L_2`` at ``x = y - b``, through scipy's ``dawsn`` (``_stable_sigma``,
-    the one route that imports scipy, until ROADMAP 5(a)).
+    the one route that imports scipy, until ROADMAP 5(a)).  That is ``L_2``
+    times a coupling-free function, so ``find_roots`` forms
+    ``y - b - Delta_2`` from one ``D(y - b)`` per scan window
+    (``_dawson_scan``, cached beside ``_proxy``): a coupling sweep
+    evaluates ``dawsn`` on its scan energies once.
 
 ``FULL``
     The |g>-|e> coupling dresses the intermediate level.  With
@@ -111,6 +116,7 @@ _MIN_PIECE = 2.0**-6  # narrowest piece: a unit bin is bisected at most six time
 _DAWSON_H = 0.2  # Rybicki's sample spacing: error ~e^{-(pi/2h)^2} = 2e-27 on the real axis
 _DAWSON_N = np.arange(-35.0, 36.0, 2.0)  # odd sample offsets kept: e^{-(35 h)^2} = 5e-22
 _DAWSON_SERIES = tuple((-2.0) ** k / math.prod(range(1, 2 * k + 2, 2)) for k in range(9))
+_DAWSON_FAR = 1e8  # real D(x) is 1/(2x) within 0.75 ulp from here: the next term is x^-2/2 of it
 
 
 class QuadratureError(NumericalError):
@@ -178,12 +184,10 @@ class SigmaStats:
     samples: int = 0
     max_tail: float = 0.0
 
-    def record(self, errors: np.ndarray, tail: float, samples: int, terms: int) -> None:
-        self.energies += errors.size
+    def record(self, energies: int, worst: float, tail: float, samples: int, terms: int) -> None:
+        self.energies += energies
         self.samples += samples
         self.terms += terms
-        # a scalar skips the array reduction (~1 us), as in sigma2
-        worst = float(errors[0]) if errors.size == 1 else float(errors.max(initial=0.0))
         self.max_error = max(self.max_error, worst)
         self.max_tail = max(self.max_tail, tail)
 
@@ -199,16 +203,19 @@ def _dawson(z):
     ``~e^{-(pi/2h)^2}`` on the real axis and grows as ``e^{pi |Im z|/h}``
     off it, so the validated strip is ``|Im z| <= 1``.  Below ``|z| = 0.2``,
     where the ``m = +-1`` samples cancel, the Maclaurin series
-    ``sum_k (-2)^k z^{2k+1}/(2k+1)!!`` to ``k = 8`` takes over.  Both are
-    evaluated at whichever of ``z``, ``-z`` has the sign bit of its real part
-    clear, and negated back, so ``D(-z) = -D(z)`` exactly and
-    ``D(+-inf) = +-0``.  A real ``z`` gets the same value alone as inside any
-    array.
+    ``sum_k (-2)^k z^{2k+1}/(2k+1)!!`` to ``k = 8`` takes over.  From
+    ``|x| = 1e8`` a real ``x`` gets the asymptote ``1/(2x)`` instead, within
+    an ulp of ``D``, where the squared samples of a huge ``x`` would
+    overflow.  Each is evaluated at whichever of ``z``, ``-z`` has the sign
+    bit of its real part clear, and negated back, so ``D(-z) = -D(z)``
+    exactly and ``D(+-inf) = +-0``.  A real ``z`` gets the same value alone
+    as inside any array.
     """
     z = np.asarray(z)
     flip = np.signbit(z.real)
     a = np.where(flip, -z, z)
-    far = np.isinf(a.real)
+    far = np.isinf(a.real) if np.iscomplexobj(a) else a >= _DAWSON_FAR
+    asymptote = 0.5 / np.where(far, a.real, 1.0)  # 0 at inf
     a = np.where(far, 0.0, a)  # inf - inf in the samples would be nan
     small = abs(a) < 0.2
     s = np.where(small, a, 0.0)  # the series overflows from |z| ~ 1e19
@@ -218,7 +225,7 @@ def _dawson(z):
     n0 = 2.0 * np.floor(a.real / (2.0 * _DAWSON_H) + 0.5)
     t = (a - n0 * _DAWSON_H)[..., None] - _DAWSON_N * _DAWSON_H
     sampled = (np.exp(-t * t) / (n0[..., None] + _DAWSON_N)).sum(axis=-1) / SQRT_PI
-    d = np.where(far, 0.0, np.where(small, s * series, sampled))
+    d = np.where(far, asymptote, np.where(small, s * series, sampled))
     return np.where(flip, -d, d)[()]
 
 
@@ -234,7 +241,7 @@ def _gaussian_sigma(x, strength: float) -> np.ndarray:
     return value
 
 
-def _stable_sigma(x, strength: float) -> np.ndarray:
+def _stable_sigma(x, strength: float) -> np.ndarray | complex:
     """``_gaussian_sigma`` with scipy's ``dawsn`` for ``D``: the STABLE
     closed form, which also serves FULL's exact limits ``L_1 = 0`` and
     ``L_2 = 0``.  ``scipy.special`` is imported on the first call only.
@@ -245,9 +252,15 @@ def _stable_sigma(x, strength: float) -> np.ndarray:
     frozen STABLE heights gate.  Delete this helper, and route STABLE
     through ``_gaussian_sigma``, once ``find_peaks`` records ``U`` at the
     peak (ROADMAP 5(a)).
+
+    A float ``x`` gets a complex from the same IEEE operations as an array
+    element, with no array built.
     """
     from scipy import special
 
+    if isinstance(x, float):
+        shift = (4.0 * strength) * special.dawsn(x)
+        return complex(shift, (-2.0 * SQRT_PI * strength) * np.exp(-(x * x)))
     x = np.asarray(x, dtype=float)
     value = np.empty(x.shape, dtype=complex)
     value.real = 4.0 * strength * special.dawsn(x)
@@ -362,21 +375,31 @@ def _faddeeva(z: complex) -> complex:
 def _kernel_pole(l1: float, u: float) -> tuple[complex, complex] | None:
     """Pole ``z`` of ``K`` next to the fixed point ``u > 0`` and its residue
     ``r = 1/h'(z)`` (the mirror pole ``-conj(z)`` has ``conj(r)``), by
-    complex Newton on ``h(x) = x - Sigma_1(x)`` from ``u``, until a step
-    leaves the iterate unchanged or ``_NEWTON_STEPS`` are taken (converged
-    iterates move only within the rounding noise of ``h``).  None without
-    fixed points (``u = 0``), or if Newton has not settled (only within
-    ~1e-12 of ``4 l1 = 1``, where ``Im z = -0.36``)."""
-    z = complex(u)
-    if z == 0.0:
+    complex Newton on ``h(x) = x - Sigma_1(x)`` from ``u``.  Converged
+    iterates move only within the rounding noise of ``h``: they settle on a
+    fixed point or on a cycle of iterates an ulp apart (period 2 at
+    ``L_2 = 29`` and 40, 3 next to ``4 l1 = 1``).  Once an iterate repeats
+    an earlier one every later step repeats the cycle, so Newton stops there
+    and returns the iterate, with the ``h'`` and step that led to it, that
+    ``_NEWTON_STEPS`` steps end on: the one of the same phase in the cycle.
+    None without fixed points (``u = 0``), or if Newton has not settled
+    (only within ~1e-12 of ``4 l1 = 1``, where ``Im z = -0.36``)."""
+    if u == 0.0:
         return None
-    for _ in range(_NEWTON_STEPS):
+    z, states, seen = complex(u), [], {}  # the iterate of each step, with its h' and step
+    end = _NEWTON_STEPS
+    while len(states) < _NEWTON_STEPS:
+        seen[z] = len(states)
         w = _faddeeva(z)
         dh = 1.0 - 4.0 * l1 - 4j * SQRT_PI * l1 * z * w  # w' = 2i/sqrt(pi) - 2 z w
         step = (z + 2j * SQRT_PI * l1 * w) / dh
-        if z - step == z:  # every later step would repeat this one
-            break
         z -= step
+        states.append((z, dh, step))
+        if z in seen:  # a cycle of period i - seen[z] from here on
+            i = len(states)
+            end = i - (i - _NEWTON_STEPS) % (i - seen[z])
+            break
+    z, dh, step = states[end - 1]
     z = complex(z.real, min(z.imag, -1e-250))  # from L2 ~ 440 on, Im z would underflow in c
     return (z, 1.0 / dh) if abs(step) <= 1e-8 * abs(z) else None
 
@@ -727,34 +750,34 @@ def sigma2(
 ):
     """Second-level self-energy ``Delta_2(y) - i Gamma_2(y)/2``.
 
-    Vectorised over ``y``; a scalar call returns exactly the value the same
-    energy gets inside an array.  FULL values come from the cached proxy
-    of the node sum (``_proxy``), WEAK's constant from it at ``y = b``.
-    ``stats``, when given, accumulates the diagnostics.  Raises
-    ``ValueError`` for a non-finite energy, in every regime, and for a
-    regime that breaks the rule STABLE exactly when ``v1_enabled`` is off
-    (``_check_regime``, which ``load_config`` applies too), and
-    ``QuadratureError`` when the error estimate of a FULL energy, or of a
-    node-sum sample a piece is built from, misses
-    ``max(abs_tol, rel_tol |Sigma_2|)``.
+    Vectorised over ``y``; a float (Python's or numpy's) gets a complex,
+    computed in floats with no array built (Brent calls ``sigma2`` one energy
+    at a time), and exactly the value the same energy gets inside an array.
+    FULL values come from the cached proxy of the node sum (``_proxy``),
+    WEAK's constant from it at ``y = b``.  ``stats``, when given,
+    accumulates the diagnostics.  Raises ``ValueError`` for a non-finite
+    energy, in every regime, and for a regime that breaks the rule STABLE
+    exactly when ``v1_enabled`` is off (``_check_regime``, which
+    ``load_config`` applies too), and ``QuadratureError`` when the error
+    estimate of a FULL energy, or of a node-sum sample a piece is built from,
+    misses ``max(abs_tol, rel_tol |Sigma_2|)``.
     """
     _check_regime(c, regime)
+    if isinstance(y, float):
+        value, error, tail, work = _sigma2_at(y - m.b, c, regime, s)
+        if stats is not None:
+            stats.record(1, error, tail, *work)
+        return value
     d = np.atleast_1d(np.asarray(y, dtype=float)) - m.b
-    # a scalar skips the array reduction (~1 us): Brent calls sigma2 one energy at a time
-    if not (math.isfinite(d[0]) if d.size == 1 else np.isfinite(d).all()):
+    if not np.isfinite(d).all():
         raise ValueError("energies must be finite")
     if regime is Regime.STABLE or c.l1 == 0.0 or c.l2 == 0.0 or d.size == 0:
         # FULL at L1 = 0 is the exact limit K(x) = 1/(x + i0): the stable form;
         # an empty array (build_grid with nothing to refine) has nothing to build
         at = np.zeros(d.shape) if regime is Regime.WEAK else d
         value, error, tail, work = _stable_sigma(at, c.l2), np.zeros(d.shape), 0.0, (0, 0)
-    elif regime is Regime.WEAK or d.size == 1:
-        # one energy, or WEAK's constant at y = b: floats, no one-element arrays
-        at, proxy = (0.0 if regime is Regime.WEAK else float(d[0])), _proxy(c, s)
-        work = proxy.build((math.floor(abs(at)),))
-        one, estimate, tail = proxy.scalar(at)
-        if not estimate <= max(s.abs_tol, s.rel_tol * abs(one)):
-            raise _missed(at, estimate)
+    elif regime is Regime.WEAK:
+        one, estimate, tail, work = _sigma2_at(0.0, c, regime, s)
         value, error = np.full(d.shape, one), np.full(d.shape, estimate)
     else:
         proxy = _proxy(c, s)
@@ -762,24 +785,48 @@ def sigma2(
         value, error, tail = proxy.vector(d)
         _check_tolerance(d, value, error, s)
     if stats is not None:
-        stats.record(error, tail, *work)
+        stats.record(d.size, float(error.max(initial=0.0)), tail, *work)
     return value if np.ndim(y) else complex(value[0])
+
+
+def _sigma2_at(d: float, c: CouplingConfig, regime: Regime, s: QuadratureSettings):
+    """``sigma2`` at one detuning ``d = y - b`` in floats: ``Sigma_2``, its
+    error estimate, its piece's tail and the node-sum work it took."""
+    if not math.isfinite(d):
+        raise ValueError("energies must be finite")
+    at = 0.0 if regime is Regime.WEAK else d
+    if regime is Regime.STABLE or c.l1 == 0.0 or c.l2 == 0.0:
+        return _stable_sigma(at, c.l2), 0.0, 0.0, (0, 0)
+    proxy = _proxy(c, s)
+    work = proxy.build((math.floor(abs(at)),))
+    value, estimate, tail = proxy.scalar(at)
+    if not estimate <= max(s.abs_tol, s.rel_tol * abs(value)):
+        raise _missed(at, estimate)
+    return value, estimate, tail, work
 
 
 # ---------------------------------------------------------------------------
 # spectral function
 
 
-def _lineshape(d: np.ndarray, value: np.ndarray):
-    """Spectral function and width from detunings and ``Sigma_2`` values."""
-    width = np.maximum(-2.0 * value.imag, 0.0)
-    denom = (d - value.real) ** 2 + 0.25 * width**2
-    if np.any((denom == 0.0) & (width == 0.0)):
+def _lineshape(d, value):
+    """Spectral function and width from detunings and ``Sigma_2`` values:
+    arrays, or a float and a complex by the same IEEE operations."""
+    if isinstance(value, complex):
+        width = max(-2.0 * value.imag, 0.0)
+        t = d - value.real
+        denom = t * t + 0.25 * (width * width)
+        flat = denom == 0.0 and width == 0.0
+    else:
+        width = np.maximum(-2.0 * value.imag, 0.0)
+        denom = (d - value.real) ** 2 + 0.25 * width**2
+        flat = np.any((denom == 0.0) & (width == 0.0))
+    if flat:
         raise NumericalError(
             "width underflowed to zero exactly at a resonance point; "
             "the spectral function is a delta distribution there"
         )
-    return width / (2.0 * math.pi * denom), width
+    return np.divide(width, 2.0 * math.pi * denom), width
 
 
 def spectral_function(
@@ -791,7 +838,10 @@ def spectral_function(
     *,
     stats: SigmaStats | None = None,
 ):
-    """Dimensionless spectral function ``U(y) = U_ff(E) * delta``."""
+    """Dimensionless spectral function ``U(y) = U_ff(E) * delta``; a float
+    for a float, computed in floats as for ``sigma2``."""
+    if isinstance(y, float):
+        return float(_lineshape(y - m.b, sigma2(y, m, c, regime, s, stats=stats))[0])
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     u, _ = _lineshape(ys - m.b, sigma2(ys, m, c, regime, s, stats=stats))
     return u if np.ndim(y) else float(u[0])
@@ -871,7 +921,45 @@ def _scan(
     ys = np.linspace(*_scan_points(m, regime, y_range, step))
     value = sigma2(ys, m, c, regime, s, stats=stats)
     f = ys - m.b - value.real
-    return ys, value, f, np.flatnonzero(np.diff(np.signbit(f)) | (f[:-1] == 0.0))
+    return ys, value, f, _root_cells(f)
+
+
+def _root_cells(f: np.ndarray) -> np.ndarray:
+    """Cells ``i`` of a scan whose interval brackets a root of ``F``."""
+    return np.flatnonzero(np.diff(np.signbit(f)) | (f[:-1] == 0.0))
+
+
+@functools.lru_cache(maxsize=8)
+def _dawson_scan(m: DimensionlessModel, lo: float, hi: float, n: int):
+    """The energies ``np.linspace(lo, hi, n)``, ``d = y - b`` and the
+    coupling-free ``D(d)`` at them, kept across calls, read-only.  ``D`` is
+    ``Re Sigma_2`` at ``L_2 = 1/4``, where ``4 L_2 = 1`` makes it exact, so
+    STABLE keeps one route to ``dawsn``."""
+    ys = np.linspace(lo, hi, n)
+    dawson = sigma2(ys, m, CouplingConfig.stable_second_level(0.25), Regime.STABLE).real
+    d = ys - m.b
+    for a in (ys, d, dawson):
+        a.flags.writeable = False
+    return ys, d, dawson
+
+
+def _stable_root_scan(
+    m: DimensionlessModel,
+    c: CouplingConfig,
+    y_range: tuple[float, float] | None,
+    stats: SigmaStats | None,
+):
+    """``_scan``'s energies, ``F`` and root cells for STABLE at step
+    ``_ROOT_STEP``, without ``Sigma_2``: ``F = (y - b) - 4 L_2 D(y - b)``,
+    the operations of ``y - b - Re Sigma_2``, from the window's
+    ``_dawson_scan``, so a coupling sweep scans ``D`` once.  ``stats``
+    counts the energies as a ``sigma2`` call would."""
+    _check_regime(c, Regime.STABLE)
+    ys, d, dawson = _dawson_scan(m, *_scan_points(m, Regime.STABLE, y_range, _ROOT_STEP))
+    if stats is not None:
+        stats.record(ys.size, 0.0, 0.0, 0, 0)
+    f = d - (4.0 * c.l2) * dawson
+    return ys, f, _root_cells(f)
 
 
 def build_grid(
@@ -935,13 +1023,10 @@ def build_grid(
         new_points.append(y_c + offsets)
         new_points.append(y_c - offsets)
 
-    extra = np.concatenate(new_points)
-    merged = np.union1d(ys, extra[(extra > lo) & (extra < hi)])
-    # drop near-duplicates that would break strict monotonicity
-    merged = merged[np.concatenate([[True], np.diff(merged) > 1e-12])]
-    is_new = ~np.isin(merged, ys)
+    merged, coarse = _merge(ys, np.concatenate(new_points))
+    is_new = coarse < 0
     sigma = np.empty(merged.shape, dtype=complex)
-    sigma[~is_new] = value[np.searchsorted(ys, merged[~is_new])]
+    sigma[~is_new] = value[coarse[~is_new]]
     sigma[is_new] = sigma2(merged[is_new], m, c, regime, s, stats=stats)
     u, width = _lineshape(merged - m.b, sigma)
     return SpectralGrid(
@@ -953,3 +1038,18 @@ def build_grid(
         y_ref=m.b,
         complete=complete,
     )
+
+
+def _merge(ys: np.ndarray, extra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending coarse energies ``ys`` merged with the refinement
+    energies ``extra`` strictly inside them, by one stable sort that keeps
+    each point's origin; a point within 1e-12 of the one before it, or equal
+    to it, is dropped (coarse points sort first among equals).  Returns the
+    energies and, for each, its index in ``ys``, or -1 for a new point."""
+    extra = extra[(extra > ys[0]) & (extra < ys[-1])]
+    points = np.concatenate([ys, extra])
+    order = np.argsort(points, kind="stable")
+    points = points[order]
+    keep = np.concatenate([[True], np.diff(points) > 1e-12])
+    order = order[keep]
+    return points[keep], np.where(order < ys.size, order, -1)

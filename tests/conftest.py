@@ -4,7 +4,8 @@ Adaptively refined full-coupling grids are the most expensive objects in the
 suite, so they are built once per (l2, regime) pair and shared between the
 unit tests and the acceptance module.  Every test starts with an empty cache
 of FULL self-energy proxies, so a test that counts the node-sum samples
-behind ``sigma2`` does not depend on which test built a proxy before it.
+behind ``sigma2`` does not depend on which test built a proxy before it, and
+an empty cache of STABLE Dawson scans.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ B_REF = 98.5
 @pytest.fixture(autouse=True)
 def no_cached_proxy():
     spectrum._proxy.cache_clear()
+    spectrum._dawson_scan.cache_clear()
 
 
 @pytest.fixture(scope="session")

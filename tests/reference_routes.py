@@ -18,6 +18,12 @@ call; the tests hold the two to the same widths bit for bit.
 Python's ``"%.12g" %``, the contract the column-wise ``cli`` writer keeps
 byte for byte.  ``kernel_pole_all_steps`` always takes ``_NEWTON_STEPS``
 Newton steps, where ``spectrum._kernel_pole`` stops once an iterate repeats.
+``find_roots_scanned`` is ``resonances.find_roots`` with every coupling's
+scan a vector ``sigma2`` call, ``scipy.optimize.brentq`` on each bracket and
+the roots merged in arrays, where STABLE ``find_roots`` shares one Dawson
+scan across calls and merges in floats.  ``merge_union`` merges
+``build_grid``'s coarse and refinement energies by ``np.union1d``,
+``np.isin`` and ``np.searchsorted``, as ``spectrum._merge`` does by one sort.
 
 This is a support module, not a test file: pytest does not collect it.
 """
@@ -32,14 +38,26 @@ from scipy import integrate, optimize, special
 
 from transmon_decay.cli import _jnum
 from transmon_decay.model import CouplingConfig, DimensionlessModel, NumericalError
-from transmon_decay.resonances import _FWHM_RTOL, _FWHM_SPAN, FwhmResult, ResonanceRecord
+from transmon_decay.resonances import (
+    _FWHM_RTOL,
+    _FWHM_SPAN,
+    _MERGE_TOL,
+    _ROOT_TOL,
+    FwhmResult,
+    ResonanceRecord,
+    ScanRangeError,
+)
 from transmon_decay.spectrum import (
     _NEWTON_STEPS,
+    _ROOT_STEP,
     DEFAULT_SETTINGS,
     SQRT_PI,
     QuadratureError,
     QuadratureSettings,
     _faddeeva,
+    _scan,
+    sigma2,
+    spectral_function,
 )
 
 _TAIL = 10.0  # unit-width Gaussians are cut this far from their centre
@@ -265,3 +283,39 @@ def kernel_pole_all_steps(l1: float, u: float) -> tuple[complex, complex] | None
         z -= step
     z = complex(z.real, min(z.imag, -1e-250))
     return (z, 1.0 / dh) if abs(step) <= 1e-8 * abs(z) else None
+
+
+def find_roots_scanned(m, c, regime, s=DEFAULT_SETTINGS, *, y_range=None, stats=None):
+    """``resonances.find_roots`` through one vector ``sigma2`` scan per
+    call, ``scipy.optimize.brentq`` and array merging."""
+    ys, _, vals, cells = _scan(m, c, regime, s, y_range, _ROOT_STEP, stats)
+    if len(cells) and (cells[0] == 0 or cells[-1] == len(ys) - 2):
+        raise ScanRangeError(f"sign change at scan boundary of [{ys[0]}, {ys[-1]}]")
+
+    def resfun(y):
+        return float(y) - m.b - sigma2(float(y), m, c, regime, s).real
+
+    roots = [
+        ys[i] if vals[i] == 0.0 else optimize.brentq(resfun, ys[i], ys[i + 1], xtol=_ROOT_TOL)
+        for i in cells
+    ]
+    roots = np.unique(roots)
+    if not roots.size:
+        return []
+    runs = np.split(roots, np.flatnonzero(np.diff(roots) >= _MERGE_TOL) + 1)
+    y_rs = [float(np.mean(run)) for run in runs]
+    heights = spectral_function(np.array(y_rs), m, c, regime, s).tolist()
+    return [
+        ResonanceRecord(y_r, "root", height, degenerate=run.size > 1)
+        for y_r, height, run in zip(y_rs, heights, runs)
+    ]
+
+
+def merge_union(ys: np.ndarray, extra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``spectrum._merge`` by set operations: the sorted union, points within
+    1e-12 of the one before dropped, and each point's index in ``ys`` found
+    by value, -1 for a point not in ``ys``."""
+    merged = np.union1d(ys, extra[(extra > ys[0]) & (extra < ys[-1])])
+    merged = merged[np.concatenate([[True], np.diff(merged) > 1e-12])]
+    coarse = np.isin(merged, ys)
+    return merged, np.where(coarse, np.searchsorted(ys, merged), -1)

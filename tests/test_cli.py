@@ -222,6 +222,25 @@ class TestNumericalFailures:
         assert run(command, "--config", str(cfg), "--out", str(tmp_path / "out")) == EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith(f"numerical error: {message}")
 
+    @pytest.mark.parametrize(
+        "coupling, span",
+        [("l2 = 1\nv1_enabled = false\nregime = stable", 30), ("l2 = 1", 40)],
+        ids=["stable", "full"],
+    )
+    def test_subnormal_staircase_maxima_are_not_peaks(self, tmp_path, capsys, coupling, span):
+        # far out on these grids Gamma_2 is subnormal and U steps through
+        # quantised subnormal values (STABLE: maxima 5e-324 to 3e-323 at
+        # y ~ 71.3); half such a height is 0.0, so fwhm could bracket no flank
+        # and raised ValueError with a traceback
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[coupling]\n{coupling}\n[grid]\nspan = {span}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("resonances", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        records = json.loads((out / "resonances.json").read_text())["records"]
+        peaks = [r for r in records if r["kind"] == "peak"]
+        assert peaks and all(r["height"] >= np.finfo(float).tiny for r in records)
+
     def test_non_monotone_oracle_exits_1(self, tmp_path, capsys):
         # L2 = 6.4771 lies in the window where the finest spacing's error grows
         cfg = tmp_path / "run.ini"
@@ -497,6 +516,19 @@ class TestOtherCommands:
         for name in ("sweep.meta.json", "sweep.csv"):
             assert (alone / name).read_bytes() == (after / name).read_bytes()
 
+    def test_stable_sweep_outputs_do_not_depend_on_an_earlier_command(self, tmp_path):
+        # resonances scans the same window at step 0.01 for its roots; sweep
+        # starts with an empty cache of Dawson scans all the same, and its
+        # sidecar counts every energy of its own scans
+        cfg = tmp_path / "stable.ini"
+        cfg.write_text((CONFIGS / "stable_l2_6.ini").read_text() + "\n[sweep]\nsteps = 5\n")
+        alone, after = tmp_path / "alone", tmp_path / "after"
+        assert run("sweep", "--config", str(cfg), "--out", str(alone)) == EXIT_OK
+        assert run("resonances", "--config", str(cfg), "--out", str(after)) == EXIT_OK
+        assert run("sweep", "--config", str(cfg), "--out", str(after)) == EXIT_OK
+        for name in ("sweep.meta.json", "sweep.csv"):
+            assert (alone / name).read_bytes() == (after / name).read_bytes()
+
     @pytest.mark.parametrize("span, offsets", [(12, [0.0]), (20, [-12.669, 0.0, 12.669])])
     def test_sweep_scans_the_grid_span(self, tmp_path, span, offsets):
         # at STABLE L2 = 80 the outer roots sit at y - b = +-12.669, outside b +- 12
@@ -613,17 +645,37 @@ class TestSelfEnergyDiagnostics:
             # from 24 node-sum samples each, and evaluates every energy on
             # them; the resonances command rescans the grid's 2401 energies,
             # evaluates 46 flank steps per peak, and Brent's step count moves
-            # with the last digits of Sigma_2
+            # with the last digits of Sigma_2.  sweep builds 13 pieces for
+            # each of its 40 couplings and 9 bisection steps, and scans 2401
+            # energies for each
             (
                 "full_l2_6",
-                {"spectrum": (5398, 312, 372456), "resonances": (7987, 312, 372456)},
+                {
+                    "spectrum": (5398, 312, 372456),
+                    "resonances": (7987, 312, 372456),
+                    "sweep": (118045, 15288, 18761400),
+                },
             ),
-            # STABLE: the grid scans at step 0.002 and find_roots at 0.01
-            ("stable_l2_6", {"spectrum": (14311, 0, 0), "resonances": (16883, 0, 0)}),
-            # FULL at L2 = 1: the same 13 pieces, a coarser grid
+            # STABLE: the grid scans at step 0.002 and find_roots at 0.01;
+            # sweep's 46 scans of 2401 energies count in full, although
+            # they share one Dawson scan
+            (
+                "stable_l2_6",
+                {
+                    "spectrum": (14311, 0, 0),
+                    "resonances": (16883, 0, 0),
+                    "sweep": (110764, 0, 0),
+                },
+            ),
+            # FULL at L2 = 1: the same 13 pieces, a coarser grid; the sweep
+            # does not depend on the config's L2
             (
                 "oracle_l2_1",
-                {"spectrum": (2877, 312, 372456), "resonances": (5448, 312, 372456)},
+                {
+                    "spectrum": (2877, 312, 372456),
+                    "resonances": (5448, 312, 372456),
+                    "sweep": (118045, 15288, 18761400),
+                },
             ),
         ],
     )
@@ -633,6 +685,7 @@ class TestSelfEnergyDiagnostics:
             "spectrum": "spectrum.meta.json",
             "resonances": "resonances.json",
             "timedomain": "timedomain.meta.json",
+            "sweep": "sweep.meta.json",
         }
         found = {}
         for command, name in sidecars.items():

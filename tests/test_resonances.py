@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference_routes import fwhm_sequential
+from reference_routes import find_roots_scanned, fwhm_sequential
 
 from transmon_decay import (
     CouplingConfig,
@@ -15,6 +15,7 @@ from transmon_decay import (
     find_peaks,
     find_roots,
     fwhm,
+    resonances,
     sigma2,
     spectral_callable,
     spectrum,
@@ -75,6 +76,22 @@ class TestFindRoots:
         assert stats.energies > 2401
         assert stats.samples == spectrum._CHEB_POINTS
         assert spectrum._proxy(c, settings).bins == {0.0}
+
+    def test_roots_closer_than_1e_5_are_one_degenerate_record(self, model, settings, monkeypatch):
+        # F = (d + 3e-6)(d - 4e-6) is negative at the scan point y = b alone:
+        # the two cells that meet there bracket one root each, 7e-6 apart,
+        # and the record is their mean, flagged degenerate, as the array
+        # merge of find_roots_scanned gives it
+        import reference_routes
+
+        fake = fake_sigma2(lambda d: (d + 3e-6) * (d - 4e-6))
+        for module in (spectrum, resonances, reference_routes):
+            monkeypatch.setattr(module, "sigma2", fake)
+        window = (model.b - 1.0, model.b + 1.0)
+        roots = find_roots(model, None, Regime.FULL, settings, y_range=window)
+        assert [r.degenerate for r in roots] == [True]
+        assert roots[0].y_r - model.b == pytest.approx(0.5e-6, abs=1e-9)
+        assert roots == find_roots_scanned(model, None, Regime.FULL, settings, y_range=window)
 
     def test_boundary_crossing_raises(self, model, settings):
         c = CouplingConfig.stable_second_level(6.0)
@@ -378,6 +395,24 @@ class TestSweep:
     def test_rejects_nonpositive_values(self, model, settings):
         with pytest.raises(ValueError):
             sweep_coupling(model, Regime.STABLE, [0.0, 1.0], settings)
+
+    @pytest.mark.parametrize("half_span", [12.0, 20.0])
+    def test_stable_sweep_is_a_sigma2_scan_per_coupling(
+        self, model, settings, half_span, monkeypatch
+    ):
+        # every STABLE find_roots of the sweep, the bisection's included,
+        # reads F from one shared Dawson scan of the window and merges its
+        # roots in floats; a fresh vector sigma2 scan per coupling, scipy's
+        # brentq and array merging give the same records and crossover
+        window = (model.b - half_span, model.b + half_span)
+        values = np.geomspace(0.05, 6.0, 40)
+        got = sweep_coupling(model, Regime.STABLE, values, settings, y_range=window)
+        assert spectrum._dawson_scan.cache_info().misses == 1
+        monkeypatch.setattr(resonances, "find_roots", find_roots_scanned)
+        want = sweep_coupling(model, Regime.STABLE, values, settings, y_range=window)
+        assert got.records_per_l2 == want.records_per_l2
+        assert got.crossover_estimate == want.crossover_estimate
+        assert got == want
 
     def test_window_and_stats_reach_every_find_roots_call(self, model, settings, monkeypatch):
         from transmon_decay import resonances

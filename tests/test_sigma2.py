@@ -140,11 +140,18 @@ class TestKernelPole:
         [2.0 * l2 / 3.0 for l2 in (1.0, 6.0, 20.0, 29.0, 40.0)]
         + [0.25 * (1.0 + eps) for eps in (1e-3, 1e-9, 1e-12)],
     )
-    def test_stopping_at_a_repeated_iterate_changes_no_bit(self, l1):
-        # Newton stops once a step leaves z unchanged; all 64 steps give the
-        # same pole, residue and convergence verdict
+    def test_stopping_at_a_repeated_iterate_changes_no_bit(self, l1, monkeypatch):
+        # Newton stops once an iterate repeats an earlier one, on a fixed
+        # point or a 2- or 3-cycle, before the 64th step; all 64 steps give
+        # the same pole, residue and convergence verdict
         u = _resonant_offsets(l1)[-1]
-        got, want = _kernel_pole(l1, u), kernel_pole_all_steps(l1, u)
+        steps = []
+        faddeeva = spectrum._faddeeva
+        monkeypatch.setattr(spectrum, "_faddeeva", lambda z: steps.append(z) or faddeeva(z))
+        got = _kernel_pole(l1, u)
+        monkeypatch.undo()
+        assert len(steps) < spectrum._NEWTON_STEPS
+        want = kernel_pole_all_steps(l1, u)
         assert want is not None
         assert [(v.real.hex(), v.imag.hex()) for v in got] == [
             (v.real.hex(), v.imag.hex()) for v in want
@@ -251,10 +258,20 @@ class TestAgainstQuad:
 class TestInvariants:
     @pytest.mark.parametrize(
         "regime, l2",
-        [(Regime.FULL, 6.0), (Regime.FULL, 0.05), (Regime.WEAK, 1.0), (Regime.FULL, 20.0)],
+        [
+            (Regime.FULL, 6.0),
+            (Regime.FULL, 0.05),
+            (Regime.WEAK, 1.0),
+            (Regime.FULL, 20.0),
+            (Regime.STABLE, 6.0),
+            (Regime.STABLE, 49.5407),
+        ],
     )
     def test_scalar_and_vector_calls_bit_identical(self, model, settings, regime, l2):
-        c = CouplingConfig.transmon_ratio(l2)
+        if regime is Regime.STABLE:
+            c = CouplingConfig.stable_second_level(l2)
+        else:
+            c = CouplingConfig.transmon_ratio(l2)
         # the FULL proxy's pieces are the unit bins of |y - b|, halved where
         # they are bisected (at L2 = 20): put energies on and next to every
         # quarter of b +- 12, on both sides of the node sum's cover edges at
@@ -270,12 +287,21 @@ class TestInvariants:
                 model.b + np.random.default_rng(11).uniform(-12.0, 12.0, 500),
             ]
         )
-        vector = sigma2(ys, model, c, regime, settings)
-        scalar = np.array([sigma2(float(y), model, c, regime, settings) for y in ys])
-        assert np.array_equal(vector, scalar)
-        u_vector = spectral_function(ys, model, c, regime, settings)
-        u_scalar = np.array([spectral_function(float(y), model, c, regime, settings) for y in ys])
-        assert np.array_equal(u_vector, u_scalar)
+        # a Python float and a numpy float64 take the float-only branch, each
+        # value bit for bit the array's, and the diagnostics add up alike
+        # (the pieces the vector call built are not sampled again)
+        stats = {kind: SigmaStats() for kind in ("vector", "float", "float64")}
+        vector = sigma2(ys, model, c, regime, settings, stats=stats["vector"])
+        u_vector = spectral_function(ys, model, c, regime, settings, stats=stats["vector"])
+        for kind, energies in (("float", ys.tolist()), ("float64", list(ys))):
+            args = (model, c, regime, settings)
+            one = [sigma2(y, *args, stats=stats[kind]) for y in energies]
+            u = [spectral_function(y, *args, stats=stats[kind]) for y in energies]
+            assert all(type(v) is complex for v in one) and all(type(v) is float for v in u)
+            assert np.array(one).tobytes() == vector.tobytes()
+            assert np.array(u).tobytes() == u_vector.tobytes()
+        seen = {k: (v.energies, v.max_error, v.max_tail) for k, v in stats.items()}
+        assert seen["float"] == seen["float64"] == seen["vector"]
 
     def test_block_boundaries_bit_identical(self, settings):
         # ~100 energies in one unit bin fill several row blocks of the FULL

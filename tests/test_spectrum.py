@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from conftest import coupling_for
+from reference_routes import merge_union
 from scipy.special import dawsn as dawson
 
 from transmon_decay import (
@@ -16,6 +18,7 @@ from transmon_decay import (
     spectral_function,
 )
 from transmon_decay import spectrum
+from transmon_decay.model import NumericalError
 from transmon_decay.spectrum import _dawson, _faddeeva, _resonant_offsets, regime_for
 
 SQRT_PI = math.sqrt(math.pi)
@@ -131,6 +134,20 @@ class TestDawson:
         assert _dawson(x) == pytest.approx(0.5 / x, rel=1e-15)
         assert np.isnan(_dawson(math.nan))
 
+    def test_asymptote_from_1e8(self):
+        # from |x| = 1e8 a real D(x) is 1/(2x), within 0.75 ulp: the squared
+        # samples overflowed there with a warning (an error in this suite)
+        # and gave 0.0 at 1e307; below 1e8 the sampling sum keeps every bit
+        x = np.concatenate([np.geomspace(1e8, 1.7e308, 97), [np.finfo(float).max]])
+        x = np.concatenate([x, -x])
+        assert hexes(_dawson(x)) == hexes(0.5 / x)
+        assert hexes([_dawson(v) for v in x.tolist()]) == hexes(0.5 / x)
+        for v in (1e8, 3.7e8, 1e12, 1e200):
+            want = mp_dawson(v).real
+            assert abs(_dawson(v) - want) <= 0.75 * np.spacing(want)
+        below = np.array([5e7, 9.99e7, np.nextafter(1e8, 0.0)])
+        assert hexes(_dawson(below)) == hexes(unguarded_dawson(below))
+
     def test_sigma1_is_finite_at_infinite_energies(self, model):
         c = CouplingConfig.transmon_ratio(6.0)
         got = sigma1(np.array([np.inf, -np.inf]), 48.0, model, c)
@@ -224,6 +241,17 @@ class TestSpectralFunction:
         c = CouplingConfig.stable_second_level(6.0)
         ys = np.linspace(model.b - 10, model.b + 10, 101)
         assert np.all(spectral_function(ys, model, c, Regime.STABLE) >= 0.0)
+
+    def test_lineshape_of_a_float_at_zero_width(self):
+        # the float branch of a scalar U raises where the array branch does,
+        # and divides as numpy does where only the width's square underflows
+        for d, value in ((0.0, complex(0.0, -0.0)), (np.zeros(2), np.array([1 - 1j, -0j]))):
+            with pytest.raises(NumericalError, match="delta distribution"):
+                spectrum._lineshape(d, value)
+        with np.errstate(divide="ignore"):
+            one = spectrum._lineshape(0.0, complex(0.0, -1e-200))[0]
+            many = spectrum._lineshape(np.zeros(1), np.array([complex(0.0, -1e-200)]))[0]
+        assert one == many[0] == np.inf
 
 
 class TestSpectralGrid:
@@ -321,3 +349,35 @@ class TestBuildGrid:
         y_range = (model.b - 6000.0, model.b + 6000.0)  # 1.2e6 energies at find_roots' 0.01
         with pytest.raises(ValueError, match="more than 1000000"):
             find_roots(model, c, Regime.STABLE, settings, y_range=y_range)
+
+
+class TestMerge:
+    """``build_grid`` merges its coarse and refinement energies by one stable
+    sort (``spectrum._merge``), as the union and membership tests of
+    ``merge_union`` did."""
+
+    def test_hits_and_near_hits_of_coarse_points(self):
+        ys = np.linspace(86.5, 110.5, 12001)
+        hit = ys[::97]
+        near = np.concatenate([hit + 5e-13, hit - 5e-13, hit + 1e-12, hit - 2e-12])
+        rng = np.random.default_rng(12)
+        extra = np.concatenate([hit, near, rng.uniform(80.0, 117.0, 4000), [86.5, 110.5]])
+        extra = np.concatenate([extra, extra[:50]])  # refinement points met twice
+        rng.shuffle(extra)
+        got, want = spectrum._merge(ys, extra), merge_union(ys, extra)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1])
+        assert np.all(np.diff(got[0]) > 1e-12)
+        kept = got[1] >= 0
+        assert np.array_equal(ys[got[1][kept]], got[0][kept])
+
+    @pytest.mark.parametrize(
+        "regime, l2", [(Regime.STABLE, 6.0), (Regime.FULL, 6.0), (Regime.FULL, 20.0)]
+    )
+    def test_grid_is_the_union_merge_grid(self, model, settings, grids, regime, l2, monkeypatch):
+        monkeypatch.setattr(spectrum, "_merge", merge_union)
+        want = build_grid(model, coupling_for(l2, regime), regime, s=settings)
+        got = grids.get(l2, regime)
+        for field in ("energies", "u_ff", "gamma2", "delta2", "refinement_level"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        assert got.complete == want.complete
