@@ -1,9 +1,10 @@
 """Reproducible command line surface.
 
-Subcommands: ``spectrum``, ``resonances``, ``sweep``, ``timedomain``,
-``oracle``.  Every command reads one config file and writes its results under
-an output directory; runs with identical inputs produce byte-identical files
-(no timestamps, fixed float formatting, sorted JSON keys).
+Commands, the one positional argument: ``spectrum``, ``resonances``,
+``sweep``, ``timedomain``, ``oracle``.  Every command reads one config file
+and writes its results under an output directory; runs with identical
+inputs produce byte-identical files (no timestamps, fixed float formatting,
+sorted JSON keys).
 
 Exit codes: 0 on success, 1 on a ``NumericalError`` or a non-converging
 oracle, 2 on a configuration or usage error.  Any other exception is a bug
@@ -26,7 +27,7 @@ from .config import ConfigError, RunConfig, _y_range, load_config
 from .discrete import convergence_report
 from .model import NumericalError
 from .resonances import find_peaks, find_roots, fwhm, spectral_callable, sweep_coupling
-from .spectrum import SigmaStats, _dawson_scan, _proxy, build_grid
+from .spectrum import SigmaStats, _reset_caches, build_grid
 from .time_domain import rabi_metrics, survival_amplitude
 
 EXIT_OK = 0
@@ -226,7 +227,7 @@ def _sigma2_info(stats: SigmaStats) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# commands
 
 
 def _build_cfg_grid(cfg: RunConfig, stats: SigmaStats):
@@ -388,37 +389,31 @@ def _cmd_oracle(cfg: RunConfig, out: Path, fmt: str) -> int:
 
 
 _COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "resonances": _cmd_resonances,
-    "sweep": _cmd_sweep,
-    "timedomain": _cmd_timedomain,
-    "oracle": _cmd_oracle,
+    "spectrum": (_cmd_spectrum, "adaptive spectral-function grid"),
+    "resonances": (_cmd_resonances, "roots, peaks and widths"),
+    "sweep": (_cmd_sweep, "root structure versus coupling strength"),
+    "timedomain": (_cmd_timedomain, "survival amplitude and Rabi metrics"),
+    "oracle": (_cmd_oracle, "discrete-mode convergence check"),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="transmon-decay",
         description="Decay spectra, resonances and survival dynamics of a "
         "three-level emitter coupled to a Gaussian continuum.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("spectrum", "adaptive spectral-function grid"),
-        ("resonances", "roots, peaks and widths"),
-        ("sweep", "root structure versus coupling strength"),
-        ("timedomain", "survival amplitude and Rabi metrics"),
-        ("oracle", "discrete-mode convergence check"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, metavar="PATH", help="run configuration file")
-        p.add_argument("--out", default=".", metavar="DIR", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+    commands = "; ".join(f"{name}: {text}" for name, (_, text) in _COMMANDS.items())
+    parser.add_argument("command", choices=_COMMANDS, metavar="COMMAND", help=commands)
+    parser.add_argument("--config", required=True, metavar="PATH", help="run configuration file")
+    parser.add_argument("--out", default=".", metavar="DIR", help="output directory")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
@@ -433,12 +428,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     # each command builds its own FULL proxies, so the samples and terms in
-    # its sidecar never depend on a command run earlier in the same process,
-    # and its own STABLE Dawson scans
-    _proxy.cache_clear()
-    _dawson_scan.cache_clear()
+    # its sidecar never depend on a command run earlier in the same process
+    _reset_caches()
     try:
-        return _COMMANDS[args.command](cfg, out, args.format)
+        return _COMMANDS[args.command][0](cfg, out, args.format)
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

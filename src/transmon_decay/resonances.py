@@ -23,7 +23,6 @@ from .spectrum import (
     _brentq,
     _ROOT_STEP,
     _scan,
-    _stable_root_scan,
     sigma2,
     spectral_function,
 )
@@ -101,11 +100,10 @@ def find_roots(
 
     Roots are bracketed on a uniform scan (``spectrum._scan``) at step 0.01:
     ``y_range`` defaults to ``b +- 12`` and the scan holds
-    ``max(round(span/0.01), 16) + 1`` energies, one vector ``sigma2`` call;
-    in FULL these are ``build_grid``'s coarse points.  In STABLE ``F`` is
-    ``(y - b) - 4 L_2 D(y - b)`` from one Dawson scan of the window, kept
-    across calls (``spectrum._stable_root_scan``), bit for bit the vector
-    call's, so a coupling sweep evaluates ``D`` there once.
+    ``max(round(span/0.01), 16) + 1`` energies, one vector ``sigma2`` call
+    (in STABLE the same values from a table of the window kept across
+    calls, so a coupling sweep evaluates ``D`` there once); in FULL these
+    are ``build_grid``'s coarse points.
     A cell brackets a root when ``F`` changes sign across it or is exactly 0
     at its left end; such an exact zero is the root itself, and Brent
     bracketing refines the others, seeded with the scan's values at the cell
@@ -118,10 +116,7 @@ def find_roots(
     call per root (the same bits as a vector call).  ``stats`` accumulates the diagnostics of the
     ``sigma2`` energies this call evaluates, every scan energy included.
     """
-    if regime is Regime.STABLE:
-        ys, vals, cells = _stable_root_scan(m, c, y_range, stats)
-    else:
-        ys, _, vals, cells = _scan(m, c, regime, s, y_range, _ROOT_STEP, stats)
+    ys, _, vals, cells = _scan(m, c, regime, s, y_range, _ROOT_STEP, stats)
     if len(cells) and (cells[0] == 0 or cells[-1] == len(ys) - 2):
         raise ScanRangeError(
             f"sign change at scan boundary of [{ys[0]}, {ys[-1]}]; widen the range"

@@ -18,10 +18,12 @@ same bits as inside an array (``spectral_function`` likewise).
     The |g>-|e> coupling is off and ``Sigma_2`` is the Gaussian form with
     ``L_2`` at ``x = y - b``, through scipy's ``dawsn`` (``_stable_sigma``,
     the one route that imports scipy, until ROADMAP 5(a)).  That is ``L_2``
-    times a coupling-free function, so ``find_roots`` forms
-    ``y - b - Delta_2`` from one ``D(y - b)`` per scan window
-    (``_dawson_scan``, cached beside ``_proxy``): a coupling sweep
-    evaluates ``dawsn`` on its scan energies once.
+    times coupling-free functions, so the uniform scan ``_scan`` (behind
+    ``find_roots`` and ``build_grid`` in every regime) reads ``D(y - b)``
+    and ``e^{-(y - b)^2}`` from one table per scan window
+    (``_stable_table``, cached beside ``_proxy`` and emptied with it by
+    ``_reset_caches``): a coupling sweep evaluates ``dawsn`` on its scan
+    energies once.
 
 ``FULL``
     The |g>-|e> coupling dresses the intermediate level.  With
@@ -43,10 +45,11 @@ same bits as inside an array (``spectral_function`` likewise).
     rule's own error on the pole term is one constant ``c``, added back as
     ``c e^{-(d - z)^2}`` and its mirror.  ``Sigma_2`` is then one row sum of
     ``e^{-(d - x_j)^2} w_j K(x_j)`` plus that term, one BLAS ``ddot`` per
-    energy.  The row sum runs over the whole panels within ``sqrt(746)`` of
-    the energy's bin only: beyond that ``(d - x)^2 > 745.14`` and
-    ``e^{-(d - x)^2}`` rounds to exactly 0.0 in doubles, so the columns left
-    out add nothing to the full sum and only the order of summation changes.
+    energy, the energies of a bin in one array pass.  The row sum runs over
+    the whole panels within ``sqrt(746)`` of the energy's bin only: beyond
+    that ``(d - x)^2 > 745.14`` and ``e^{-(d - x)^2}`` rounds to exactly 0.0
+    in doubles, so the columns left out add nothing to the full sum and only
+    the order of summation changes.
     Inside the window, an entry with ``(d - x)^2 > _FLUSH`` (708.396), where
     ``exp`` would return a subnormal number or 0.0 at many times its usual
     cost, is stored as 0.0 without calling ``exp``; that moves ``Sigma_2`` by
@@ -100,7 +103,6 @@ _PANEL_TOL = 1e-15  # per-panel Kronrod-Gauss difference, relative to int |K|
 _PANEL_NODES = 2 * _GAUSS_ORDER + 1
 _REACH = math.sqrt(746.0)  # e^{-t^2} rounds to exactly 0.0 for t^2 > 745.14
 _FLUSH = -math.log(np.finfo(float).tiny)  # 708.396: e^{-t^2} stored as 0.0 for t^2 beyond
-_BLOCK = 1 << 15  # elements of each reused block buffer; 2^13 to 2^16 time alike, 2^17 up slower
 _ROUNDOFF = 16 * np.finfo(float).eps
 _TINY = np.finfo(float).smallest_subnormal  # floor of -Im Sigma_2 under the proxy's log
 _NEWTON_STEPS = 64  # complex Newton steps at most for the kernel pole (<= 45 needed)
@@ -241,10 +243,18 @@ def _gaussian_sigma(x, strength: float) -> np.ndarray:
     return value
 
 
+@functools.lru_cache(maxsize=1)
+def _dawsn():
+    """scipy's ``dawsn``, imported on the first call only."""
+    from scipy import special
+
+    return special.dawsn
+
+
 def _stable_sigma(x, strength: float) -> np.ndarray | complex:
     """``_gaussian_sigma`` with scipy's ``dawsn`` for ``D``: the STABLE
     closed form, which also serves FULL's exact limits ``L_1 = 0`` and
-    ``L_2 = 0``.  ``scipy.special`` is imported on the first call only.
+    ``L_2 = 0``, at a float or a float array ``x``.
 
     It keeps scipy's bits because the parabolic peak heights of
     ``find_peaks`` on the narrow stable doublet are quantised (steps of ~2 at
@@ -252,19 +262,20 @@ def _stable_sigma(x, strength: float) -> np.ndarray | complex:
     frozen STABLE heights gate.  Delete this helper, and route STABLE
     through ``_gaussian_sigma``, once ``find_peaks`` records ``U`` at the
     peak (ROADMAP 5(a)).
-
-    A float ``x`` gets a complex from the same IEEE operations as an array
-    element, with no array built.
     """
-    from scipy import special
+    return _stable_form(_dawsn()(x), np.exp(-(x * x)), strength)
 
-    if isinstance(x, float):
-        shift = (4.0 * strength) * special.dawsn(x)
-        return complex(shift, (-2.0 * SQRT_PI * strength) * np.exp(-(x * x)))
-    x = np.asarray(x, dtype=float)
-    value = np.empty(x.shape, dtype=complex)
-    value.real = 4.0 * strength * special.dawsn(x)
-    value.imag = -2.0 * SQRT_PI * strength * np.exp(-(x**2))
+
+def _stable_form(dawson, gauss, strength: float) -> np.ndarray | complex:
+    """``4 L D - 2i sqrt(pi) L e`` from ``D = D(x)`` and ``e = e^{-x^2}``:
+    a complex for floats, an array for arrays, by the same IEEE operations,
+    so a float gets the bits of the same energy inside an array."""
+    shift = (4.0 * strength) * dawson
+    width = (-2.0 * SQRT_PI * strength) * gauss
+    if isinstance(shift, float):
+        return complex(shift, width)
+    value = np.empty(shift.shape, dtype=complex)
+    value.real, value.imag = shift, width
     return value
 
 
@@ -524,7 +535,8 @@ def _window(x: np.ndarray, k: float) -> tuple[int, int]:
 
 def _full_sigma2(d: np.ndarray, c: CouplingConfig, s: QuadratureSettings):
     """FULL ``Sigma_2`` at detunings ``d``, their error estimates and the
-    number of node terms summed.
+    number of node terms summed; ``L_1`` and ``L_2`` nonzero (``sigma2``
+    sends those limits to the closed form).
 
     Energies are grouped by the unit bin ``k = floor(d)``.  The bin picks the
     node set (cover ``24 ceil(max(-k, k + 1)/24)``) and the window of whole
@@ -533,19 +545,16 @@ def _full_sigma2(d: np.ndarray, c: CouplingConfig, s: QuadratureSettings):
     full row sums only in the order of summation, besides the entries below
     the smallest normal double that are stored as 0.0.
 
-    Rows of ``e^{-(d - x)^2}`` are filled in blocks of up to ``_BLOCK``
-    elements.  The three row sums (Re and Im of ``w_K K`` and the rounding
-    bound) are ``np.vecdot``, one ``ddot`` of a row with a contiguous weight
-    row each, whose order of summation depends on the window's width alone;
-    a matrix product (``@``, ``gemv``, ``gemm``) would change it with the
-    number of rows.  The two panel sums of the Kronrod-Gauss difference keep
-    ``ndarray.sum`` over each panel.  So each energy's value and estimate
-    depend on its own ``d`` alone: a scalar call is bit-identical to the
-    same energy inside any array, in any block.
+    Each bin's rows of ``e^{-(d - x)^2}`` are one array pass: the proxy
+    samples 24 energies a piece.  The three row sums (Re and Im of
+    ``w_K K`` and the rounding bound) are ``np.vecdot``, one ``ddot`` of a
+    row with a contiguous weight row each, whose order of summation depends
+    on the window's width alone; a matrix product (``@``, ``gemv``,
+    ``gemm``) would change it with the number of rows.  The two panel sums
+    of the Kronrod-Gauss difference keep ``ndarray.sum`` over each panel.
+    So each energy's value and estimate depend on its own ``d`` alone: a
+    scalar call is bit-identical to the same energy inside any array.
     """
-    if c.l1 == 0.0 or c.l2 == 0.0:
-        # L1 = 0 is the exact limit K(x) = 1/(x + i0): the stable form
-        return _stable_sigma(d, c.l2), np.zeros(d.shape), 0
     value = np.empty(d.shape, dtype=complex)
     error = np.empty(d.shape)
     terms = 0
@@ -558,28 +567,18 @@ def _full_sigma2(d: np.ndarray, c: CouplingConfig, s: QuadratureSettings):
         nodes = _node_set(c.l1, _COVER * math.ceil(max(-k, k + 1.0) / _COVER))
         lo, hi = _window(nodes.x, k)
         x, weights = nodes.x[lo:hi], nodes.weights[:, lo:hi]
-        rows = max(1, _BLOCK // x.size)
-        g = np.empty((min(rows, at.size), x.size))  # e^{-(d - x)^2}
-        t = np.empty_like(g)  # g times one error weight row, for the panel sums
-        keep = np.empty(g.shape, dtype=bool)  # entries not flushed: (d - x)^2 <= _FLUSH
-        for start in range(0, at.size, rows):
-            block = at[start : start + rows]
-            gb, tb, kb = g[: block.size], t[: block.size], keep[: block.size]
-            np.subtract(d[block, None], x, out=gb)
-            np.square(gb, out=gb)
-            np.negative(gb, out=gb)
-            np.greater_equal(gb, -_FLUSH, out=kb)
-            np.exp(gb, out=gb, where=kb)
-            np.putmask(gb, ~kb, 0.0)
-            # one ddot per row and weight row, whatever the number of rows
-            re, im = np.vecdot(gb[:, None, :], weights[:2]).T
-            value[block] = re + 1j * im
-            panels = (block.size, -1, _PANEL_NODES)
-            d_re, d_im = (
-                np.multiply(gb, w, out=tb).reshape(panels).sum(axis=2) for w in weights[2:4]
-            )
-            error[block] = np.hypot(d_re, d_im).sum(axis=1) + np.vecdot(gb, weights[4])
-        terms += at.size * x.size
+        g = np.square(d[at, None] - x)
+        keep = g <= _FLUSH  # the rest is stored as 0.0 without calling exp
+        np.negative(g, out=g)
+        np.exp(g, out=g, where=keep)
+        np.putmask(g, ~keep, 0.0)  # g is now e^{-(d - x)^2}
+        # one ddot per row and weight row, whatever the number of rows
+        re, im = np.vecdot(g[:, None, :], weights[:2]).T
+        value[at] = re + 1j * im
+        panels = (at.size, -1, _PANEL_NODES)
+        d_re, d_im = ((g * w).reshape(panels).sum(axis=2) for w in weights[2:4])
+        error[at] = np.hypot(d_re, d_im).sum(axis=1) + np.vecdot(g, weights[4])
+        terms += g.size
         c_z, z = nodes.correction, nodes.pole
         mirror = np.conj(c_z) * np.exp(-np.square(d[at] + np.conj(z)))  # analytic in d
         value[at] += c_z * np.exp(-np.square(d[at] - z)) - mirror
@@ -913,14 +912,26 @@ def _scan(
 
     The scan holds ``max(round((hi - lo)/step), 16) + 1`` evenly spaced
     energies, both ends included, with ``y_range``, ``step`` and their
-    bounds as in ``_scan_points``; ``Sigma_2`` there is one vector
-    ``sigma2`` call.  Returns the energies, ``Sigma_2`` and ``F`` at them,
-    and the cells ``i`` whose interval ``[y_i, y_{i+1}]`` brackets a root:
-    ``F`` changes sign across it or ``F(y_i)`` is exactly 0.
+    bounds as in ``_scan_points``.  ``Sigma_2`` there is one vector
+    ``sigma2`` call, or in STABLE the closed form from the scan's cached
+    coupling-free table (``_stable_table``), bit for bit that call's, with
+    ``stats`` recorded as it would: a coupling sweep evaluates ``dawsn`` on
+    its scan energies once.  Returns the energies, ``Sigma_2`` and ``F`` at
+    them, and the cells ``i`` whose interval ``[y_i, y_{i+1}]`` brackets a
+    root: ``F`` changes sign across it or ``F(y_i)`` is exactly 0.
     """
-    ys = np.linspace(*_scan_points(m, regime, y_range, step))
-    value = sigma2(ys, m, c, regime, s, stats=stats)
-    f = ys - m.b - value.real
+    points = _scan_points(m, regime, y_range, step)
+    if regime is Regime.STABLE:
+        _check_regime(c, regime)
+        ys, d, dawson, gauss = _stable_table(m, *points)
+        value = _stable_form(dawson, gauss, c.l2)
+        if stats is not None:
+            stats.record(ys.size, 0.0, 0.0, 0, 0)
+    else:
+        ys = np.linspace(*points)
+        d = ys - m.b
+        value = sigma2(ys, m, c, regime, s, stats=stats)
+    f = d - value.real
     return ys, value, f, _root_cells(f)
 
 
@@ -930,36 +941,23 @@ def _root_cells(f: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _dawson_scan(m: DimensionlessModel, lo: float, hi: float, n: int):
+def _stable_table(m: DimensionlessModel, lo: float, hi: float, n: int):
     """The energies ``np.linspace(lo, hi, n)``, ``d = y - b`` and the
-    coupling-free ``D(d)`` at them, kept across calls, read-only.  ``D`` is
-    ``Re Sigma_2`` at ``L_2 = 1/4``, where ``4 L_2 = 1`` makes it exact, so
-    STABLE keeps one route to ``dawsn``."""
+    coupling-free ``D(d)`` and ``e^{-d^2}`` of the STABLE closed form at
+    them, kept across calls, read-only."""
     ys = np.linspace(lo, hi, n)
-    dawson = sigma2(ys, m, CouplingConfig.stable_second_level(0.25), Regime.STABLE).real
     d = ys - m.b
-    for a in (ys, d, dawson):
+    table = ys, d, _dawsn()(d), np.exp(-(d * d))
+    for a in table:
         a.flags.writeable = False
-    return ys, d, dawson
+    return table
 
 
-def _stable_root_scan(
-    m: DimensionlessModel,
-    c: CouplingConfig,
-    y_range: tuple[float, float] | None,
-    stats: SigmaStats | None,
-):
-    """``_scan``'s energies, ``F`` and root cells for STABLE at step
-    ``_ROOT_STEP``, without ``Sigma_2``: ``F = (y - b) - 4 L_2 D(y - b)``,
-    the operations of ``y - b - Re Sigma_2``, from the window's
-    ``_dawson_scan``, so a coupling sweep scans ``D`` once.  ``stats``
-    counts the energies as a ``sigma2`` call would."""
-    _check_regime(c, Regime.STABLE)
-    ys, d, dawson = _dawson_scan(m, *_scan_points(m, Regime.STABLE, y_range, _ROOT_STEP))
-    if stats is not None:
-        stats.record(ys.size, 0.0, 0.0, 0, 0)
-    f = d - (4.0 * c.l2) * dawson
-    return ys, f, _root_cells(f)
+def _reset_caches() -> None:
+    """Empty the caches a command fills: the FULL proxies and the STABLE
+    scan tables, so no count a command reports depends on an earlier one."""
+    _proxy.cache_clear()
+    _stable_table.cache_clear()
 
 
 def build_grid(

@@ -2,10 +2,10 @@
 
 Adaptively refined full-coupling grids are the most expensive objects in the
 suite, so they are built once per (l2, regime) pair and shared between the
-unit tests and the acceptance module.  Every test starts with an empty cache
-of FULL self-energy proxies, so a test that counts the node-sum samples
-behind ``sigma2`` does not depend on which test built a proxy before it, and
-an empty cache of STABLE Dawson scans.
+unit tests and the acceptance module.  Every test starts with the caches
+``spectrum._reset_caches`` empties (the FULL self-energy proxies and the
+STABLE scan tables), so a test that counts the node-sum samples behind
+``sigma2`` does not depend on which test built a proxy before it.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ B_REF = 98.5
 
 @pytest.fixture(autouse=True)
 def no_cached_proxy():
-    spectrum._proxy.cache_clear()
-    spectrum._dawson_scan.cache_clear()
+    spectrum._reset_caches()
 
 
 @pytest.fixture(scope="session")

@@ -18,10 +18,12 @@ call; the tests hold the two to the same widths bit for bit.
 Python's ``"%.12g" %``, the contract the column-wise ``cli`` writer keeps
 byte for byte.  ``kernel_pole_all_steps`` always takes ``_NEWTON_STEPS``
 Newton steps, where ``spectrum._kernel_pole`` stops once an iterate repeats.
-``find_roots_scanned`` is ``resonances.find_roots`` with every coupling's
-scan a vector ``sigma2`` call, ``scipy.optimize.brentq`` on each bracket and
-the roots merged in arrays, where STABLE ``find_roots`` shares one Dawson
-scan across calls and merges in floats.  ``merge_union`` merges
+``scan_sigma2`` is ``spectrum._scan`` through one vector ``sigma2`` call in
+every regime, where STABLE ``_scan`` reads ``D`` and ``e^{-d^2}`` from a
+table shared across calls.  ``find_roots_scanned`` is
+``resonances.find_roots`` with every coupling's scan ``scan_sigma2``,
+``scipy.optimize.brentq`` on each bracket and the roots merged in arrays,
+where ``find_roots`` merges in floats.  ``merge_union`` merges
 ``build_grid``'s coarse and refinement energies by ``np.union1d``,
 ``np.isin`` and ``np.searchsorted``, as ``spectrum._merge`` does by one sort.
 
@@ -55,7 +57,8 @@ from transmon_decay.spectrum import (
     QuadratureError,
     QuadratureSettings,
     _faddeeva,
-    _scan,
+    _root_cells,
+    _scan_points,
     sigma2,
     spectral_function,
 )
@@ -285,10 +288,19 @@ def kernel_pole_all_steps(l1: float, u: float) -> tuple[complex, complex] | None
     return (z, 1.0 / dh) if abs(step) <= 1e-8 * abs(z) else None
 
 
+def scan_sigma2(m, c, regime, s, y_range, step, stats):
+    """``spectrum._scan``'s energies, ``Sigma_2``, ``F`` and root cells from
+    one vector ``sigma2`` call."""
+    ys = np.linspace(*_scan_points(m, regime, y_range, step))
+    value = sigma2(ys, m, c, regime, s, stats=stats)
+    f = ys - m.b - value.real
+    return ys, value, f, _root_cells(f)
+
+
 def find_roots_scanned(m, c, regime, s=DEFAULT_SETTINGS, *, y_range=None, stats=None):
     """``resonances.find_roots`` through one vector ``sigma2`` scan per
     call, ``scipy.optimize.brentq`` and array merging."""
-    ys, _, vals, cells = _scan(m, c, regime, s, y_range, _ROOT_STEP, stats)
+    ys, _, vals, cells = scan_sigma2(m, c, regime, s, y_range, _ROOT_STEP, stats)
     if len(cells) and (cells[0] == 0 or cells[-1] == len(ys) - 2):
         raise ScanRangeError(f"sign change at scan boundary of [{ys[0]}, {ys[-1]}]")
 

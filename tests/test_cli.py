@@ -126,6 +126,27 @@ class TestExitCodes:
             run("spectrum")  # --config missing
         assert exc.value.code == 2
 
+    def test_unknown_command_exits_2(self, config_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("spectra", "--config", config_path)
+        assert exc.value.code == 2
+        assert "invalid choice: 'spectra'" in capsys.readouterr().err
+
+    def test_options_may_precede_the_command(self, config_path, tmp_path):
+        # one parser: the command is a positional argument like any other
+        before, after = tmp_path / "before", tmp_path / "after"
+        assert run("--config", config_path, "--out", str(before), "oracle") == EXIT_OK
+        assert run("oracle", "--config", config_path, "--out", str(after)) == EXIT_OK
+        assert (before / "oracle.csv").read_bytes() == (after / "oracle.csv").read_bytes()
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("spectrum", "--help")
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for name, (_, help_text) in cli._COMMANDS.items():
+            assert f"{name}: {help_text}" in text
+
     @pytest.mark.parametrize(
         "command, text",
         [

@@ -1,0 +1,73 @@
+"""Golden outputs: every command on every shipped config, rerun in process in
+``--format csv``, against ``tests/golden/manifest.json``.
+
+On the platform the manifest records (``make_golden.this_platform``) every
+file must match its sha256: the outputs are byte-identical.  Elsewhere the
+last digits may move with the BLAS kernels and ``exp``, so exit codes, file
+names, CSV row counts, JSON keys, integers (counts), booleans and strings
+other than the CSV digests must match exactly, and every float within
+``RTOL`` relative or ``ATOL`` absolute.  ``ATOL`` lets the rounding-level
+diagnostics (error estimates ~1e-10, coefficient tails ~1e-11) move freely
+off the recorded platform; on it their bytes are checked.  After a change
+that moves an output on purpose, ``tests/make_golden.py`` rewrites the
+manifest.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+import pytest
+from make_golden import CONFIGS, MANIFEST, runs, this_platform
+
+RTOL = 1e-6
+ATOL = 1e-9
+
+
+@pytest.fixture(scope="module")
+def manifest() -> dict:
+    return json.loads(MANIFEST.read_text(encoding="utf-8"))
+
+
+def mismatches(got: dict, want: dict, exact: bool) -> list[str]:
+    """Every way the flattened JSON values ``got`` miss ``want``."""
+    if got.keys() != want.keys():
+        return [f"keys differ: {sorted(got.keys() ^ want.keys())}"]
+    wrong = []
+    for key, w in want.items():
+        g = got[key]
+        if not exact and key.endswith("sha256_csv"):
+            continue  # the CSV's bytes: checked on the recorded platform only
+        if not exact and type(w) is float and type(g) is float:
+            same = math.isclose(g, w, rel_tol=RTOL, abs_tol=ATOL)
+        else:
+            same = type(g) is type(w) and g == w
+        if not same:
+            wrong.append(f"{key}: {g!r} != {w!r}")
+    return wrong
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
+def test_outputs_match_the_manifest(config, manifest, tmp_path):
+    exact = this_platform() == manifest["platform"]
+    want = {k: v for k, v in manifest["runs"].items() if k.startswith(f"{config.stem}/")}
+    got = runs(config, tmp_path)
+    assert got.keys() == want.keys()
+    for run, expected in want.items():
+        assert got[run]["exit"] == expected["exit"], run
+        files = got[run]["files"]
+        assert files.keys() == expected["files"].keys(), run
+        for name, w in expected["files"].items():
+            g = files[name]
+            if exact:
+                assert g["sha256"] == w["sha256"], (run, name)
+            assert g.get("rows") == w.get("rows"), (run, name)
+            if "values" in w:
+                assert mismatches(g["values"], w["values"], exact) == [], (run, name)
+
+
+def test_manifest_covers_every_command_of_every_config(manifest):
+    assert manifest["format"] == "csv"
+    assert len(manifest["runs"]) == 3 * 5 == len(CONFIGS) * 5
+    assert all(run["exit"] == 0 for run in manifest["runs"].values())

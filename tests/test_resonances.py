@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference_routes import find_roots_scanned, fwhm_sequential
+from reference_routes import find_roots_scanned, fwhm_sequential, scan_sigma2
 
 from transmon_decay import (
     CouplingConfig,
@@ -117,6 +117,20 @@ def record_vector_calls(monkeypatch):
     return calls
 
 
+def record_scans(monkeypatch):
+    """Energies of every ``_scan`` that ``find_roots`` makes, in call order."""
+    scans = []
+    original = resonances._scan
+
+    def recording(*args):
+        result = original(*args)
+        scans.append(result[0])
+        return result
+
+    monkeypatch.setattr(resonances, "_scan", recording)
+    return scans
+
+
 def fake_sigma2(g):
     """``sigma2`` stand-in with ``F(y) = y - b - Delta_2`` equal to ``g(y - b)``
     (exactly 0 where ``g`` is) and a width so large, and growing with ``y``,
@@ -162,12 +176,30 @@ class TestOneScan:
         # would give 255); the outer root at b + 3.5429 is in the last cell
         c = CouplingConfig.stable_second_level(6.0)
         window = (model.b + 1.0, model.b + 3.543)
-        calls = record_vector_calls(monkeypatch)
+        scans = record_scans(monkeypatch)
         with pytest.raises(ScanRangeError):
             find_roots(model, c, Regime.STABLE, settings, y_range=window)
-        ys = spectrum._scan(model, c, Regime.STABLE, settings, window, 0.01, None)[0]
-        assert calls[0].size == ys.size == 255
-        assert np.array_equal(calls[0], ys)
+        assert len(scans) == 1 and scans[0].size == 255
+        assert np.array_equal(scans[0], np.linspace(*window, 255))
+
+    @pytest.mark.parametrize("l2", [0.1, 6.0])
+    @pytest.mark.parametrize("half_span", [12.0, 20.0])
+    @pytest.mark.parametrize("step", [0.002, 0.01])
+    def test_stable_scan_is_the_sigma2_scan(self, model, settings, step, half_span, l2):
+        # STABLE _scan reads D and e^{-d^2} from its cached table; one vector
+        # sigma2 call gives the same energies, Sigma_2, F, cells and stats
+        c = CouplingConfig.stable_second_level(l2)
+        window = (model.b - half_span, model.b + half_span)
+        got_stats, want_stats = SigmaStats(), SigmaStats()
+        got = spectrum._scan(model, c, Regime.STABLE, settings, window, step, got_stats)
+        want = scan_sigma2(model, c, Regime.STABLE, settings, window, step, want_stats)
+        assert got[0].size == round(2.0 * half_span / step) + 1
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got_stats == want_stats
+        again = spectrum._scan(model, c, Regime.STABLE, settings, window, step, None)
+        assert spectrum._stable_table.cache_info().misses == 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(again, want))
 
     def test_exact_zero_crossing_gives_one_centre(self, model, settings, monkeypatch):
         # F is exactly 0 at the eleven scan points y - b = -5..5 and changes
@@ -401,13 +433,13 @@ class TestSweep:
         self, model, settings, half_span, monkeypatch
     ):
         # every STABLE find_roots of the sweep, the bisection's included,
-        # reads F from one shared Dawson scan of the window and merges its
+        # reads F from one shared scan table of the window and merges its
         # roots in floats; a fresh vector sigma2 scan per coupling, scipy's
         # brentq and array merging give the same records and crossover
         window = (model.b - half_span, model.b + half_span)
         values = np.geomspace(0.05, 6.0, 40)
         got = sweep_coupling(model, Regime.STABLE, values, settings, y_range=window)
-        assert spectrum._dawson_scan.cache_info().misses == 1
+        assert spectrum._stable_table.cache_info().misses == 1
         monkeypatch.setattr(resonances, "find_roots", find_roots_scanned)
         want = sweep_coupling(model, Regime.STABLE, values, settings, y_range=window)
         assert got.records_per_l2 == want.records_per_l2

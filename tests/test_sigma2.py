@@ -304,13 +304,10 @@ class TestInvariants:
         assert seen["float"] == seen["float64"] == seen["vector"]
 
     def test_block_boundaries_bit_identical(self, settings):
-        # ~100 energies in one unit bin fill several row blocks of the FULL
-        # sum; values and error estimates do not depend on the block a row
-        # lands in, nor on how many rows share it
+        # 100 energies in one unit bin are one array pass of the FULL sum;
+        # values and error estimates do not depend on how many rows share it
         c = CouplingConfig.transmon_ratio(6.0)
         ds = np.linspace(2.0, 3.0, 101)[:-1]
-        lo, hi = _window(_node_set(c.l1, 24.0).x, 2.0)
-        assert ds.size > 3 * (spectrum._BLOCK // (hi - lo))
         value, error, _ = _full_sigma2(ds, c, settings)
         one_by_one = [_full_sigma2(ds[i : i + 1], c, settings) for i in range(ds.size)]
         assert np.array_equal(value, np.concatenate([v for v, _, _ in one_by_one]))
