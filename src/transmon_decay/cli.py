@@ -413,6 +413,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    0 on success; 1 after ``numerical error: ...`` on stderr for a
+    ``NumericalError`` (and after ``oracle error: ...`` for a non-monotone
+    oracle); 2 after ``config error: ...`` for a rejected config, and through
+    argparse for a usage error.  On every config ``load_config`` accepts a
+    command exits 0 or 1, with no uncaught exception and no warning
+    (``tests/test_domain.py`` holds ``spectrum``, ``resonances`` and
+    ``timedomain`` to that over the coupling, the regime, the span and
+    ``t_max``).
+    """
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)

@@ -6,8 +6,9 @@ function ``w``:
     -2i sqrt(pi) L w(x) = 4 L D(x) - 2i sqrt(pi) L e^{-x^2},
 
 shift and half-width in one complex number (``D`` is the Dawson function).
-``_gaussian_sigma`` evaluates it through ``_dawson``, Rybicki's sampling
-sum in numpy, and ``exp``; ``_faddeeva`` is ``w`` from the same ``_dawson``.
+``_gaussian_form`` writes it once, from ``D(x)`` and ``e^{-x^2}``;
+``sigma1`` and the FULL kernel pass it ``_dawson``, Rybicki's sampling sum
+in numpy, and ``exp``, and ``_faddeeva`` is ``w`` from the same ``_dawson``.
 ``sigma1`` is the first-level self-energy at ``x = y - w - a``.  Every
 regime of the second level goes through one complex evaluator, ``sigma2``,
 which returns ``Sigma_2(y) = Delta_2(y) - i Gamma_2(y)/2`` for a whole array
@@ -17,7 +18,8 @@ same bits as inside an array (``spectral_function`` likewise).
 ``STABLE``
     The |g>-|e> coupling is off and ``Sigma_2`` is the Gaussian form with
     ``L_2`` at ``x = y - b``, through scipy's ``dawsn`` (``_stable_sigma``,
-    the one route that imports scipy, until ROADMAP 5(a)).  That is ``L_2``
+    the one route that imports scipy, for speed: ``_dawson`` is ~45 times
+    slower on a scan table and ~150 times per float).  That is ``L_2``
     times coupling-free functions, so the uniform scan ``_scan`` (behind
     ``find_roots`` and ``build_grid`` in every regime) reads ``D(y - b)``
     and ``e^{-(y - b)^2}`` from one table per scan window
@@ -231,18 +233,6 @@ def _dawson(z):
     return np.where(flip, -d, d)[()]
 
 
-def _gaussian_sigma(x, strength: float) -> np.ndarray:
-    """``4 L D(x) - 2i sqrt(pi) L e^{-x^2}``, the self-energy of a Gaussian
-    continuum of strength ``L`` (the Faddeeva form ``-2i sqrt(pi) L w(x)``),
-    from ``_dawson`` and ``exp``: ``sigma1`` and ``Sigma_1`` inside the FULL
-    kernel ``_kernel``."""
-    x = np.asarray(x, dtype=float)
-    value = np.empty(x.shape, dtype=complex)
-    value.real = 4.0 * strength * _dawson(x)
-    value.imag = -2.0 * SQRT_PI * strength * np.exp(-(x**2))
-    return value
-
-
 @functools.lru_cache(maxsize=1)
 def _dawsn():
     """scipy's ``dawsn``, imported on the first call only."""
@@ -252,24 +242,27 @@ def _dawsn():
 
 
 def _stable_sigma(x, strength: float) -> np.ndarray | complex:
-    """``_gaussian_sigma`` with scipy's ``dawsn`` for ``D``: the STABLE
+    """``_gaussian_form`` with scipy's ``dawsn`` for ``D``: the STABLE
     closed form, which also serves FULL's exact limits ``L_1 = 0`` and
     ``L_2 = 0``, at a float or a float array ``x``.
 
-    It keeps scipy's bits because the parabolic peak heights of
-    ``find_peaks`` on the narrow stable doublet are quantised (steps of ~2 at
-    ``y ~ 98.5``), so a last-digit change in ``Sigma_2`` moves the benchmark's
-    frozen STABLE heights gate.  Delete this helper, and route STABLE
-    through ``_gaussian_sigma``, once ``find_peaks`` records ``U`` at the
-    peak (ROADMAP 5(a)).
+    It keeps scipy for speed, not for its bits.  With ``_dawson`` in its
+    place the STABLE outputs move by 5e-6 relative at most (a FWHM) and the
+    benchmark's STABLE gate still passes, but ``_dawson`` takes ~5 ms
+    against ~0.1 ms on a 12 001-point scan table and ~25 us against
+    ~0.15 us per float (Brent's calls), which nearly doubles a STABLE CLI
+    study.  Routing STABLE through ``_dawson`` waits for a faster numpy
+    Dawson function (ROADMAP 13).
     """
-    return _stable_form(_dawsn()(x), np.exp(-(x * x)), strength)
+    return _gaussian_form(_dawsn()(x), np.exp(-(x * x)), strength)
 
 
-def _stable_form(dawson, gauss, strength: float) -> np.ndarray | complex:
-    """``4 L D - 2i sqrt(pi) L e`` from ``D = D(x)`` and ``e = e^{-x^2}``:
-    a complex for floats, an array for arrays, by the same IEEE operations,
-    so a float gets the bits of the same energy inside an array."""
+def _gaussian_form(dawson, gauss, strength: float) -> np.ndarray | complex:
+    """``4 L D - 2i sqrt(pi) L e`` from ``D = D(x)`` and ``e = e^{-x^2}``,
+    the self-energy of a Gaussian continuum of strength ``L`` (the Faddeeva
+    form ``-2i sqrt(pi) L w(x)``): a complex for floats, an array for
+    arrays, by the same IEEE operations, so a float gets the bits of the
+    same energy inside an array."""
     shift = (4.0 * strength) * dawson
     width = (-2.0 * SQRT_PI * strength) * gauss
     if isinstance(shift, float):
@@ -292,7 +285,7 @@ def sigma1(y, w, m: DimensionlessModel, c: CouplingConfig):
     x = np.asarray(y, dtype=float) - np.asarray(w, dtype=float) - m.a
     if not c.v1_enabled:
         return np.zeros(x.shape, dtype=complex)[()]
-    return _gaussian_sigma(x, c.l1)[()]
+    return _gaussian_form(_dawson(x), np.exp(-(x * x)), c.l1)
 
 
 def _brentq(
@@ -389,28 +382,22 @@ def _kernel_pole(l1: float, u: float) -> tuple[complex, complex] | None:
     complex Newton on ``h(x) = x - Sigma_1(x)`` from ``u``.  Converged
     iterates move only within the rounding noise of ``h``: they settle on a
     fixed point or on a cycle of iterates an ulp apart (period 2 at
-    ``L_2 = 29`` and 40, 3 next to ``4 l1 = 1``).  Once an iterate repeats
-    an earlier one every later step repeats the cycle, so Newton stops there
-    and returns the iterate, with the ``h'`` and step that led to it, that
-    ``_NEWTON_STEPS`` steps end on: the one of the same phase in the cycle.
-    None without fixed points (``u = 0``), or if Newton has not settled
-    (only within ~1e-12 of ``4 l1 = 1``, where ``Im z = -0.36``)."""
+    ``L_2 = 29`` and 40, 3 next to ``4 l1 = 1``).  Newton stops at the first
+    iterate that repeats an earlier one, or after ``_NEWTON_STEPS`` steps,
+    and returns that iterate with the ``h'`` and step that led to it.  None
+    without fixed points (``u = 0``), or if Newton has not settled (only
+    within ~1e-12 of ``4 l1 = 1``, where ``Im z = -0.36``)."""
     if u == 0.0:
         return None
-    z, states, seen = complex(u), [], {}  # the iterate of each step, with its h' and step
-    end = _NEWTON_STEPS
-    while len(states) < _NEWTON_STEPS:
-        seen[z] = len(states)
+    z, seen = complex(u), set()
+    for _ in range(_NEWTON_STEPS):
+        seen.add(z)
         w = _faddeeva(z)
         dh = 1.0 - 4.0 * l1 - 4j * SQRT_PI * l1 * z * w  # w' = 2i/sqrt(pi) - 2 z w
         step = (z + 2j * SQRT_PI * l1 * w) / dh
         z -= step
-        states.append((z, dh, step))
-        if z in seen:  # a cycle of period i - seen[z] from here on
-            i = len(states)
-            end = i - (i - _NEWTON_STEPS) % (i - seen[z])
+        if z in seen:  # every later step repeats the cycle
             break
-    z, dh, step = states[end - 1]
     z = complex(z.real, min(z.imag, -1e-250))  # from L2 ~ 440 on, Im z would underflow in c
     return (z, 1.0 / dh) if abs(step) <= 1e-8 * abs(z) else None
 
@@ -453,7 +440,7 @@ def _kernel(x, l1: float):
     propagator, and a bound on its rounding error: the denominator carries
     an absolute error of a few ulps of ``|x| + |Sigma_1|``, which near a
     narrow spike is a large part of its size."""
-    sigma1 = _gaussian_sigma(x, l1)
+    sigma1 = _gaussian_form(_dawson(x), np.exp(-(x * x)), l1)
     k = 1.0 / (x - sigma1)
     return k, _ROUNDOFF * (np.abs(x) + np.abs(sigma1)) * np.abs(k) ** 2
 
@@ -762,46 +749,32 @@ def sigma2(
     misses ``max(abs_tol, rel_tol |Sigma_2|)``.
     """
     _check_regime(c, regime)
-    if isinstance(y, float):
-        value, error, tail, work = _sigma2_at(y - m.b, c, regime, s)
-        if stats is not None:
-            stats.record(1, error, tail, *work)
-        return value
-    d = np.atleast_1d(np.asarray(y, dtype=float)) - m.b
-    if not np.isfinite(d).all():
+    one = isinstance(y, float)  # Brent's calls: floats through, no array built
+    d = y - m.b if one else np.atleast_1d(np.asarray(y, dtype=float)) - m.b
+    if not (math.isfinite(d) if one else np.isfinite(d).all()):
         raise ValueError("energies must be finite")
-    if regime is Regime.STABLE or c.l1 == 0.0 or c.l2 == 0.0 or d.size == 0:
+    if regime is Regime.WEAK:
+        d = 0.0 if one else np.zeros(d.shape)
+    n = 1 if one else d.size
+    if regime is Regime.STABLE or c.l1 == 0.0 or c.l2 == 0.0 or n == 0:
         # FULL at L1 = 0 is the exact limit K(x) = 1/(x + i0): the stable form;
         # an empty array (build_grid with nothing to refine) has nothing to build
-        at = np.zeros(d.shape) if regime is Regime.WEAK else d
-        value, error, tail, work = _stable_sigma(at, c.l2), np.zeros(d.shape), 0.0, (0, 0)
-    elif regime is Regime.WEAK:
-        one, estimate, tail, work = _sigma2_at(0.0, c, regime, s)
-        value, error = np.full(d.shape, one), np.full(d.shape, estimate)
+        value, worst, tail, work = _stable_sigma(d, c.l2), 0.0, 0.0, (0, 0)
+    elif one:
+        proxy = _proxy(c, s)
+        work = proxy.build((math.floor(abs(d)),))
+        value, worst, tail = proxy.scalar(d)
+        if not worst <= max(s.abs_tol, s.rel_tol * abs(value)):
+            raise _missed(d, worst)
     else:
         proxy = _proxy(c, s)
         work = proxy.build(np.unique(np.floor(np.abs(d))))
         value, error, tail = proxy.vector(d)
         _check_tolerance(d, value, error, s)
+        worst = float(error.max())
     if stats is not None:
-        stats.record(d.size, float(error.max(initial=0.0)), tail, *work)
-    return value if np.ndim(y) else complex(value[0])
-
-
-def _sigma2_at(d: float, c: CouplingConfig, regime: Regime, s: QuadratureSettings):
-    """``sigma2`` at one detuning ``d = y - b`` in floats: ``Sigma_2``, its
-    error estimate, its piece's tail and the node-sum work it took."""
-    if not math.isfinite(d):
-        raise ValueError("energies must be finite")
-    at = 0.0 if regime is Regime.WEAK else d
-    if regime is Regime.STABLE or c.l1 == 0.0 or c.l2 == 0.0:
-        return _stable_sigma(at, c.l2), 0.0, 0.0, (0, 0)
-    proxy = _proxy(c, s)
-    work = proxy.build((math.floor(abs(at)),))
-    value, estimate, tail = proxy.scalar(at)
-    if not estimate <= max(s.abs_tol, s.rel_tol * abs(value)):
-        raise _missed(at, estimate)
-    return value, estimate, tail, work
+        stats.record(n, worst, tail, *work)
+    return value if one or np.ndim(y) else complex(value[0])
 
 
 # ---------------------------------------------------------------------------
@@ -924,7 +897,7 @@ def _scan(
     if regime is Regime.STABLE:
         _check_regime(c, regime)
         ys, d, dawson, gauss = _stable_table(m, *points)
-        value = _stable_form(dawson, gauss, c.l2)
+        value = _gaussian_form(dawson, gauss, c.l2)
         if stats is not None:
             stats.record(ys.size, 0.0, 0.0, 0, 0)
     else:

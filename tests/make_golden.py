@@ -3,22 +3,28 @@ configs.
 
 Every command of the command line runs, in this process, on every config of
 ``configs/`` with ``--format csv``.  For each run the manifest holds the exit
-code and, for each file written, its sha256 and the row count of a CSV or
-every value of a JSON file, flattened to ``path/to/key`` (list items by
-index).  It also records the platform the files were made on: the versions
-of Python, numpy, scipy and OpenBLAS, the OS, the machine and the CPU model.
-``tests/test_golden.py`` reruns the commands and compares.
+code and, for each file written, its sha256 and its values, flattened to
+``path/to/key`` (list items by index): every value of a JSON file, and of a
+CSV its row count, each column's min, max and sum over its finite fields,
+and about ``SAMPLE_ROWS`` of its rows at an even stride.  It also records the
+platform the files were made on: the versions of Python, numpy, scipy and
+OpenBLAS, the OS, the machine and the CPU model.  ``tests/test_golden.py``
+reruns the commands and compares.
 
-Run from the repository root after a change that moves an output on purpose,
-and list the moved values in ``CHANGES.md``::
+Run from the repository root after a change that moves an output on purpose::
 
     PYTHONPATH=src python tests/make_golden.py
+
+It prints every entry of the old manifest that moved, as
+``run/file/key: old -> new`` (``-`` for an entry one side lacks): the list
+to paste into ``CHANGES.md``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import platform
 import sys
 import tempfile
@@ -33,6 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.ini"))
 COMMANDS = ("spectrum", "resonances", "sweep", "timedomain", "oracle")
 MANIFEST = Path(__file__).resolve().parent / "golden" / "manifest.json"
+SAMPLE_ROWS = 10  # a CSV's rows are sampled at a stride of rows // SAMPLE_ROWS
 
 
 def _cpu() -> str:
@@ -72,12 +79,34 @@ def flatten(value, path: str = "") -> dict:
     return leaves
 
 
+def csv_values(text: str) -> dict:
+    """Each column's min, max and sum over its finite fields (None without
+    any), and every ``rows // SAMPLE_ROWS``-th row, of a CSV table; a
+    sampled field is read as the JSON sidecars write it (``cli._jnum``)."""
+    header, *lines = text.splitlines()
+    names = header.split(",")
+    rows = [[float(field) for field in line.split(",")] for line in lines]
+    columns = {}
+    for name, column in zip(names, zip(*rows) if rows else [()] * len(names)):
+        finite = [x for x in column if math.isfinite(x)]
+        columns[name] = {
+            "min": min(finite, default=None),
+            "max": max(finite, default=None),
+            "sum": math.fsum(finite) if finite else None,
+        }
+    stride = max(len(rows) // SAMPLE_ROWS, 1)
+    sample = {str(i): dict(zip(names, map(cli._jnum, rows[i]))) for i in range(0, len(rows), stride)}
+    return flatten({"columns": columns, "sample": sample})
+
+
 def summary(path: Path) -> dict:
-    """sha256 of a file, and its CSV row count or its flattened JSON values."""
+    """sha256 of a file, and its CSV row count and values or its flattened
+    JSON values."""
     data = path.read_bytes()
     entry = {"sha256": hashlib.sha256(data).hexdigest()}
     if path.suffix == ".csv":
         entry["rows"] = data.count(b"\n") - 1
+        entry["values"] = csv_values(data.decode("utf-8"))
     else:
         entry["values"] = flatten(json.loads(data))
     return entry
@@ -102,12 +131,41 @@ def runs(config: Path, work: Path) -> dict:
     return results
 
 
+def entries(manifest: dict) -> dict:
+    """Every entry of a manifest's runs, keyed ``run/file/key``: each run's
+    exit code, and each file's sha256, row count and values."""
+    flat = {}
+    for run, result in manifest["runs"].items():
+        flat[f"{run}/exit"] = result["exit"]
+        for name, entry in result["files"].items():
+            flat.update({f"{run}/{name}/{k}": v for k, v in flatten(entry).items()})
+    return flat
+
+
+def moved(old: dict, new: dict) -> list[str]:
+    """``run/file/key: old -> new`` for every entry of ``entries`` that
+    differs between two manifests, ``-`` standing for an entry one lacks."""
+    before, after = entries(old), entries(new)
+    absent = object()
+    show = lambda v: "-" if v is absent else repr(v)  # noqa: E731
+    lines = []
+    for key in sorted(before.keys() | after.keys()):
+        was, now = before.get(key, absent), after.get(key, absent)
+        if was != now or type(was) is not type(now):
+            lines.append(f"{key}: {show(was)} -> {show(now)}")
+    return lines
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         results = {}
         for config in CONFIGS:
             results.update(runs(config, Path(tmp)))
     manifest = {"format": "csv", "platform": this_platform(), "runs": results}
+    if MANIFEST.exists():
+        old = json.loads(MANIFEST.read_text(encoding="utf-8"))
+        for line in moved(old, manifest):
+            print(line)
     MANIFEST.parent.mkdir(exist_ok=True)
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {MANIFEST.relative_to(ROOT)}: {len(results)} runs", file=sys.stderr)

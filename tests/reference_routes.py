@@ -5,7 +5,7 @@ the fixed-step kernel-pole Newton.
 ``integrate_adaptive`` wraps ``scipy.integrate.quad`` with tolerance checking
 and Gaussian tail truncation; ``pv_integrate`` takes the principal value of
 an integrand with a simple pole by symmetric singularity subtraction.  The
-closed-form self-energies (``spectrum._gaussian_sigma``, through the Dawson
+closed-form self-energies (``spectrum._gaussian_form``, through the Dawson
 function, PV int e^{-t^2} / (x - t) dt = 2 sqrt(pi) D(x)) and the FULL
 Gauss-Kronrod node sum are the package's only routes; these share no code
 with them and are what the tests compare them against, to tight tolerance:

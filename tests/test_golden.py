@@ -6,7 +6,8 @@ file must match its sha256: the outputs are byte-identical.  Elsewhere the
 last digits may move with the BLAS kernels and ``exp``, so exit codes, file
 names, CSV row counts, JSON keys, integers (counts), booleans and strings
 other than the CSV digests must match exactly, and every float within
-``RTOL`` relative or ``ATOL`` absolute.  ``ATOL`` lets the rounding-level
+``RTOL`` relative or ``ATOL`` absolute: the JSON values, and each CSV
+column's min, max and sum and the CSV rows the manifest samples.  ``ATOL`` lets the rounding-level
 diagnostics (error estimates ~1e-10, coefficient tails ~1e-11) move freely
 off the recorded platform; on it their bytes are checked.  After a change
 that moves an output on purpose, ``tests/make_golden.py`` rewrites the
@@ -19,7 +20,7 @@ import json
 import math
 
 import pytest
-from make_golden import CONFIGS, MANIFEST, runs, this_platform
+from make_golden import CONFIGS, MANIFEST, moved, runs, this_platform
 
 RTOL = 1e-6
 ATOL = 1e-9
@@ -71,3 +72,33 @@ def test_manifest_covers_every_command_of_every_config(manifest):
     assert manifest["format"] == "csv"
     assert len(manifest["runs"]) == 3 * 5 == len(CONFIGS) * 5
     assert all(run["exit"] == 0 for run in manifest["runs"].values())
+
+
+def test_moved_lists_every_entry_that_differs():
+    old = {
+        "runs": {
+            "cfg/spectrum": {
+                "exit": 0,
+                "files": {
+                    "spectrum.csv": {"rows": 2, "sha256": "aa", "values": {"columns/u/max": 1.0}},
+                    "spectrum.json": {"sha256": "bb", "values": {"n_points": 2, "norm": 1.0}},
+                },
+            }
+        }
+    }
+    new = json.loads(json.dumps(old))
+    new["runs"]["cfg/spectrum"]["exit"] = 1
+    csv, sidecar = new["runs"]["cfg/spectrum"]["files"].values()
+    csv.update(rows=3, sha256="cc")
+    csv["values"]["columns/u/max"] = 1.5
+    sidecar["values"] = {"n_points": 2.0, "complete": True}
+    assert moved(old, old) == []
+    assert moved(old, new) == [
+        "cfg/spectrum/exit: 0 -> 1",
+        "cfg/spectrum/spectrum.csv/rows: 2 -> 3",
+        "cfg/spectrum/spectrum.csv/sha256: 'aa' -> 'cc'",
+        "cfg/spectrum/spectrum.csv/values/columns/u/max: 1.0 -> 1.5",
+        "cfg/spectrum/spectrum.json/values/complete: - -> True",
+        "cfg/spectrum/spectrum.json/values/n_points: 2 -> 2.0",
+        "cfg/spectrum/spectrum.json/values/norm: 1.0 -> -",
+    ]

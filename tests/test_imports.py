@@ -1,9 +1,9 @@
 """Import surface: FULL and oracle runs load no scipy module at all (Dawson's
 function and the Faddeeva function are ``spectrum._dawson``, in numpy, and the
 oracle's FFT correlation is ``numpy.fft``); STABLE loads ``scipy.special``
-alone, for ``dawsn`` in ``spectrum._stable_sigma``, until ROADMAP 5(a); the
-adaptive ``quad`` routes the tests compare against live in
-``reference_routes``, outside the package."""
+alone, for ``dawsn`` in ``spectrum._stable_sigma``, which is much faster
+than ``spectrum._dawson`` (ROADMAP 13); the adaptive ``quad`` routes the
+tests compare against live in ``reference_routes``, outside the package."""
 
 import importlib
 import os

@@ -141,9 +141,10 @@ class TestKernelPole:
         + [0.25 * (1.0 + eps) for eps in (1e-3, 1e-9, 1e-12)],
     )
     def test_stopping_at_a_repeated_iterate_changes_no_bit(self, l1, monkeypatch):
-        # Newton stops once an iterate repeats an earlier one, on a fixed
-        # point or a 2- or 3-cycle, before the 64th step; all 64 steps give
-        # the same pole, residue and convergence verdict
+        # Newton stops at the first iterate that repeats an earlier one, on a
+        # fixed point or a 2- or 3-cycle, before the 64th step.  All 64 steps
+        # end on the same cycle, perhaps at another phase of it: the pole and
+        # the residue agree within a few ulps, and the verdict is the same
         u = _resonant_offsets(l1)[-1]
         steps = []
         faddeeva = spectrum._faddeeva
@@ -152,10 +153,9 @@ class TestKernelPole:
         monkeypatch.undo()
         assert len(steps) < spectrum._NEWTON_STEPS
         want = kernel_pole_all_steps(l1, u)
-        assert want is not None
-        assert [(v.real.hex(), v.imag.hex()) for v in got] == [
-            (v.real.hex(), v.imag.hex()) for v in want
-        ]
+        assert got is not None and want is not None
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 4 * np.finfo(float).eps * abs(w), (g, w)
 
 
 class TestKronrodRule:
@@ -256,22 +256,18 @@ class TestAgainstQuad:
 
 
 class TestInvariants:
-    @pytest.mark.parametrize(
-        "regime, l2",
-        [
-            (Regime.FULL, 6.0),
-            (Regime.FULL, 0.05),
-            (Regime.WEAK, 1.0),
-            (Regime.FULL, 20.0),
-            (Regime.STABLE, 6.0),
-            (Regime.STABLE, 49.5407),
-        ],
-    )
-    def test_scalar_and_vector_calls_bit_identical(self, model, settings, regime, l2):
-        if regime is Regime.STABLE:
-            c = CouplingConfig.stable_second_level(l2)
-        else:
-            c = CouplingConfig.transmon_ratio(l2)
+    ROUTES = {
+        "Regime.FULL-6.0": (Regime.FULL, CouplingConfig.transmon_ratio(6.0)),
+        "Regime.FULL-0.05": (Regime.FULL, CouplingConfig.transmon_ratio(0.05)),
+        "Regime.WEAK-1.0": (Regime.WEAK, CouplingConfig.transmon_ratio(1.0)),
+        "Regime.FULL-20.0": (Regime.FULL, CouplingConfig.transmon_ratio(20.0)),
+        "Regime.STABLE-6.0": (Regime.STABLE, CouplingConfig.stable_second_level(6.0)),
+        "Regime.STABLE-49.5407": (Regime.STABLE, CouplingConfig.stable_second_level(49.5407)),
+        "Regime.FULL-l1=0": (Regime.FULL, CouplingConfig(l1=0.0, l2=2.0, v1_enabled=True)),
+    }
+
+    @pytest.mark.parametrize("regime, c", ROUTES.values(), ids=ROUTES.keys())
+    def test_scalar_and_vector_calls_bit_identical(self, model, settings, regime, c):
         # the FULL proxy's pieces are the unit bins of |y - b|, halved where
         # they are bisected (at L2 = 20): put energies on and next to every
         # quarter of b +- 12, on both sides of the node sum's cover edges at
@@ -288,20 +284,20 @@ class TestInvariants:
             ]
         )
         # a Python float and a numpy float64 take the float-only branch, each
-        # value bit for bit the array's, and the diagnostics add up alike
-        # (the pieces the vector call built are not sampled again)
+        # value bit for bit the array's, and from empty caches the
+        # diagnostics add up alike, the node-sum samples and terms included
         stats = {kind: SigmaStats() for kind in ("vector", "float", "float64")}
         vector = sigma2(ys, model, c, regime, settings, stats=stats["vector"])
         u_vector = spectral_function(ys, model, c, regime, settings, stats=stats["vector"])
         for kind, energies in (("float", ys.tolist()), ("float64", list(ys))):
+            spectrum._reset_caches()
             args = (model, c, regime, settings)
             one = [sigma2(y, *args, stats=stats[kind]) for y in energies]
             u = [spectral_function(y, *args, stats=stats[kind]) for y in energies]
             assert all(type(v) is complex for v in one) and all(type(v) is float for v in u)
             assert np.array(one).tobytes() == vector.tobytes()
             assert np.array(u).tobytes() == u_vector.tobytes()
-        seen = {k: (v.energies, v.max_error, v.max_tail) for k, v in stats.items()}
-        assert seen["float"] == seen["float64"] == seen["vector"]
+        assert stats["float"] == stats["float64"] == stats["vector"]
 
     def test_block_boundaries_bit_identical(self, settings):
         # 100 energies in one unit bin are one array pass of the FULL sum;
@@ -551,14 +547,22 @@ class TestProxy:
                 model.b + np.random.default_rng(5).uniform(-12.0, 12.0, 2000),
             ]
         )
-        got = sigma2(ys, model, c, Regime.FULL, settings)
+        stats = SigmaStats()
+        got = sigma2(ys, model, c, Regime.FULL, settings, stats=stats)
         want, _, _ = _full_sigma2(ys - model.b, c, settings)
         tol = np.maximum(settings.abs_tol, settings.rel_tol * np.abs(want))
         assert np.all(np.abs(got - want) <= 1e-2 * tol)
         # the log keeps Im to near its last digits, far tails included
         assert np.all(np.abs(got.imag - want.imag) <= 1e-11 * np.abs(want.imag))
+        # 24 samples fit each of the 13 unit bins of |y - b| <= 12.  Only
+        # L2 = 20 bisects, [2, 3) and [3, 4) once each: 15 pieces from 17
+        # fits.  _SPLIT and _TAIL_COEFFS decide these counts, and no shipped
+        # config bisects a piece
         proxy = spectrum._proxy(c, settings)
-        assert (len(proxy.pieces) > len(proxy.bins)) == (l2 == 20.0)  # only L2 = 20 bisects
+        halves = [left for left, piece in zip(proxy.lefts, proxy.pieces) if piece[1] == 4.0]
+        pieces, halves_want, fits = (15, [2.0, 2.5, 3.0, 3.5], 17) if l2 == 20.0 else (13, [], 13)
+        assert (len(proxy.bins), len(proxy.pieces), halves) == (13, pieces, halves_want)
+        assert stats.samples == fits * spectrum._CHEB_POINTS
 
     @pytest.mark.parametrize("l2", [6.0, 1.0])
     def test_matches_the_node_sum_on_the_grid(self, model, settings, grids, l2):

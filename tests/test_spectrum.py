@@ -43,10 +43,10 @@ class TestStableClosedForms:
         assert sigma2(ys, model, c, Regime.STABLE).shape == (7,)
 
     def test_keeps_scipy_dawsn_bit_for_bit(self, model):
-        # the one route left on scipy: find_peaks' parabola heights on the
-        # stable doublet move with the last digit of Sigma_2 and the
-        # benchmark's STABLE gate is frozen until ROADMAP 5(a), which retires
-        # spectrum._stable_sigma and this pin with it
+        # the one route left on scipy, kept for speed: spectrum._dawson is
+        # ~45 times slower on a scan table and ~150 times per float.  The
+        # pin goes with spectrum._stable_sigma once a numpy Dawson function
+        # is about as fast (ROADMAP 13)
         l2 = 6.0
         ys = model.b + np.linspace(-12.0, 12.0, 2401)
         x = ys - model.b
