@@ -17,15 +17,21 @@ same bits as inside an array (``spectral_function`` likewise).
 
 ``STABLE``
     The |g>-|e> coupling is off and ``Sigma_2`` is the Gaussian form with
-    ``L_2`` at ``x = y - b``, through scipy's ``dawsn`` (``_stable_sigma``,
-    the one route that imports scipy, for speed: ``_dawson`` is ~45 times
-    slower on a scan table and ~150 times per float).  That is ``L_2``
-    times coupling-free functions, so the uniform scan ``_scan`` (behind
-    ``find_roots`` and ``build_grid`` in every regime) reads ``D(y - b)``
-    and ``e^{-(y - b)^2}`` from one table per scan window
-    (``_stable_table``, cached beside ``_proxy`` and emptied with it by
-    ``_reset_caches``): a coupling sweep evaluates ``dawsn`` on its scan
-    energies once.
+    ``L_2`` at ``x = y - b``, formed as ``sigma1``'s but with scipy's
+    ``dawsn`` for ``D``; FULL's exact limits ``L_1 = 0`` and ``L_2 = 0`` take
+    it too.  It is the one route that imports scipy, and two things keep it
+    there.  Speed: ``_dawson`` is ~45 times slower on a scan table and ~150
+    times per float.  And bits: the benchmark's frozen STABLE gate holds the
+    stable doublet's heights, which ``find_peaks`` reads off a parabola in
+    steps of ~2 at ``y ~ 98.5``, to 1e-4, so a Dawson function that rounds
+    other than ``dawsn`` can move a height by a step and fail it.  A numpy
+    Taylor table more accurate than ``dawsn`` and within ~4 times its speed
+    does (ROADMAP 13, after 5(a)).  The form is ``L_2`` times coupling-free
+    functions, so the uniform scan ``_scan`` (behind ``find_roots`` and
+    ``build_grid`` in every regime) reads ``D(y - b)`` and
+    ``e^{-(y - b)^2}`` from one table per scan window (``_stable_table``,
+    cached beside ``_proxy`` and emptied with it by ``_reset_caches``): a
+    coupling sweep evaluates ``dawsn`` on its scan energies once.
 
 ``FULL``
     The |g>-|e> coupling dresses the intermediate level.  With
@@ -76,8 +82,9 @@ same bits as inside an array (``spectral_function`` likewise).
     whose estimate misses the tolerance raises ``QuadratureError`` too.
 
 ``WEAK``
-    The FULL self-energy frozen at ``y = b``, the proxy's value there; the
-    spectral function is then a plain Lorentzian with that constant.
+    The FULL self-energy frozen at ``y = b``, the proxy's value there,
+    evaluated once per call as a float and broadcast; the spectral function
+    is then a plain Lorentzian with that constant.
 
 In every regime the spectral function is
 
@@ -239,22 +246,6 @@ def _dawsn():
     from scipy import special
 
     return special.dawsn
-
-
-def _stable_sigma(x, strength: float) -> np.ndarray | complex:
-    """``_gaussian_form`` with scipy's ``dawsn`` for ``D``: the STABLE
-    closed form, which also serves FULL's exact limits ``L_1 = 0`` and
-    ``L_2 = 0``, at a float or a float array ``x``.
-
-    It keeps scipy for speed, not for its bits.  With ``_dawson`` in its
-    place the STABLE outputs move by 5e-6 relative at most (a FWHM) and the
-    benchmark's STABLE gate still passes, but ``_dawson`` takes ~5 ms
-    against ~0.1 ms on a 12 001-point scan table and ~25 us against
-    ~0.15 us per float (Brent's calls), which nearly doubles a STABLE CLI
-    study.  Routing STABLE through ``_dawson`` waits for a faster numpy
-    Dawson function (ROADMAP 13).
-    """
-    return _gaussian_form(_dawsn()(x), np.exp(-(x * x)), strength)
 
 
 def _gaussian_form(dawson, gauss, strength: float) -> np.ndarray | complex:
@@ -740,8 +731,8 @@ def sigma2(
     computed in floats with no array built (Brent calls ``sigma2`` one energy
     at a time), and exactly the value the same energy gets inside an array.
     FULL values come from the cached proxy of the node sum (``_proxy``),
-    WEAK's constant from it at ``y = b``.  ``stats``, when given,
-    accumulates the diagnostics.  Raises ``ValueError`` for a non-finite
+    WEAK's constant from it at ``y = b``, once per call.  ``stats``, when
+    given, accumulates the diagnostics.  Raises ``ValueError`` for a non-finite
     energy, in every regime, and for a regime that breaks the rule STABLE
     exactly when ``v1_enabled`` is off (``_check_regime``, which
     ``load_config`` applies too), and ``QuadratureError`` when the error
@@ -753,14 +744,16 @@ def sigma2(
     d = y - m.b if one else np.atleast_1d(np.asarray(y, dtype=float)) - m.b
     if not (math.isfinite(d) if one else np.isfinite(d).all()):
         raise ValueError("energies must be finite")
-    if regime is Regime.WEAK:
-        d = 0.0 if one else np.zeros(d.shape)
-    n = 1 if one else d.size
+    n, shape = (1, ()) if one else (d.size, d.shape)
+    if regime is Regime.WEAK and n:
+        d = 0.0  # the constant Sigma_2(b): one float evaluation, broadcast below
+    scalar = isinstance(d, float)
     if regime is Regime.STABLE or c.l1 == 0.0 or c.l2 == 0.0 or n == 0:
         # FULL at L1 = 0 is the exact limit K(x) = 1/(x + i0): the stable form;
         # an empty array (build_grid with nothing to refine) has nothing to build
-        value, worst, tail, work = _stable_sigma(d, c.l2), 0.0, 0.0, (0, 0)
-    elif one:
+        value = _gaussian_form(_dawsn()(d), np.exp(-(d * d)), c.l2)
+        worst, tail, work = 0.0, 0.0, (0, 0)
+    elif scalar:
         proxy = _proxy(c, s)
         work = proxy.build((math.floor(abs(d)),))
         value, worst, tail = proxy.scalar(d)
@@ -774,6 +767,8 @@ def sigma2(
         worst = float(error.max())
     if stats is not None:
         stats.record(n, worst, tail, *work)
+    if scalar and shape:
+        value = np.full(shape, value)
     return value if one or np.ndim(y) else complex(value[0])
 
 
@@ -896,15 +891,14 @@ def _scan(
     points = _scan_points(m, regime, y_range, step)
     if regime is Regime.STABLE:
         _check_regime(c, regime)
-        ys, d, dawson, gauss = _stable_table(m, *points)
+        ys, dawson, gauss = _stable_table(m, *points)
         value = _gaussian_form(dawson, gauss, c.l2)
         if stats is not None:
             stats.record(ys.size, 0.0, 0.0, 0, 0)
     else:
         ys = np.linspace(*points)
-        d = ys - m.b
         value = sigma2(ys, m, c, regime, s, stats=stats)
-    f = d - value.real
+    f = (ys - m.b) - value.real
     return ys, value, f, _root_cells(f)
 
 
@@ -913,14 +907,14 @@ def _root_cells(f: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(np.signbit(f)) | (f[:-1] == 0.0))
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=2)  # resonances scans two windows, every other command one
 def _stable_table(m: DimensionlessModel, lo: float, hi: float, n: int):
-    """The energies ``np.linspace(lo, hi, n)``, ``d = y - b`` and the
-    coupling-free ``D(d)`` and ``e^{-d^2}`` of the STABLE closed form at
-    them, kept across calls, read-only."""
+    """The energies ``np.linspace(lo, hi, n)`` and the coupling-free
+    ``D(y - b)`` and ``e^{-(y - b)^2}`` of the STABLE closed form at them,
+    kept across calls, read-only."""
     ys = np.linspace(lo, hi, n)
     d = ys - m.b
-    table = ys, d, _dawsn()(d), np.exp(-(d * d))
+    table = ys, _dawsn()(d), np.exp(-(d * d))
     for a in table:
         a.flags.writeable = False
     return table

@@ -121,6 +121,14 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "spacings" in capsys.readouterr().err
 
+    def test_uncreatable_output_directory_is_config_error(self, config_path, tmp_path, capsys):
+        # a directory cannot be made under a regular file
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code = run("spectrum", "--config", config_path, "--out", str(blocker / "out"))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: cannot create output directory")
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run("spectrum")  # --config missing

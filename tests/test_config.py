@@ -156,6 +156,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="sweep"):
             load_config(write(tmp_path, MINIMAL + "[sweep]\nl2_min = 2\nl2_max = 1\n"))
 
+    def test_unparsable_config(self, tmp_path):
+        # configparser itself refuses a section given twice
+        with pytest.raises(ConfigError, match="cannot parse config"):
+            load_config(write(tmp_path, MINIMAL + "[coupling]\nl1 = 1\n"))
+
+    @pytest.mark.parametrize(
+        "extra",
+        ["[grid]\nspan = 0\n", "[time]\nt_max = 0\n", "[time]\nsteps = 1\n"],
+        ids=["span", "t_max", "steps"],
+    )
+    def test_empty_grid_or_time_axis(self, tmp_path, extra):
+        with pytest.raises(ConfigError, match="must be positive and time steps >= 2"):
+            load_config(write(tmp_path, MINIMAL + extra))
+
     def test_oracle_lists_parsed(self, tmp_path):
         cfg = load_config(
             write(tmp_path, MINIMAL + "[oracle]\nspacings = 0.05, 0.01\nenergies = 98 99\n")

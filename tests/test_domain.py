@@ -27,7 +27,7 @@ COMMANDS = ("spectrum", "resonances", "timedomain")
 def write_config(path: Path, l2: float, regime: str, span: float, t_max: float) -> None:
     path.write_text(
         "[model]\nmode = dimensionless\n"
-        f"[coupling]\nl2 = {l2!r}\nv1_enabled = {regime == 'full'}\nregime = {regime}\n"
+        f"[coupling]\nl2 = {l2!r}\nv1_enabled = {regime != 'stable'}\nregime = {regime}\n"
         f"[grid]\nspan = {span!r}\n"
         f"[time]\nt_max = {t_max!r}\n",
         encoding="utf-8",
@@ -54,13 +54,14 @@ def check_outputs(command: str, out: Path, b: float) -> None:
 @hyp_settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     l2=st.floats(math.log(0.05), math.log(60.0)).map(math.exp),
-    regime=st.sampled_from(["stable", "full"]),
+    regime=st.sampled_from(["stable", "full", "weak"]),
     span=st.sampled_from([3.0, 6.0, 12.0, 20.0, 30.0]),
     t_max=st.sampled_from([5.0, 12.0, 30.0, 60.0]),
 )
 @example(l2=1.0, regime="stable", span=30.0, t_max=30.0)
 @example(l2=6.0, regime="stable", span=3.0, t_max=30.0)
 @example(l2=49.5407, regime="stable", span=15.0, t_max=30.0)
+@example(l2=25000.0, regime="full", span=183.0, t_max=30.0)
 def test_commands_exit_0_or_1_and_keep_the_invariants(l2, regime, span, t_max):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "run.ini"

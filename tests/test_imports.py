@@ -1,12 +1,17 @@
 """Import surface: FULL and oracle runs load no scipy module at all (Dawson's
 function and the Faddeeva function are ``spectrum._dawson``, in numpy, and the
 oracle's FFT correlation is ``numpy.fft``); STABLE loads ``scipy.special``
-alone, for ``dawsn`` in ``spectrum._stable_sigma``, which is much faster
-than ``spectrum._dawson`` (ROADMAP 13); the adaptive ``quad`` routes the
-tests compare against live in ``reference_routes``, outside the package."""
+alone, for the ``dawsn`` of ``sigma2``'s closed form, which is much faster
+than ``spectrum._dawson`` and whose bits the benchmark's frozen STABLE heights
+gate holds (ROADMAP 13); the adaptive ``quad`` routes the tests compare
+against live in ``reference_routes``, outside the package.  Every
+``functools.lru_cache`` of the package is declared with its lifetime, and
+importing the CLI fills none."""
 
+import functools
 import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -16,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import transmon_decay
-from transmon_decay import Regime, quadrature, sweep_coupling
+from transmon_decay import Regime, cli, quadrature, spectrum, sweep_coupling
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(transmon_decay.__file__).resolve().parents[1]
@@ -108,6 +113,75 @@ def test_cli_import_builds_no_format_table_and_loads_only_what_it_names():
     assert set(modules) - set(named) == {"transmon_decay.cli"}
 
 
+# every functools.lru_cache in the package and the lifetime of what it holds:
+# "process" caches hold coupling-free rules and tables, kept for the life of
+# the interpreter; "command" caches hold what one coupling or scan window
+# built, and spectrum._reset_caches empties them before each CLI command, so
+# no count a sidecar reports depends on an earlier command
+CACHES = {
+    "cli._format_tables": "process",
+    "cli._parser": "process",
+    "spectrum._chebyshev": "process",
+    "spectrum._dawsn": "process",
+    "spectrum._kronrod_rule": "process",
+    "spectrum._node_set": "process",
+    "spectrum._proxy": "command",
+    "spectrum._stable_table": "command",
+}
+
+CACHE_SIZES = """
+import functools, sys, transmon_decay.cli
+print(*(
+    f"{name.removeprefix('transmon_decay.')}.{attr}={obj.cache_info().currsize}"
+    for name, module in list(sys.modules.items()) if name.startswith("transmon_decay.")
+    for attr, obj in vars(module).items()
+    if isinstance(obj, functools._lru_cache_wrapper) and obj.__module__ == name
+))
+"""
+
+
+def package_caches() -> dict[str, "functools._lru_cache_wrapper"]:
+    """Every ``functools.lru_cache`` at module level in the package, by name."""
+    found = {}
+    for info in pkgutil.iter_modules(transmon_decay.__path__, "transmon_decay."):
+        module = importlib.import_module(info.name)
+        for attr, obj in vars(module).items():
+            if isinstance(obj, functools._lru_cache_wrapper) and obj.__module__ == info.name:
+                found[f"{info.name.removeprefix('transmon_decay.')}.{attr}"] = obj
+    return found
+
+
+def test_every_cache_is_declared_and_the_cli_import_fills_none():
+    # a new cache fails here until CACHES states its lifetime; importing the
+    # CLI loads every module that has one and fills none, so the benchmark's
+    # setup_s stays an import
+    assert set(package_caches()) == set(CACHES)
+    sizes = dict(entry.split("=") for entry in loaded_modules(CACHE_SIZES))
+    assert sizes == dict.fromkeys(CACHES, "0")
+
+
+@pytest.mark.parametrize(
+    "config, filled",
+    [
+        # the grid's 0.002-step window and find_roots' 0.01-step one
+        ("stable_l2_6.ini", {"spectrum._proxy": 0, "spectrum._stable_table": 2}),
+        ("full_l2_6.ini", {"spectrum._proxy": 1, "spectrum._stable_table": 0}),
+    ],
+)
+def test_reset_empties_every_per_command_cache(tmp_path, config, filled):
+    caches = package_caches()
+    command = [name for name, lifetime in CACHES.items() if lifetime == "command"]
+
+    def sizes():
+        return {name: caches[name].cache_info().currsize for name in command}
+
+    args = ["resonances", "--config", str(ROOT / "configs" / config), "--out", str(tmp_path)]
+    assert cli.main(args) == cli.EXIT_OK
+    assert sizes() == filled
+    spectrum._reset_caches()
+    assert sizes() == dict.fromkeys(command, 0)
+
+
 def test_cli_loads_no_scipy_on_full_and_oracle_configs(tmp_path):
     # every command, FULL sweep included; the oracle config is FULL too
     modules = cli_modules(tmp_path, {"full_l2_6.ini": EVERY, "oracle_l2_1.ini": EVERY})
@@ -116,8 +190,9 @@ def test_cli_loads_no_scipy_on_full_and_oracle_configs(tmp_path):
 
 
 def test_cli_loads_only_scipy_special_on_stable(tmp_path):
-    # spectrum._stable_sigma imports scipy.special for dawsn on its first
-    # call; optimize, integrate, fft and the rest stay unloaded
+    # the closed form of sigma2 imports scipy.special for dawsn on its first
+    # call (spectrum._dawsn); optimize, integrate, fft and the rest stay
+    # unloaded
     modules = cli_modules(tmp_path, {"stable_l2_6.ini": EVERY})
     assert scipy_subpackages(modules) == {"scipy.special"}
 

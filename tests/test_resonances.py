@@ -327,6 +327,13 @@ class TestFwhm:
         with pytest.raises(ValueError):
             fwhm(rec, lambda y: 0.0)
 
+    def test_flat_u_attains_half_height_on_neither_flank(self):
+        # a positive record on a constant U: no rung falls below half height,
+        # and fwhm raises the ValueError it keeps until a config reaches it
+        rec = ResonanceRecord(y_r=1.0, kind="peak", height=1.0)
+        with pytest.raises(ValueError, match="half height not attained on either flank"):
+            fwhm(rec, np.ones_like)
+
     def test_low_far_maxima_are_unresolved_poles(self, model, settings):
         """STABLE L2 = 49.5407 on b +- 15: the maxima near y - b = +-9.98,
         about 6e-26 high, are the flanks of two poles, not a negligible tail.

@@ -342,10 +342,24 @@ class TestInvariants:
             sigma2(ys, model, stable, Regime.STABLE, settings),
         )
 
-    def test_weak_is_full_frozen_at_b(self, model, settings):
+    def test_weak_is_full_frozen_at_b(self, model, settings, monkeypatch):
+        # one float evaluation of Sigma_2(b), broadcast: the bits and the
+        # diagnostics of a FULL array call at b, with no vector proxy read
         c = CouplingConfig.transmon_ratio(1.0)
-        weak = sigma2(model.b + np.array([-3.0, 0.0, 2.0]), model, c, Regime.WEAK, settings)
-        assert np.all(weak == sigma2(model.b, model, c, Regime.FULL, settings))
+        ys = np.linspace(model.b - 12.0, model.b + 12.0, 2401)
+        full_stats, weak_stats = SigmaStats(), SigmaStats()
+        at_b = np.full(ys.shape, model.b)
+        full = sigma2(at_b, model, c, Regime.FULL, settings, stats=full_stats)
+        spectrum._reset_caches()
+
+        def no_vector(*args):
+            raise AssertionError("WEAK read the proxy element by element")
+
+        monkeypatch.setattr(spectrum._Proxy, "vector", no_vector)
+        weak = sigma2(ys, model, c, Regime.WEAK, settings, stats=weak_stats)
+        one = sigma2(model.b, model, c, Regime.FULL, settings)
+        assert weak.tobytes() == np.full(ys.shape, one).tobytes() == full.tobytes()
+        assert weak_stats == full_stats
 
     def test_requires_enabled_first_level(self, model):
         with pytest.raises(ValueError, match="v1_enabled"):
@@ -503,6 +517,26 @@ class TestDiagnostics:
         with pytest.raises(QuadratureError, match="misses the tolerance") as err:
             sigma2(model.b + 8.3, model, c, Regime.FULL, strict)
         assert err.value.estimate > 0.0
+
+    def test_float_value_that_misses_its_piece_estimate_raises_as_in_an_array(
+        self, model, monkeypatch
+    ):
+        # every sample of the piece [4, 5) at L2 = 6 meets abs_tol, so the
+        # piece is built, but its estimate (worst sample estimate plus tail)
+        # misses it: a float and a one-element array raise alike
+        monkeypatch.setattr(spectrum, "_SPLIT", math.inf)  # the piece is kept whole
+        c = CouplingConfig.transmon_ratio(6.0)
+        points, _ = _chebyshev()
+        _, error, _ = _full_sigma2(4.5 + 0.5 * points, c, QuadratureSettings())
+        s = QuadratureSettings(abs_tol=float(np.nextafter(error.max(), np.inf)), rel_tol=1e-300)
+        raised = []
+        for y in (model.b + 4.7, np.array([model.b + 4.7])):
+            with pytest.raises(QuadratureError, match="misses the tolerance") as err:
+                sigma2(y, model, c, Regime.FULL, s)
+            raised.append(err.value)
+        assert "error estimate 2.45e-11 misses" in str(raised[0])
+        assert str(raised[0]) == str(raised[1])
+        assert raised[0].estimate == raised[1].estimate > s.abs_tol
 
     def test_grid_diagnostics_repeat_exactly(self, model, settings):
         c = CouplingConfig.transmon_ratio(1.0)

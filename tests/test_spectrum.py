@@ -43,10 +43,11 @@ class TestStableClosedForms:
         assert sigma2(ys, model, c, Regime.STABLE).shape == (7,)
 
     def test_keeps_scipy_dawsn_bit_for_bit(self, model):
-        # the one route left on scipy, kept for speed: spectrum._dawson is
-        # ~45 times slower on a scan table and ~150 times per float.  The
-        # pin goes with spectrum._stable_sigma once a numpy Dawson function
-        # is about as fast (ROADMAP 13)
+        # the one route left on scipy.  spectrum._dawson is ~45 times slower
+        # on a scan table and ~150 times per float, and the benchmark's
+        # frozen STABLE gate holds the doublet's parabola heights, which a
+        # Dawson function that rounds otherwise can move by a step of ~2.
+        # The pin goes once 5(a) refreshes that reference (ROADMAP 13)
         l2 = 6.0
         ys = model.b + np.linspace(-12.0, 12.0, 2401)
         x = ys - model.b

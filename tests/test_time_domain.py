@@ -207,6 +207,19 @@ class TestSurvivalAmplitude:
             survival_amplitude(grid, np.array([0.0, 2.0 * horizon]))
         assert err.value.horizon == pytest.approx(horizon)
 
+    def test_horizon_of_an_all_zero_grid_is_unbounded(self):
+        # no cell is significant, so no spacing limits the time
+        grid = lorentzian_grid(0.05, n=2001)
+        zero = SpectralGrid(
+            energies=grid.energies,
+            u_ff=np.zeros_like(grid.u_ff),
+            gamma2=grid.gamma2,
+            delta2=grid.delta2,
+            refinement_level=grid.refinement_level,
+            y_ref=grid.y_ref,
+        )
+        assert grid_horizon(zero) == math.inf
+
     def test_horizon_enforced_for_negative_times(self):
         # the horizon bounds |t|: here e^{-gamma |t|/2} <= 0.0197, while the
         # aliased sum returns |U| up to 0.143
