@@ -6,7 +6,7 @@ Library layout:
   squared couplings.
 - :mod:`transmon_decay.spectrum` -- the complex self-energies ``sigma1``
   (first level) and ``sigma2`` (second level, all regimes), each
-  ``shift - i width/2``, the tolerances of the FULL node sum
+  ``shift - i width/2``, the tolerances of the FULL lattice sum
   (``QuadratureSettings``) and ``QuadratureError``, and the spectral function
   with adaptive grids.
 - :mod:`transmon_decay.resonances` -- roots, peaks, FWHM, coupling sweeps.

@@ -1,6 +1,6 @@
 """Benchmark hook only: no module of the package imports this one.
 
-The FULL node sum, its tolerances (``QuadratureSettings``) and its error
+The FULL lattice sum, its tolerances (``QuadratureSettings``) and its error
 type (``QuadratureError``) live in ``spectrum``.  The generic adaptive and
 principal-value quadrature that the tests compare against lives in
 ``tests/reference_routes.py``.

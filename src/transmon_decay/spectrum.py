@@ -41,39 +41,37 @@ same bits as inside an array (``spectral_function`` likewise).
         Sigma_2(y) = (2 L_2/sqrt(pi)) int dx e^{-(d - x)^2} K(x),
         K(x) = 1 / (x - Sigma_1(x)),   Sigma_1(x) = -2i sqrt(pi) L_1 w(x).
 
-    The kernel ``K`` depends on ``L_1`` only.  Its narrow Lorentzian spikes
-    sit at the fixed points of ``u = 4 L_1 D(u)``, at a pole pair ``z``,
-    ``-conj(z)`` that nears the real axis fast with ``L_1`` (``Im z`` is
-    ``-1.2e-3`` at ``L_2 = 6``, ``-3.6e-11`` at ``L_2 = 20``).  One cached
-    Gauss-Kronrod node set per ``(L_1, cover)`` serves every energy of the
-    unit bins ``[k, k + 1)`` within the cover (24, else the next multiple of
-    24) and reaches ``|x| <= cover + 10``: unit panels, break points at the
-    fixed points, bisected until the embedded Gauss rule agrees with the
-    Kronrod rule on ``K`` without its pole.  The weights keep ``K``; the
-    rule's own error on the pole term is one constant ``c``, added back as
-    ``c e^{-(d - z)^2}`` and its mirror.  ``Sigma_2`` is then one row sum of
-    ``e^{-(d - x_j)^2} w_j K(x_j)`` plus that term, one BLAS ``ddot`` per
-    energy, the energies of a bin in one array pass.  The row sum runs over
-    the whole panels within ``sqrt(746)`` of the energy's bin only: beyond
+    The integrand is analytic in a strip about the real axis but for the
+    zeros of ``x - Sigma_1(x)``, the poles of ``K``, so the trapezoid rule
+    on the lattice ``x_i = (i + 1/2) h`` converges geometrically, and the
+    zeros nearest the axis enter as closed-form pole terms (Trefethen &
+    Weideman, SIAM Rev. 56 (2014) 385; Hunter & Regan, Math. Comp. 26 (1972)
+    539).  Above ``4 L_1 = 1`` they are a pair ``z``, ``-conj(z)`` next to
+    the fixed points of ``u = 4 L_1 D(u)`` that nears the real axis fast
+    (``Im z`` is ``-1.2e-3`` at ``L_2 = 6``, ``-3.6e-11`` at ``L_2 = 20``),
+    below it one zero on the imaginary axis, if any.  ``_lattice`` finds
+    them and sets ``h`` from them.  ``Sigma_2`` is one row sum of
+    ``e^{-(d - x_i)^2} h K(x_i)`` plus the pole terms, one BLAS ``ddot`` per
+    energy, the energies of a unit bin in one array pass.  The row sum runs
+    over the nodes within ``sqrt(746)`` of the energy's bin only: beyond
     that ``(d - x)^2 > 745.14`` and ``e^{-(d - x)^2}`` rounds to exactly 0.0
-    in doubles, so the columns left out add nothing to the full sum and only
-    the order of summation changes.
-    Inside the window, an entry with ``(d - x)^2 > _FLUSH`` (708.396), where
-    ``exp`` would return a subnormal number or 0.0 at many times its usual
-    cost, is stored as 0.0 without calling ``exp``; that moves ``Sigma_2`` by
-    at most ``2.3e-308 sum |w_j|`` (``w_j`` the node's weight in the sum).
-    Its error estimate is the Kronrod-Gauss difference, summed in magnitude
-    over panels, plus the rounding bound of ``K``; an energy whose estimate
-    misses ``max(abs_tol, rel_tol |Sigma_2|)`` (``QuadratureSettings``)
-    raises ``QuadratureError``, and so does a node set with a non-finite
-    weight.  The tests check it against adaptive ``quad`` on the two real
-    integrals, a route kept in ``tests/reference_routes.py`` with the first
-    level's PV quadrature.
+    in doubles, so the nodes left out add nothing and only the order of
+    summation changes.  Inside the window, an entry with
+    ``(d - x)^2 > _FLUSH`` (708.396), where ``exp`` would return a subnormal
+    number or 0.0 at many times its usual cost, is stored as 0.0 without
+    calling ``exp``; that moves ``Sigma_2`` by at most ``2.3e-308 sum |w_j|``
+    (``w_j = h K(x_j)``).  Its error estimate is its difference from the
+    same rule on the even nodes, plus the rounding bound of ``K``; an energy
+    whose estimate misses ``max(abs_tol, rel_tol |Sigma_2|)``
+    (``QuadratureSettings``) raises ``QuadratureError``.  The tests check it
+    against adaptive ``quad`` on the two real integrals, a route kept in
+    ``tests/reference_routes.py`` with the first level's PV quadrature, and
+    against ``mpmath``.
 
-    ``Sigma_2`` is entire in ``d``, so ``sigma2`` runs that node sum only to
+    ``Sigma_2`` is entire in ``d``, so ``sigma2`` runs that sum only to
     build a proxy (``_Proxy``, cached per coupling and tolerances by
     ``_proxy``): a piecewise Chebyshev interpolant of ``Re Sigma_2`` and
-    ``log(-Im Sigma_2)`` on the unit bins of ``|d|``, 24 node-sum samples
+    ``log(-Im Sigma_2)`` on the unit bins of ``|d|``, 24 lattice-sum samples
     a piece, mirrored to ``d < 0`` by ``Sigma_2(-d) = -conj Sigma_2(d)``.
     Every FULL value is a Clenshaw sum on its piece, the same float
     operations for one energy as for an array.  A piece whose coefficient
@@ -100,16 +98,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev, legendre
+from numpy.polynomial import chebyshev
 
 from .model import SQRT_PI, CouplingConfig, DimensionlessModel, NumericalError
 
-_GAUSS_ORDER = 10  # Gauss points per panel; the Kronrod rule adds 11
-_COVER = 24.0  # |y - b| covered by one FULL node set; farther energies use multiples
-_TAIL = 10.0  # node sets reach this far past their cover: e^{-(d - x)^2} < e^{-100} beyond
-_PANEL = 1.0  # widest panel: resolves the unit Gaussian e^{-(d - x)^2}
-_PANEL_TOL = 1e-15  # per-panel Kronrod-Gauss difference, relative to int |K|
-_PANEL_NODES = 2 * _GAUSS_ORDER + 1
+_SPACING = 0.15  # widest FULL lattice step: zeros left >= 1.35 off the axis, e^{a^2 - pi a/h} < 1e-11
+_NEAR_SPACING = 0.0375  # the step with a zero left 0.36 off it: e^{a^2 - pi a/h} < 1e-13
 _REACH = math.sqrt(746.0)  # e^{-t^2} rounds to exactly 0.0 for t^2 > 745.14
 _FLUSH = -math.log(np.finfo(float).tiny)  # 708.396: e^{-t^2} stored as 0.0 for t^2 beyond
 _ROUNDOFF = 16 * np.finfo(float).eps
@@ -122,7 +116,7 @@ _ROOT_STEP = 0.01  # find_roots' scan step in y, and the FULL grid's
 _CHEB_POINTS = 24  # first-kind Chebyshev points per FULL proxy piece
 _TAIL_COEFFS = 4  # trailing Chebyshev coefficients summed into a piece's tail
 _NOISE_GAIN = 4.0  # 1 + Lebesgue constant of 24 points (3.0): the last coefficients are noise
-_SPLIT = 1e-2  # a piece whose tail exceeds this share of the node-sum tolerance is bisected
+_SPLIT = 1e-2  # a piece whose tail exceeds this share of the sample tolerance is bisected
 _MIN_PIECE = 2.0**-6  # narrowest piece: a unit bin is bisected at most six times
 _DAWSON_H = 0.2  # Rybicki's sample spacing: error ~e^{-(pi/2h)^2} = 2e-27 on the real axis
 _DAWSON_N = np.arange(-35.0, 36.0, 2.0)  # odd sample offsets kept: e^{-(35 h)^2} = 5e-22
@@ -180,14 +174,15 @@ class SigmaStats:
 
     ``energies`` counts the energies evaluated and ``max_error`` is the worst
     absolute error estimate of any returned ``Sigma_2`` value.  FULL and WEAK
-    values come from the cached piecewise Chebyshev proxy of the node sum
-    (``_Proxy``): a value's estimate is its piece's, the worst node-sum
+    values come from the cached piecewise Chebyshev proxy of the lattice sum
+    (``_Proxy``): a value's estimate is its piece's, the worst lattice-sum
     estimate at the piece's samples plus the piece's coefficient tail, and
     ``max_tail`` is the worst tail of the pieces that gave the values.
-    ``samples`` counts the node-sum energies the pieces built during these
-    calls were fitted to, and ``terms`` the node terms those samples summed
-    (rows times window width); a piece an earlier call built is not counted
-    again, and STABLE counts none."""
+    ``samples`` counts the lattice-sum energies the pieces built during these
+    calls were fitted to, and ``terms`` the node terms those samples summed,
+    each the ``(1 + 2 sqrt(746))/h`` nodes of its bin's window (~380 at
+    ``h = 0.15``); a piece an earlier call built is not counted again, and
+    STABLE counts none."""
 
     energies: int = 0
     terms: int = 0
@@ -376,10 +371,8 @@ def _kernel_pole(l1: float, u: float) -> tuple[complex, complex] | None:
     ``L_2 = 29`` and 40, 3 next to ``4 l1 = 1``).  Newton stops at the first
     iterate that repeats an earlier one, or after ``_NEWTON_STEPS`` steps,
     and returns that iterate with the ``h'`` and step that led to it.  None
-    without fixed points (``u = 0``), or if Newton has not settled (only
-    within ~1e-12 of ``4 l1 = 1``, where ``Im z = -0.36``)."""
-    if u == 0.0:
-        return None
+    if Newton has not settled (only within ~1e-12 of ``4 l1 = 1``, where
+    ``Im z = -0.36``)."""
     z, seen = complex(u), set()
     for _ in range(_NEWTON_STEPS):
         seen.add(z)
@@ -393,37 +386,33 @@ def _kernel_pole(l1: float, u: float) -> tuple[complex, complex] | None:
     return (z, 1.0 / dh) if abs(step) <= 1e-8 * abs(z) else None
 
 
+def _axis_zero(l1: float) -> tuple[complex, complex] | None:
+    """Zero ``z = -i eta`` of ``h(x) = x - Sigma_1(x)`` on the imaginary axis
+    nearest the real one, and its residue ``r = 1/h'(z)``, for ``4 l1 <= 1``.
+
+    There ``h(-i eta) = -i phi(eta)`` with ``phi(eta) = eta - 2 sqrt(pi) l1
+    w(-i eta)`` real, concave and negative at 0, and ``phi' = h'``, so Newton
+    on ``eta`` from 0 rises monotonically to the first root.  None once an
+    iterate has ``phi' <= 0`` (past the maximum of ``phi``: no root) or
+    leaves ``eta <= 1``, the strip where ``_faddeeva`` holds; from
+    ``4 l1 ~ 0.3`` to 1 the zeros nearest the axis are a pair off it."""
+    eta = 0.0
+    for _ in range(_NEWTON_STEPS):
+        if eta > 1.0:
+            return None
+        w = _faddeeva(complex(0.0, -eta)).real
+        slope = 1.0 - 4.0 * l1 - 4.0 * SQRT_PI * l1 * eta * w
+        if slope <= 0.0:
+            return None
+        step = (eta - 2.0 * SQRT_PI * l1 * w) / slope
+        eta -= step
+        if abs(step) <= 1e-15 * eta:
+            break
+    return complex(0.0, -eta), complex(1.0 / slope)
+
+
 # ---------------------------------------------------------------------------
-# FULL coupling: fixed-kernel Gauss-Kronrod sum
-
-
-@functools.lru_cache(maxsize=1)
-def _kronrod_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes on [-1, 1] and the Kronrod and embedded Gauss weights (zero at
-    the Kronrod-only nodes) of the (2n+1)-point Gauss-Kronrod rule.
-
-    The added nodes are the roots of the Stieltjes polynomial, which is
-    orthogonal to every polynomial of degree <= n with respect to ``P_n``;
-    the weights make the rule exact for degree <= 2n in the Legendre basis.
-    The arrays are cached, so they are read-only.
-    """
-    n = _GAUSS_ORDER
-    xg, wg = legendre.leggauss(n)
-    xq, wq = legendre.leggauss(3 * n + 3)
-    basis = legendre.legvander(xq, n + 1).T
-    gram = (basis[n] * wq * basis[: n + 1]) @ basis.T  # int P_n P_k P_j
-    coef, *_ = np.linalg.lstsq(gram[:, : n + 1], -gram[:, n + 1], rcond=None)
-    nodes = np.sort(np.concatenate([xg, legendre.legroots(np.append(coef, 1.0))]))
-    nodes = 0.5 * (nodes - nodes[::-1])
-    moments = np.zeros(2 * n + 1)
-    moments[0] = 2.0
-    wk = np.linalg.solve(legendre.legvander(nodes, 2 * n).T, moments)
-    wk = 0.5 * (wk + wk[::-1])
-    wgk = np.zeros_like(wk)
-    wgk[1::2] = 0.5 * (wg + wg[::-1])
-    for array in (nodes, wk, wgk):
-        array.flags.writeable = False
-    return nodes, wk, wgk
+# FULL coupling: trapezoid lattice with closed-form pole terms
 
 
 def _kernel(x, l1: float):
@@ -436,79 +425,41 @@ def _kernel(x, l1: float):
     return k, _ROUNDOFF * (np.abs(x) + np.abs(sigma1)) * np.abs(k) ** 2
 
 
-@dataclass(frozen=True)
-class _NodeSet:
-    """Nodes ``x`` (ascending, symmetric about 0, in panels of 21) and five
-    real weight rows: ``w_Kronrod K`` and ``(w_Kronrod - w_Gauss) S`` (real,
-    imaginary) and the rounding bound ``w_Kronrod |dK|``.  ``pole`` is ``z``
-    and ``correction`` is ``c``, both as in ``_node_set``."""
+def _lattice(l1: float) -> tuple[float, tuple[tuple[complex, complex, complex], ...]]:
+    """The trapezoid rule of ``L_1``: the step ``h`` of its nodes
+    ``x_i = (i + 1/2) h`` and, for each zero ``z`` of ``x - Sigma_1(x)`` it
+    corrects, ``(z, value, diff)``, the coefficients of ``e^{-(d - z)^2}``
+    in the rule and in its difference from the rule on the even nodes.
 
-    x: np.ndarray
-    weights: np.ndarray
-    pole: complex
-    correction: complex
-
-
-@functools.lru_cache(maxsize=64)
-def _node_set(l1: float, cover: float) -> _NodeSet:
-    """Panels on ``[0, X]``, ``X = cover + _TAIL``, bisected until the
-    Kronrod-Gauss difference of ``S = K - r/(x - z)`` is below ``_PANEL_TOL``
-    times ``int |K|`` or within the rounding error of ``K``, then mirrored
-    with ``K(-x) = -conj K(x)``.  The weights keep ``K`` (full relative
-    precision in the tails of ``Im Sigma_2``); the pole term, whose spike can
-    be narrower than the spacing of doubles, enters as the rule's error on
-    it, ``c = r [log((X - z)/(-z)) - sum_j w_j/(x_j - z)]``.  A non-finite
-    weight raises ``QuadratureError``: summed over every column it would make
-    each energy NaN, but the window of ``_full_sigma2`` can leave it out.
-    The set is cached, so its arrays are read-only."""
-    t, wk, wg = _kronrod_rule()
-    n_unit = int(math.ceil((cover + _TAIL) / _PANEL))
-    u, unit = _resonant_offsets(l1)[-1], np.arange(n_unit + 1) * _PANEL
-    # panels next to u are at least half a unit wide: no node where dK peaks
-    near = (unit > 0) & (np.abs(unit - u) < 0.5 * _PANEL)
-    breaks = np.union1d(np.where(near, u + np.copysign(0.5 * _PANEL, unit - u), unit), [u])
-    z, r = _kernel_pole(l1, u) or (0j, 0j)
-    lo, hi = breaks[:-1], breaks[1:]
-    done: list[tuple[np.ndarray, ...]] = []
-    scale = None
-    while lo.size:
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        x = mid[:, None] + half[:, None] * t
-        k, dk = _kernel(x, l1)
-        smooth = k - r / (x - z)
-        diff = np.abs((half[:, None] * (wk - wg) * smooth).sum(axis=1))
-        if scale is None:
-            scale = float(np.abs((half[:, None] * wk * k).sum(axis=1)).sum())
-        noise = (half[:, None] * np.abs(wk - wg) * dk).sum(axis=1)
-        ok = diff <= np.maximum(_PANEL_TOL * scale, noise)
-        done.append((x[ok], half[ok], k[ok], smooth[ok], dk[ok]))
-        lo, hi = np.concatenate([lo[~ok], mid[~ok]]), np.concatenate([mid[~ok], hi[~ok]])
-    x, half, k, smooth, dk = (np.concatenate(parts) for parts in zip(*done))
-    order = np.argsort(x[:, 0])
-    x, half, k, smooth, dk = x[order], half[order, None], k[order], smooth[order], dk[order]
-    correction = r * (np.log(1.0 - breaks[-1] / z) - np.sum(half * wk / (x - z))) if r else 0j
-
-    def mirrored(w):
-        return np.concatenate([-np.conj(w.ravel()[::-1]), w.ravel()])
-
-    kronrod, diff = mirrored(half * wk * k), mirrored(half * (wk - wg) * smooth)
-    rounding = (half * wk * dk).ravel()
-    rounding = np.concatenate([rounding[::-1], rounding])
-    weights = np.stack([kronrod.real, kronrod.imag, diff.real, diff.imag, rounding])
-    if not np.isfinite(weights).all():
-        raise QuadratureError(f"FULL node set for L1 = {l1:.6g}: non-finite node weight")
-    x = np.concatenate([-x.ravel()[::-1], x.ravel()])
-    x.flags.writeable = weights.flags.writeable = False
-    return _NodeSet(x=x, weights=weights, pole=z, correction=complex(correction))
-
-
-def _window(x: np.ndarray, k: float) -> tuple[int, int]:
-    """Columns ``[lo, hi)`` of the whole panels of nodes ``x`` that come
-    within ``_REACH`` of the bin ``[k, k + 1)``; every node outside gives
-    ``e^{-(d - x)^2} == 0.0`` for every ``d`` in the bin."""
-    lo = np.searchsorted(x[_PANEL_NODES - 1 :: _PANEL_NODES], k - _REACH)
-    hi = np.searchsorted(x[::_PANEL_NODES], k + 1.0 + _REACH, side="right")
-    return int(lo) * _PANEL_NODES, int(hi) * _PANEL_NODES
+    The rule on ``x_i = (i + 1/2) h`` misses ``int e^{-(d - x)^2} r/(x - z)``
+    by ``-2 pi i r e^{-(d - z)^2}/(1 - q)``, ``q = e^{2 pi i (z - h/2)/h}``,
+    for each zero ``z`` of ``x - Sigma_1(x)`` below the axis with residue
+    ``r`` of ``K``, and converges like ``e^{a^2 - 2 pi a/h}`` in the distance
+    ``a`` of the nearest zero it does not correct.  Corrected are the pair
+    ``z``, ``-conj(z)`` that ``_kernel_pole`` finds next to the fixed points
+    (``4 L_1 > 1``; the zeros left lie 1.35 or more below the axis, so
+    ``h <= _SPACING``), else the zero ``_axis_zero`` finds, if any (the rest
+    lie 0.36 or more below it, so ``h = _NEAR_SPACING``).  ``h`` is the
+    largest such step that makes ``Re z`` a whole number ``m`` of steps, so
+    every node of the rule and of the rule on its even nodes (step ``2h``,
+    the error estimate) lies ``h/2`` or more from ``+-Re z``, where ``K``
+    can be narrower than the spacing of doubles.  Then ``q = -e^{2 pi eta/h}``
+    and ``-i (-1)^m e^{pi eta/h}`` for the two rules (``eta = -Im z``), and
+    the terms need no complex exponential."""
+    u = _resonant_offsets(l1)[-1]
+    zero = _kernel_pole(l1, u) if u else _axis_zero(l1)
+    h = _SPACING if u and zero else _NEAR_SPACING
+    if zero is None:
+        return h, ()
+    z, r = zero
+    m = math.ceil(z.real / h)
+    h = z.real / m if m else h
+    e = math.exp(-math.pi * z.imag / h)
+    value = -2j * math.pi * r / (1.0 + e * e)
+    diff = (-1) ** m * 2.0 * math.pi * r * e / (1.0 + e * e)
+    if not m:  # on the imaginary axis the zero is its own mirror
+        return h, ((z, value, diff),)
+    return h, ((z, value, diff), (-z.conjugate(), -value.conjugate(), diff.conjugate()))
 
 
 def _full_sigma2(d: np.ndarray, c: CouplingConfig, s: QuadratureSettings):
@@ -516,23 +467,28 @@ def _full_sigma2(d: np.ndarray, c: CouplingConfig, s: QuadratureSettings):
     number of node terms summed; ``L_1`` and ``L_2`` nonzero (``sigma2``
     sends those limits to the closed form).
 
-    Energies are grouped by the unit bin ``k = floor(d)``.  The bin picks the
-    node set (cover ``24 ceil(max(-k, k + 1)/24)``) and the window of whole
-    panels within ``_REACH`` of ``[k, k + 1)``.  Every column left out is
-    ``e^{-(d - x)^2} = 0.0`` exactly in doubles, so the sums differ from the
-    full row sums only in the order of summation, besides the entries below
-    the smallest normal double that are stored as 0.0.
+    Energies are grouped by the unit bin ``k = floor(d)``, and a bin sums
+    the nodes of ``_lattice`` within ``_REACH`` of ``[k, k + 1)``: every
+    node left out gives ``e^{-(d - x)^2} = 0.0`` exactly in doubles, so the
+    sums differ from the lattice sums only in the order of summation,
+    besides the entries below the smallest normal double that are stored as
+    0.0.  ``K`` is evaluated once on the nodes of all the bins of the call.
 
     Each bin's rows of ``e^{-(d - x)^2}`` are one array pass: the proxy
-    samples 24 energies a piece.  The three row sums (Re and Im of
-    ``w_K K`` and the rounding bound) are ``np.vecdot``, one ``ddot`` of a
-    row with a contiguous weight row each, whose order of summation depends
-    on the window's width alone; a matrix product (``@``, ``gemv``,
-    ``gemm``) would change it with the number of rows.  The two panel sums
-    of the Kronrod-Gauss difference keep ``ndarray.sum`` over each panel.
-    So each energy's value and estimate depend on its own ``d`` alone: a
-    scalar call is bit-identical to the same energy inside any array.
+    samples 24 energies a piece.  The five row sums (Re and Im of ``h K``
+    and of ``+-h K``, the rule's difference from the rule on the even
+    nodes, and the rounding bound) are ``np.vecdot``, one ``ddot`` of a row
+    with a contiguous weight row each, whose order of summation depends on
+    the window's width alone; a matrix product (``@``, ``gemv``, ``gemm``)
+    would change it with the number of rows.  So each energy's value and
+    estimate depend on its own ``d`` alone: a scalar call is bit-identical
+    to the same energy inside any array.
     """
+    h, poles = _lattice(c.l1)
+
+    def window(k: float) -> tuple[int, int]:  # node indices [lo, hi) within _REACH of [k, k + 1)
+        return math.ceil((k - _REACH) / h - 0.5), math.floor((k + 1.0 + _REACH) / h - 0.5) + 1
+
     value = np.empty(d.shape, dtype=complex)
     error = np.empty(d.shape)
     terms = 0
@@ -540,26 +496,29 @@ def _full_sigma2(d: np.ndarray, c: CouplingConfig, s: QuadratureSettings):
     order = np.argsort(bins, kind="stable")
     bins = bins[order]
     bounds = [0, *(np.flatnonzero(bins[1:] != bins[:-1]) + 1).tolist(), d.size]
-    for first, end in zip(bounds[:-1], bounds[1:]):
-        at, k = order[first:end], float(bins[first])
-        nodes = _node_set(c.l1, _COVER * math.ceil(max(-k, k + 1.0) / _COVER))
-        lo, hi = _window(nodes.x, k)
-        x, weights = nodes.x[lo:hi], nodes.weights[:, lo:hi]
-        g = np.square(d[at, None] - x)
+    first, end = window(bins[0])[0], window(bins[-1])[1]
+    i = np.arange(first, end)
+    x = (i + 0.5) * h
+    k, dk = _kernel(x, c.l1)
+    alternating = np.where(i % 2, h, -h) * k  # the rule minus the rule of weight 2h on even i
+    weights = np.stack([h * k.real, h * k.imag, alternating.real, alternating.imag, h * dk])
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        at = order[start:stop]
+        lo, hi = (n - first for n in window(float(bins[start])))
+        g = np.square(d[at, None] - x[lo:hi])
         keep = g <= _FLUSH  # the rest is stored as 0.0 without calling exp
         np.negative(g, out=g)
         np.exp(g, out=g, where=keep)
         np.putmask(g, ~keep, 0.0)  # g is now e^{-(d - x)^2}
         # one ddot per row and weight row, whatever the number of rows
-        re, im = np.vecdot(g[:, None, :], weights[:2]).T
-        value[at] = re + 1j * im
-        panels = (at.size, -1, _PANEL_NODES)
-        d_re, d_im = ((g * w).reshape(panels).sum(axis=2) for w in weights[2:4])
-        error[at] = np.hypot(d_re, d_im).sum(axis=1) + np.vecdot(g, weights[4])
+        re, im, d_re, d_im, rounding = np.vecdot(g[:, None, :], weights[:, lo:hi]).T
+        sigma, diff = re + 1j * im, d_re + 1j * d_im
+        for z, a_value, a_diff in poles:
+            gauss = np.exp(-np.square(d[at] - z))  # analytic in d
+            sigma += a_value * gauss
+            diff += a_diff * gauss
+        value[at], error[at] = sigma, np.abs(diff) + rounding
         terms += g.size
-        c_z, z = nodes.correction, nodes.pole
-        mirror = np.conj(c_z) * np.exp(-np.square(d[at] + np.conj(z)))  # analytic in d
-        value[at] += c_z * np.exp(-np.square(d[at] - z)) - mirror
     pref = 2.0 * c.l2 / SQRT_PI
     value, error = pref * value, pref * error
     _check_tolerance(d, value, error, s)
@@ -581,7 +540,7 @@ def _check_tolerance(d: np.ndarray, value: np.ndarray, error: np.ndarray, s: Qua
 
 
 # ---------------------------------------------------------------------------
-# FULL coupling: piecewise Chebyshev proxy of the node sum
+# FULL coupling: piecewise Chebyshev proxy of the lattice sum
 
 
 @functools.lru_cache(maxsize=1)
@@ -612,13 +571,13 @@ def _clenshaw(t, coef):
 
 
 class _Proxy:
-    """Piecewise Chebyshev interpolant of the FULL node sum ``_full_sigma2``
+    """Piecewise Chebyshev interpolant of the FULL lattice sum ``_full_sigma2``
     for one coupling and one tolerance.
 
     Pieces are the unit bins ``[k, k + 1)``, ``k >= 0``, of ``d = y - b``
-    that the node sum groups its energies by, built when an energy first
+    that the lattice sum groups its energies by, built when an energy first
     falls in them; ``d < 0`` reads the mirror image ``-conj Sigma_2(-d)``,
-    so the proxy is exactly symmetric about ``b`` (the node sum is, to its
+    so the proxy is exactly symmetric about ``b`` (the lattice sum is, to its
     last digits) and samples half the bins.  A piece interpolates
     ``Re Sigma_2`` and ``log(-Im Sigma_2)`` at ``_CHEB_POINTS`` Chebyshev
     points of one vector ``_full_sigma2`` call, whose tolerance check covers
@@ -629,7 +588,7 @@ class _Proxy:
     log's turned into ``Im``'s by ``max |Im| expm1``: once a piece resolves
     its function those coefficients are the rounding noise of the samples,
     which the interpolant carries with the Lebesgue constant's gain and the
-    node sum adds again at the energy.  A piece whose tail exceeds
+    lattice sum adds again at the energy.  A piece whose tail exceeds
     ``_SPLIT`` times the smallest tolerance at its samples is bisected,
     down to ``_MIN_PIECE``.  A piece's error estimate is its worst sample
     estimate plus its tail."""
@@ -644,7 +603,7 @@ class _Proxy:
 
     def build(self, bins) -> tuple[int, int]:
         """Build every unit bin ``[k, k + 1)`` of ``bins`` (``k >= 0``) not
-        built yet; returns the node-sum samples and node terms that took.
+        built yet; returns the lattice-sum samples and node terms that took.
         Pieces are kept only once every bin is built, so a
         ``QuadratureError`` leaves the proxy as it was."""
         todo = sorted({float(k) for k in bins} - self.bins)
@@ -730,13 +689,13 @@ def sigma2(
     Vectorised over ``y``; a float (Python's or numpy's) gets a complex,
     computed in floats with no array built (Brent calls ``sigma2`` one energy
     at a time), and exactly the value the same energy gets inside an array.
-    FULL values come from the cached proxy of the node sum (``_proxy``),
+    FULL values come from the cached proxy of the lattice sum (``_proxy``),
     WEAK's constant from it at ``y = b``, once per call.  ``stats``, when
     given, accumulates the diagnostics.  Raises ``ValueError`` for a non-finite
     energy, in every regime, and for a regime that breaks the rule STABLE
     exactly when ``v1_enabled`` is off (``_check_regime``, which
     ``load_config`` applies too), and ``QuadratureError`` when the error
-    estimate of a FULL energy, or of a node-sum sample a piece is built from,
+    estimate of a FULL energy, or of a lattice-sum sample a piece is built from,
     misses ``max(abs_tol, rel_tol |Sigma_2|)``.
     """
     _check_regime(c, regime)

@@ -101,7 +101,8 @@ class SurvivalSeries:
             if not math.isclose(float(self.magnitude[0]), 1.0, abs_tol=1e-3):
                 raise NumericalError(
                     f"t=0 magnitude {self.magnitude[0]:.6f} deviates from 1 beyond "
-                    "the spectral-normalization tolerance; the grid under-resolves a peak"
+                    "the spectral-normalization tolerance: spectral weight lies outside "
+                    "the grid's window, or the grid under-resolves a peak"
                 )
 
 

@@ -4,7 +4,7 @@ Adaptively refined full-coupling grids are the most expensive objects in the
 suite, so they are built once per (l2, regime) pair and shared between the
 unit tests and the acceptance module.  Every test starts with the caches
 ``spectrum._reset_caches`` empties (the FULL self-energy proxies and the
-STABLE scan tables), so a test that counts the node-sum samples behind
+STABLE scan tables), so a test that counts the lattice-sum samples behind
 ``sigma2`` does not depend on which test built a proxy before it.
 """
 

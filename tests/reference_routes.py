@@ -7,7 +7,7 @@ and Gaussian tail truncation; ``pv_integrate`` takes the principal value of
 an integrand with a simple pole by symmetric singularity subtraction.  The
 closed-form self-energies (``spectrum._gaussian_form``, through the Dawson
 function, PV int e^{-t^2} / (x - t) dt = 2 sqrt(pi) D(x)) and the FULL
-Gauss-Kronrod node sum are the package's only routes; these share no code
+trapezoid lattice sum are the package's only routes; these share no code
 with them and are what the tests compare them against, to tight tolerance:
 ``delta1_pv`` for the first-level shift and ``_full_integrals`` for the FULL
 second-level self-energy.  ``fwhm_sequential`` walks each flank of a peak
@@ -277,8 +277,6 @@ def json_rows(header: list[str], columns) -> list[dict]:
 def kernel_pole_all_steps(l1: float, u: float) -> tuple[complex, complex] | None:
     """``spectrum._kernel_pole`` with all ``_NEWTON_STEPS`` steps taken."""
     z = complex(u)
-    if z == 0.0:
-        return None
     for _ in range(_NEWTON_STEPS):
         w = _faddeeva(z)
         dh = 1.0 - 4.0 * l1 - 4j * SQRT_PI * l1 * z * w

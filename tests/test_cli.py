@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from reference_routes import json_rows, write_csv_rows
 
 import transmon_decay
-from transmon_decay import cli
+from transmon_decay import cli, spectrum
 from transmon_decay.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from transmon_decay.config import ConfigError
 from transmon_decay.model import ModelError, NumericalError
@@ -229,10 +229,11 @@ NUMERICAL_FAILURES = {
         "peak at y = 108.47931: U = 3.09361e-27 is below half its height 5.8525e-26; "
         "the grid under-resolves this peak",
     ),
-    "quadrature-tolerance": (
-        "spectrum",
-        "[coupling]\nl2 = 25000\n[grid]\nspan = 183\n",
-        "FULL self-energy at y - b = 182.598",
+    # the Lorentzian's weight beyond b +- 12: spectrum exits 0 with norm 0.9326
+    "weak-t0-magnitude": (
+        "timedomain",
+        "[coupling]\nl2 = 1\nregime = weak\n",
+        "t=0 magnitude 0.932575 deviates from 1",
     ),
     "scan-range": (
         "resonances",
@@ -250,6 +251,25 @@ class TestNumericalFailures:
         cfg.write_text(text, encoding="utf-8")
         assert run(command, "--config", str(cfg), "--out", str(tmp_path / "out")) == EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith(f"numerical error: {message}")
+
+    def test_quadrature_error_exits_1(self, tmp_path, capsys, monkeypatch):
+        # no valid config misses the FULL tolerance; a lattice step of 1 does
+        # everywhere, and the QuadratureError maps to exit 1
+        monkeypatch.setattr(spectrum, "_SPACING", 1.0)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[coupling]\nl2 = 6\n", encoding="utf-8")
+        assert run("spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: FULL self-energy at y - b = ")
+        assert "misses the tolerance" in err
+
+    def test_pole_next_to_the_window_edge_computes(self, tmp_path, capsys):
+        # at L2 = 25 000 the kernel pole sits at x = 182.576, among the last
+        # energies of b +- 183, and every estimate meets the tolerance
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[coupling]\nl2 = 25000\n[grid]\nspan = 183\n", encoding="utf-8")
+        assert run("spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "coupling, span",
@@ -658,9 +678,10 @@ class TestSelfEnergyDiagnostics:
                 assert run(command, "--config", path, "--out", str(out)) == EXIT_OK
         grid_info = json.loads((full / "spectrum.meta.json").read_text())["sigma2"]
         roots_info = json.loads((full / "resonances.json").read_text())["sigma2"]
-        # each node-sum sample sums at most one node set of 1470 nodes, and
-        # the proxy's pieces take fewer samples than the grid has energies
-        assert 0 < grid_info["terms"] < 1470 * grid_info["samples"]
+        # each lattice-sum sample sums the 399 or 400 nodes within sqrt(746)
+        # of its bin at L2 = 1 (h = 0.1393), and the proxy's pieces take
+        # fewer samples than the grid has energies
+        assert 399 * grid_info["samples"] <= grid_info["terms"] <= 400 * grid_info["samples"]
         assert 0 < grid_info["samples"] < grid_info["energies"]
         # the root scan, Brent and FWHM energies all fall in the grid's pieces
         assert roots_info["terms"] == grid_info["terms"]
@@ -671,7 +692,7 @@ class TestSelfEnergyDiagnostics:
         "config, counts",
         [
             # FULL: each command builds the 13 proxy pieces of |y - b| <= 12
-            # from 24 node-sum samples each, and evaluates every energy on
+            # from 24 lattice-sum samples each, and evaluates every energy on
             # them; the resonances command rescans the grid's 2401 energies,
             # evaluates 46 flank steps per peak, and Brent's step count moves
             # with the last digits of Sigma_2.  sweep builds 13 pieces for
@@ -680,9 +701,9 @@ class TestSelfEnergyDiagnostics:
             (
                 "full_l2_6",
                 {
-                    "spectrum": (5398, 312, 372456),
-                    "resonances": (7987, 312, 372456),
-                    "sweep": (118045, 15288, 18761400),
+                    "spectrum": (5398, 312, 118392),
+                    "resonances": (7987, 312, 118392),
+                    "sweep": (118051, 15288, 11745648),
                 },
             ),
             # STABLE: the grid scans at step 0.002 and find_roots at 0.01;
@@ -696,14 +717,14 @@ class TestSelfEnergyDiagnostics:
                     "sweep": (110764, 0, 0),
                 },
             ),
-            # FULL at L2 = 1: the same 13 pieces, a coarser grid; the sweep
-            # does not depend on the config's L2
+            # FULL at L2 = 1: the same 13 pieces, a coarser grid and a finer
+            # lattice step; the sweep does not depend on the config's L2
             (
                 "oracle_l2_1",
                 {
-                    "spectrum": (2877, 312, 372456),
-                    "resonances": (5448, 312, 372456),
-                    "sweep": (118045, 15288, 18761400),
+                    "spectrum": (2877, 312, 124584),
+                    "resonances": (5448, 312, 124584),
+                    "sweep": (118051, 15288, 11745648),
                 },
             ),
         ],

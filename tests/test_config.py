@@ -101,9 +101,10 @@ class TestValidation:
         ids=["tail_cutoff", "abs_tol", "rel_tol", "coarse_step", "pole_offset"],
     )
     def test_numerical_setting_is_not_a_config_key(self, tmp_path, section, key, message):
-        # constants of the library: the FULL node sets reach 10 past their
-        # cover, the tolerances are QuadratureSettings' defaults, the grid's
-        # step follows the regime and the oracle's pole offset is its spacing
+        # constants of the library: the FULL lattice sums every node whose
+        # Gaussian factor is not 0.0, the tolerances are QuadratureSettings'
+        # defaults, the grid's step follows the regime and the oracle's pole
+        # offset is its spacing
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(write(tmp_path, MINIMAL + f"[{section}]\n{key} = 0.01\n"))
 

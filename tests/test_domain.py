@@ -62,6 +62,7 @@ def check_outputs(command: str, out: Path, b: float) -> None:
 @example(l2=6.0, regime="stable", span=3.0, t_max=30.0)
 @example(l2=49.5407, regime="stable", span=15.0, t_max=30.0)
 @example(l2=25000.0, regime="full", span=183.0, t_max=30.0)
+@example(l2=math.exp(-1.0), regime="full", span=3.0, t_max=5.0)  # no zero on the imaginary axis
 def test_commands_exit_0_or_1_and_keep_the_invariants(l2, regime, span, t_max):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "run.ini"

@@ -123,8 +123,6 @@ CACHES = {
     "cli._parser": "process",
     "spectrum._chebyshev": "process",
     "spectrum._dawsn": "process",
-    "spectrum._kronrod_rule": "process",
-    "spectrum._node_set": "process",
     "spectrum._proxy": "command",
     "spectrum._stable_table": "command",
 }

@@ -69,7 +69,7 @@ class TestFindRoots:
     def test_weak_samples_one_piece(self, model, settings):
         # WEAK's constant is the FULL proxy at y = b: the scan, Brent and the
         # root's height all read the one piece of [b, b + 1), which 24
-        # node-sum samples build once
+        # lattice-sum samples build once
         stats = SigmaStats()
         c = CouplingConfig.transmon_ratio(1.0)
         assert len(find_roots(model, c, Regime.WEAK, settings, stats=stats)) == 1

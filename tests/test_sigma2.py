@@ -1,7 +1,7 @@
 """The complex second-level self-energy ``sigma2`` and its FULL-regime
-Gauss-Kronrod evaluator, checked against adaptive ``quad`` where it
-converges, 30-digit ``mpmath`` quadrature at strong coupling and the closed
-form of the near-real pole's spike."""
+trapezoid lattice, checked against adaptive ``quad`` where it converges,
+30-digit ``mpmath`` quadrature at strong coupling and the closed form of the
+near-real pole's spike."""
 
 import math
 
@@ -9,7 +9,6 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
-from numpy.polynomial import legendre
 from scipy import integrate
 
 from transmon_decay import (
@@ -24,20 +23,18 @@ from transmon_decay import (
 )
 from transmon_decay import spectrum
 from transmon_decay.spectrum import (
-    _full_sigma2,
+    _axis_zero,
     _chebyshev,
+    _full_sigma2,
+    _kernel,
     _kernel_pole,
-    _kronrod_rule,
-    _node_set,
+    _lattice,
     _resonant_offsets,
-    _window,
 )
 
 from reference_routes import _full_integrals, kernel_pole_all_steps
 
 SQRT_PI = math.sqrt(math.pi)
-SCAN_TERMS = 2886492  # node terms of the 2401-energy FULL scan on b +- 12 at L2 = 6
-PIECE_TERMS = 372456  # node terms of the 312 samples of its 13 proxy pieces
 # tight enough that quad's own error stays well below 1e-12 of max |Sigma_2|;
 # at (1e-13, 1e-12) quad is itself off by 1.3e-12 of it at L2 = 6, y - b = 2.25
 TIGHT = QuadratureSettings(abs_tol=1e-15, rel_tol=1e-13)
@@ -48,27 +45,31 @@ def quad_sigma2(d, c, s=TIGHT):
     return complex(2.0 * c.l2 / SQRT_PI * shift, -4.0 * c.l1 * c.l2 * width)
 
 
-def bin_cover(d: float) -> float:
-    """The cover of the node set the FULL sum uses at detuning ``d``."""
-    k = math.floor(d)
-    return 24.0 * math.ceil(max(-k, k + 1) / 24.0)
+def lattice_nodes(l1: float, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The indices ``i`` and nodes ``x_i = (i + 1/2) h`` of ``_lattice(l1)``
+    on ``[lo, hi]``."""
+    h, _ = _lattice(l1)
+    i = np.arange(math.ceil(lo / h - 0.5), math.floor(hi / h - 0.5) + 1)
+    return i, (i + 0.5) * h
 
 
-def full_width_sigma2(ds, c, s):
-    """FULL ``Sigma_2`` and its error estimate summed over every node of
-    each energy's node set: ``e^{-(d - x)^2}`` at every column, the five
-    weighted row sums, the panel Kronrod-Gauss differences and the pole
-    term, written out without any window."""
+def whole_lattice_sigma2(ds, c):
+    """FULL ``Sigma_2`` and its error estimate summed over every node within
+    40 of the energies: ``e^{-(d - x)^2}`` at every node, the rule
+    ``h sum K``, its difference from ``2h sum K`` on the even nodes, the
+    rounding bound and the pole terms, written out without the window."""
+    h, poles = _lattice(c.l1)
+    i, x = lattice_nodes(c.l1, ds.min() - 40.0, ds.max() + 40.0)
+    k, dk = _kernel(x, c.l1)
     value, error = np.empty(ds.shape, dtype=complex), np.empty(ds.shape)
-    for i, d in enumerate(ds):
-        nodes = _node_set(c.l1, bin_cover(d))
-        g = np.exp(-((d - nodes.x) ** 2))
-        re, im, d_re, d_im, rounding = (g * w for w in nodes.weights)
-        pole = nodes.correction * np.exp(-((d - nodes.pole) ** 2))
-        mirror = np.conj(nodes.correction) * np.exp(-((d + np.conj(nodes.pole)) ** 2))
-        value[i] = re.sum() + 1j * im.sum() + pole - mirror
-        panels = np.hypot(d_re.reshape(-1, 21).sum(axis=1), d_im.reshape(-1, 21).sum(axis=1))
-        error[i] = panels.sum() + rounding.sum()
+    for n, d in enumerate(ds):
+        g = np.exp(-((d - x) ** 2))
+        fine, even = h * np.sum(g * k), 2.0 * h * np.sum((g * k)[i % 2 == 0])
+        diff, rounding = fine - even, h * np.sum(g * dk)
+        for z, a_value, a_diff in poles:
+            fine += a_value * np.exp(-((d - z) ** 2))
+            diff += a_diff * np.exp(-((d - z) ** 2))
+        value[n], error[n] = fine, abs(diff) + rounding
     pref = 2.0 * c.l2 / SQRT_PI
     return pref * value, pref * error
 
@@ -158,26 +159,56 @@ class TestKernelPole:
             assert abs(g - w) <= 4 * np.finfo(float).eps * abs(w), (g, w)
 
 
-class TestKronrodRule:
-    def test_exact_to_degree_3n_plus_1(self):
-        nodes, wk, wg = _kronrod_rule()
-        assert len(nodes) == 21
-        for degree in range(32):
-            exact = 0.0 if degree % 2 else 2.0 / (degree + 1)
-            assert wk @ nodes**degree == pytest.approx(exact, abs=1e-14)
+    @pytest.mark.parametrize("l2", [0.01, 0.05, 0.1, 0.2, 0.375])
+    def test_axis_zero_against_mpmath(self, l2):
+        # below 4 L1 ~ 0.3 a zero of x - Sigma_1(x) sits on the imaginary
+        # axis, from -0.024i (L2 = 0.01) to -0.39i (L2 = 0.1); above, up to
+        # 4 L1 = 1 (L2 = 0.375), the nearest zeros are a pair off it
+        l1 = 2.0 * l2 / 3.0
+        got = _axis_zero(l1)
+        if l2 >= 0.2:
+            assert got is None
+            return
+        z, r = got
+        assert z.real == 0.0 and r.imag == 0.0
+        with mpmath.workdps(40):
+            root_pi = mpmath.sqrt(mpmath.pi)
 
-    def test_gauss_rule_is_embedded(self):
-        nodes, _, wg = _kronrod_rule()
-        xg, w = legendre.leggauss(10)
-        np.testing.assert_allclose(nodes[wg != 0], xg, atol=1e-15)
-        np.testing.assert_allclose(wg[wg != 0], w, atol=1e-15)
+            def w(x):
+                return mpmath.exp(-x * x) * mpmath.erfc(-1j * x)
 
-    def test_cached_arrays_are_read_only(self, settings):
-        # a write into a cached array would change every later Sigma_2
-        nodes = _node_set(CouplingConfig.transmon_ratio(6.0).l1, 24.0)
-        for array in (*_kronrod_rule(), *_chebyshev(), nodes.x, nodes.weights):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.0
+            want_z = mpmath.findroot(lambda x: x + 2j * root_pi * l1 * w(x), mpmath.mpc(z))
+            want_r = 1 / (1 - 4 * l1 - 4j * root_pi * l1 * want_z * w(want_z))
+            assert abs(z.imag - want_z.imag) <= 1e-14 * abs(want_z.imag)
+            assert abs(r.real - want_r.real) <= 1e-13 * abs(want_r.real)
+
+    @pytest.mark.parametrize("l2", [0.05, 1.0, 20.0])
+    def test_pole_terms_against_mpmath(self, l2):
+        # each corrected zero z of x - Sigma_1(x), with the residue r of K:
+        # the axis zero at L2 = 0.05 (-0.139i), the pair at L2 = 1 (Im z =
+        # -0.18) and at L2 = 20 (-3.6e-11).  The rule and the rule on its
+        # even nodes, each with its closed-form pole term, integrate
+        # e^{-(d - x)^2} r/(x - z) to -i pi r w(d - z), next to the pole too
+        l1 = 2.0 * l2 / 3.0
+        h, poles = _lattice(l1)
+        u = _resonant_offsets(l1)[-1]
+        z, r = _kernel_pole(l1, u) if u else _axis_zero(l1)
+        residues = {z: r, -z.conjugate(): r.conjugate()}
+        i, x = lattice_nodes(l1, -50.0, 50.0)
+        even = i % 2 == 0
+        assert len(poles) == len(residues)
+        for pole, a_value, a_diff in poles:
+            for d in (0.0, 1.3, pole.real + 0.05):
+                f = residues[pole] * np.exp(-((d - x) ** 2)) / (x - pole)
+                gauss = np.exp(-((d - pole) ** 2))
+                fine = h * f.sum() + a_value * gauss
+                coarse = 2.0 * h * f[even].sum() + (a_value - a_diff) * gauss
+                with mpmath.workdps(30):
+                    ts = mpmath.mpf(d) - mpmath.mpc(pole)
+                    w = mpmath.exp(-ts * ts) * mpmath.erfc(-1j * ts)
+                    want = complex(-1j * mpmath.pi * residues[pole] * w)
+                for got in (fine, coarse):
+                    assert abs(got - want) <= 1e-14 * abs(want), (d, got, want)
 
 
 class TestAgainstQuad:
@@ -207,12 +238,16 @@ class TestAgainstQuad:
             (12.0, -4.07, None),
             (12.0, 1.0, None),
             (12.0, 8.0, None),
+            (19.1165, 5.1, None),
+            (19.1165, -2.0, None),
         ],
-        ids=["20:-6.8", "20:2", "20:9.6", "12:-4.07", "12:1", "12:8"],
+        ids=["20:-6.8", "20:2", "20:9.6", "12:-4.07", "12:1", "12:8", "19.1165:5.1", "19.1165:-2"],
     )
     def test_strong_coupling_matches_mpmath(self, model, settings, l2, d, expected):
         # K's outer poles sit 3.6e-11 (L2 = 20) and 9e-7 (L2 = 12) below the
-        # real axis; quad misses the first one's weight
+        # real axis; quad misses the first one's weight.  At L2 = 19.1165
+        # Re z = 5.1 is a multiple of 0.3, where a lattice of step 0.3 or
+        # 0.15 through 0 would put a node on the pole
         c = CouplingConfig.transmon_ratio(l2)
         ys = model.b + np.array([d, -d])
         got = sigma2(ys, model, c, Regime.FULL, settings)
@@ -238,21 +273,26 @@ class TestAgainstQuad:
 
     def test_pole_narrower_than_any_double(self, model, settings):
         # Im z, below 1e-250 from L2 ~ 440 on, is held there; at L2 = 1000
-        # the fixed point u = 36.5 also lies past the default cover of 34
+        # the fixed point is u = 36.5
         c = CouplingConfig.transmon_ratio(1000.0)
         ys = model.b + np.array([36.0, 38.0, -38.0, 40.0])
         got = sigma2(ys, model, c, Regime.FULL, settings).imag
         want = [spike_im_sigma2(y - model.b, 1000.0) for y in ys]
         np.testing.assert_allclose(got, want, rtol=1e-11)
 
-    def test_node_set_stays_small_at_near_real_pole(self):
-        # the bisection judges K without its pole, so a spike narrower than
-        # the spacing of doubles costs no panels; 2310 nodes was the old
-        # size at L2 = 6
-        for l2 in (0.3751, 1.0, 6.0, 12.0, 20.0, 40.0, 60.0):
-            l1 = CouplingConfig.transmon_ratio(l2).l1
-            assert _node_set(l1, 24.0).x.size <= 2310
-            assert _node_set(l1, 48.0).x.size <= 2310 + 24 * 21 * 2
+    @pytest.mark.parametrize("l2", [0.05, 0.1, 0.3, 0.376, 1.0, 6.0, 20.0, 100.0])
+    def test_estimate_bounds_the_error(self, settings, l2):
+        # the lattice sum's estimate, its difference from the rule on the
+        # even nodes plus K's rounding bound, covers its distance from quad
+        # (L2 <= 1) and from 30-digit mpmath, which resolves K's spikes where
+        # quad does not; at L2 = 100 the spikes (Im z = -4e-30) sit 7.7 or
+        # more from these energies and add below 1e-25
+        c = CouplingConfig.transmon_ratio(l2)
+        ds = np.array([0.4, 3.9])
+        got, estimate, _ = _full_sigma2(ds, c, settings)
+        reference = quad_sigma2 if l2 <= 1.0 else lambda d, c: mpmath_sigma2(d, c.l2)
+        want = np.array([reference(d, c) for d in ds])
+        assert np.all(np.abs(got - want) <= estimate)
 
 
 class TestInvariants:
@@ -270,8 +310,7 @@ class TestInvariants:
     def test_scalar_and_vector_calls_bit_identical(self, model, settings, regime, c):
         # the FULL proxy's pieces are the unit bins of |y - b|, halved where
         # they are bisected (at L2 = 20): put energies on and next to every
-        # quarter of b +- 12, on both sides of the node sum's cover edges at
-        # +-24, and at random
+        # quarter of b +- 12, on both sides of +-24, and at random
         edges = model.b + np.concatenate([np.arange(-12.0, 12.25, 0.25), [-24.0, 24.0]])
         edges = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
         ys = np.concatenate(
@@ -285,7 +324,7 @@ class TestInvariants:
         )
         # a Python float and a numpy float64 take the float-only branch, each
         # value bit for bit the array's, and from empty caches the
-        # diagnostics add up alike, the node-sum samples and terms included
+        # diagnostics add up alike, the lattice-sum samples and terms included
         stats = {kind: SigmaStats() for kind in ("vector", "float", "float64")}
         vector = sigma2(ys, model, c, regime, settings, stats=stats["vector"])
         u_vector = spectral_function(ys, model, c, regime, settings, stats=stats["vector"])
@@ -342,6 +381,15 @@ class TestInvariants:
             sigma2(ys, model, stable, Regime.STABLE, settings),
         )
 
+    @pytest.mark.parametrize("l1", [1e-3, 1e-4, 1e-6])
+    def test_small_l1_tends_to_the_stable_form(self, model, settings, l1):
+        # the axis zero nears the real axis as 2 sqrt(pi) L1 i and its pole
+        # term carries the L1 -> 0 limit: FULL moves from STABLE by ~1.66 L1
+        ys = model.b + np.linspace(-10.0, 10.0, 401)
+        full = sigma2(ys, model, CouplingConfig(l1=l1, l2=6.0, v1_enabled=True), Regime.FULL)
+        stable = sigma2(ys, model, CouplingConfig.stable_second_level(6.0), Regime.STABLE)
+        assert np.all(np.abs(full - stable) <= 2.0 * l1 * np.abs(stable))
+
     def test_weak_is_full_frozen_at_b(self, model, settings, monkeypatch):
         # one float evaluation of Sigma_2(b), broadcast: the bits and the
         # diagnostics of a FULL array call at b, with no vector proxy read
@@ -367,8 +415,9 @@ class TestInvariants:
 
 
 class TestWindow:
-    """The FULL sum skips whole panels whose ``e^{-(d - x)^2}`` is exactly
-    0.0 in doubles for every energy of a unit bin; nothing else changes."""
+    """The FULL sum skips the lattice nodes whose ``e^{-(d - x)^2}`` is
+    exactly 0.0 in doubles for every energy of a unit bin; nothing else
+    changes."""
 
     @pytest.mark.parametrize("l2", [0.05, 1.0, 6.0, 20.0])
     def test_window_sum_matches_full_width_sum(self, settings, l2):
@@ -376,21 +425,30 @@ class TestWindow:
         far = [24.0, -24.0, 30.0, -30.0, 60.0, -60.0]
         ds = np.concatenate([np.linspace(-12.0, 12.0, 2401), far])
         got, got_error, _ = _full_sigma2(ds, c, settings)
-        want, want_error = full_width_sigma2(ds, c, settings)
-        # the same terms, summed in another order
+        want, want_error = whole_lattice_sigma2(ds, c)
+        # the same terms, summed in another order.  In the tails Im Sigma_2
+        # is what is left of node terms and a pole term that cancel (at
+        # L2 = 6 and |y - b| = 9 to 1e-15 of Re), and the estimate's
+        # difference of two rules is a cancellation, held to the value's size
         assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
-        assert np.all(np.abs(got.imag - want.imag) <= 2e-15 * np.abs(want.imag))
-        assert np.all(np.abs(got_error - want_error) <= 2e-15 * want_error)
+        assert np.all(np.abs(got.imag - want.imag) <= 1e-14 * np.abs(want.imag))
+        assert np.all(np.abs(got_error - want_error) <= 2e-15 * np.abs(want))
 
     @pytest.mark.parametrize("l2", [1.0, 20.0])
-    def test_left_out_nodes_underflow_to_zero(self, settings, l2):
-        l1 = CouplingConfig.transmon_ratio(l2).l1
+    def test_left_out_nodes_underflow_to_zero(self, settings, monkeypatch, l2):
+        # a call on one bin evaluates K on that bin's window only
+        c = CouplingConfig.transmon_ratio(l2)
+        h, _ = _lattice(c.l1)
+        kernel, seen = spectrum._kernel, []
+        monkeypatch.setattr(spectrum, "_kernel", lambda x, l1: seen.append(x) or kernel(x, l1))
         for k in range(-61, 61):
-            x = _node_set(l1, bin_cover(k)).x
-            lo, hi = _window(x, float(k))
-            assert lo % 21 == 0 and hi % 21 == 0 and lo < hi
-            left_out = np.concatenate([x[:lo], x[hi:]])
-            for d in (float(k), np.nextafter(k + 1.0, -np.inf)):
+            ds = np.array([float(k), np.nextafter(k + 1.0, -np.inf)])
+            terms = _full_sigma2(ds, c, settings)[2]
+            x = seen.pop()
+            assert terms == 2 * x.size
+            assert np.allclose(np.diff(x), h, rtol=0.0, atol=1e-12)
+            left_out = np.array([x[0] - h, x[-1] + h])  # the nearest nodes outside
+            for d in ds:
                 assert np.all(np.exp(-((d - left_out) ** 2)) == 0.0)
 
     @pytest.mark.parametrize("l2", [0.05, 1.0, 6.0, 20.0])
@@ -407,20 +465,16 @@ class TestWindow:
             assert np.array_equal(got, want)
 
     def test_scan_term_count(self, model, settings):
-        # the node sum of a 2401-energy scan on b +- 12 at L2 = 6 sums ~80% of
-        # the full node set's terms; summing every column again would fail
-        # the bound.  sigma2 sums only the 24 samples of each of the 13 unit
-        # bins of |y - b| <= 12, the pieces of its proxy
+        # at L2 = 6 the step is h = 0.14656 and each unit bin sums the 379 or
+        # 380 nodes within sqrt(746) of it.  sigma2 sums only the 24 samples
+        # of each of the 13 unit bins of |y - b| <= 12, the pieces of its
+        # proxy
         c = CouplingConfig.transmon_ratio(6.0)
         ys = np.linspace(model.b - 12.0, model.b + 12.0, 2401)
-        nodes = _node_set(c.l1, 24.0).x.size
-        terms = _full_sigma2(ys - model.b, c, settings)[2]
-        assert terms == SCAN_TERMS
-        assert terms < 0.85 * 2401 * nodes
+        assert _full_sigma2(ys - model.b, c, settings)[2] == 911179
         stats = SigmaStats()
         sigma2(ys, model, c, Regime.FULL, settings, stats=stats)
-        assert (stats.energies, stats.samples, stats.terms) == (2401, 312, PIECE_TERMS)
-        assert stats.terms < 0.85 * 312 * nodes
+        assert (stats.energies, stats.samples, stats.terms) == (2401, 312, 118392)
 
     def test_terms_per_regime(self, model, settings):
         c = CouplingConfig.transmon_ratio(6.0)
@@ -432,11 +486,11 @@ class TestWindow:
             coupling = CouplingConfig.stable_second_level(6.0) if regime is Regime.STABLE else c
             sigma2(ys, model, coupling, regime, settings, stats=stats)
             counts[regime] = (stats.samples, stats.terms)
-        x = _node_set(c.l1, 24.0).x
         # 24 samples build each piece: WEAK's one at y = b, FULL's one per
-        # bin of |y - b|
+        # bin of |y - b|, each summing the nodes within sqrt(746) of its bin
         n = spectrum._CHEB_POINTS
-        widths = [hi - lo for lo, hi in (_window(x, k) for k in (3.0, 0.0, 2.0))]
+        reach = spectrum._REACH
+        widths = [lattice_nodes(c.l1, k - reach, k + 1.0 + reach)[0].size for k in (3.0, 0.0, 2.0)]
         assert counts == {
             Regime.STABLE: (0, 0),
             Regime.WEAK: (n, n * widths[1]),
@@ -444,8 +498,8 @@ class TestWindow:
         }
 
     def test_non_finite_node_weight_raises(self, model, settings, monkeypatch):
-        # without the check, the window would leave the infinite column out of
-        # y - b = 40 and return a finite value there
+        # a non-finite K makes every energy of the bins that sum it NaN, also
+        # where its Gaussian factor is 0.0, and NaN misses the tolerance
         kernel = spectrum._kernel
 
         def one_infinite(x, l1):
@@ -454,9 +508,8 @@ class TestWindow:
             return k, dk
 
         monkeypatch.setattr(spectrum, "_kernel", one_infinite)
-        # an L1 no other test builds a node set for
-        c = CouplingConfig(l1=1.23456789, l2=2.0, v1_enabled=True)
-        with np.errstate(invalid="ignore"), pytest.raises(QuadratureError, match="non-finite"):
+        c = CouplingConfig.transmon_ratio(6.0)
+        with np.errstate(invalid="ignore"), pytest.raises(QuadratureError, match="misses"):
             sigma2(model.b + 40.0, model, c, Regime.FULL, settings)
 
 
@@ -479,13 +532,12 @@ class TestProperties:
         assert np.all(plus.imag <= 0.0) and np.all(minus.imag <= 0.0)
         scalar = [sigma2(float(y), model, c, Regime.FULL, settings) for y in model.b + xs]
         assert np.array_equal(plus, scalar)
-        assert _node_set(c.l1, 24.0).x.size <= 2310
 
 
 class TestDiagnostics:
     def test_beyond_covered_range_matches_quad(self, model, settings, monkeypatch):
-        # |y - b| = 30 is summed on the node set that covers 48; quad is
-        # reliable there, far from the spikes, and sigma2 never calls it
+        # quad is reliable at |y - b| = 30, far from the spikes, and sigma2
+        # never calls it
         c = CouplingConfig.transmon_ratio(1.0)
         ys = model.b + np.array([0.5, 30.0])
         want = quad_sigma2(ys[1] - model.b, c)
@@ -534,7 +586,7 @@ class TestDiagnostics:
             with pytest.raises(QuadratureError, match="misses the tolerance") as err:
                 sigma2(y, model, c, Regime.FULL, s)
             raised.append(err.value)
-        assert "error estimate 2.45e-11 misses" in str(raised[0])
+        assert "error estimate 8.34e-13 misses" in str(raised[0])
         assert str(raised[0]) == str(raised[1])
         assert raised[0].estimate == raised[1].estimate > s.abs_tol
 
@@ -552,9 +604,15 @@ class TestDiagnostics:
 
 
 class TestProxy:
-    """FULL ``sigma2`` evaluates a piecewise Chebyshev proxy of the node sum
-    ``_full_sigma2``: one piece per unit bin of ``|y - b|``, or its halves,
-    mirrored to ``y < b``."""
+    """FULL ``sigma2`` evaluates a piecewise Chebyshev proxy of the lattice
+    sum ``_full_sigma2``: one piece per unit bin of ``|y - b|``, or its
+    halves, mirrored to ``y < b``."""
+
+    def test_cached_arrays_are_read_only(self):
+        # a write into a cached array would change every later Sigma_2
+        for array in _chebyshev():
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
     @hyp_settings(max_examples=25, deadline=None)
     @given(

@@ -255,6 +255,29 @@ class TestSpectralFunction:
         assert one == many[0] == np.inf
 
 
+class TestSumRules:
+    """The moments ``M_n = int (y - b)^n U dy`` are the matrix elements
+    ``<f|(H - b)^n|f>``, closed-form with no self-energy, grid rule or
+    quadrature: ``M_0 = 1``, ``M_2 = 2 L_2`` and
+    ``M_4 = 4 L_2^2 + L_2 + 4 L_1 L_2`` (``L_1 = 0`` in STABLE), from the
+    return path, the second-level band and the two-photon states."""
+
+    @pytest.mark.parametrize(
+        "l2, regime",
+        [(6.0, Regime.FULL), (6.0, Regime.STABLE), (1.0, Regime.FULL)],
+        ids=["full_l2_6", "stable_l2_6", "oracle_l2_1"],
+    )
+    def test_moments_on_the_shipped_grids(self, grids, l2, regime):
+        # the grids of configs/*.ini, trapezoid moments: M_4 is 245.996 of
+        # 246, 150.005 of 150 and 7.666667 of 23/3
+        grid = grids.get(l2, regime)
+        l1 = coupling_for(l2, regime).l1 if regime is Regime.FULL else 0.0
+        d = grid.energies - grid.y_ref
+        moments = [np.trapezoid(d**n * grid.u_ff, grid.energies) for n in (0, 2, 4)]
+        exact = [1.0, 2.0 * l2, 4.0 * l2 * l2 + l2 + 4.0 * l1 * l2]
+        np.testing.assert_allclose(moments, exact, rtol=1e-4)
+
+
 class TestSpectralGrid:
     def _columns(self, n):
         return dict(
