@@ -20,7 +20,10 @@ its pole offset ``x_kj = y - mode_k - mode_j`` depends on ``k + j`` only, so
 with ``F = x/(x^2 + eps^2)`` and ``G = eps/(x^2 + eps^2)`` on 2N - 1 values:
 two Hankel matrix-vector products, which one real-FFT correlation
 (``numpy.fft``) evaluates in O(N log N) time and O(N) memory instead of the
-N x N matrix.  The modes and couplings are built once per spacing, and the
+N x N matrix.  Its length is the smallest 2^a 3^b 5^c >= 2N - 1 (864, 2160
+and 4320 for the 430, 1075 and 2150 modes of spacings 0.05, 0.02 and 0.01,
+where a power of two would take 1024, 4096 and 8192).  The modes, the
+couplings and the transform of ``g1^2`` are made once per spacing, and the
 energies are the rows of one batched correlation per block of at most
 ``_BLOCK`` (energies x FFT length) elements.  Against the written-out double
 sum, at spacings 0.05 to 0.005, the first-level values agree to 6.9e-13 of
@@ -108,24 +111,43 @@ def _self_terms(y, omegas, g1sq_at, eps: float):
 
 
 def _fft_length(n: int) -> int:
-    """Power of two >= 2N - 1: no wrap-around reaches the N outputs kept."""
-    return 1 << (2 * n - 2).bit_length()
+    """The smallest 2^a 3^b 5^c >= 2N - 1, a length ``numpy.fft`` transforms
+    by its radix-2, 3 and 5 passes: no wrap-around reaches the N outputs
+    kept."""
+    target = 2 * n - 1
+    best = 1 << (target - 1).bit_length()  # the power of two
+    five = 1  # 5^c
+    while five < best:
+        odd = five  # 3^b 5^c, times the least power of two that reaches the target
+        while odd < best:
+            best = min(best, odd << (-(-target // odd) - 1).bit_length())
+            odd *= 3
+        five *= 5
+    return best
 
 
-def _sigma1_at_modes(ys: np.ndarray, modes: np.ndarray, g1sq: np.ndarray, eps: float):
+def _sigma1_at_modes(
+    ys: np.ndarray, modes: np.ndarray, g1sq: np.ndarray, g1sq_spectrum: np.ndarray, eps: float
+):
     """First-level (shift, width) at every photon mode ``omega = mode_k``, for
     each energy of the column ``ys``: two (energies x N) arrays.
 
     ``x_kj = y - mode_k - mode_j`` depends on ``k + j`` only, so both sums
     are Hankel products of ``g1^2`` with 2N - 1 kernel values per energy:
-    one batched real-FFT correlation of length ``_fft_length(N)``.
+    one batched real-FFT correlation of length ``_fft_length(N)``, with
+    ``g1sq_spectrum = rfft(g1sq[::-1], _fft_length(N))`` taken once per
+    spacing.
     """
     n = len(modes)
     size = _fft_length(n)
     x = (ys - 2.0 * modes[0]) - eps * np.arange(2 * n - 1)
     denom = x * x + eps * eps
-    kernels = np.fft.rfft(np.stack((x / denom, eps / denom)), size)
-    sums = np.fft.irfft(np.fft.rfft(g1sq[::-1], size) * kernels, size)
+    sums = np.zeros((2, len(ys), size))  # the kernels, zero-padded, then the sums
+    np.divide(x, denom, out=sums[0, :, : 2 * n - 1])
+    np.divide(eps, denom, out=sums[1, :, : 2 * n - 1])
+    kernels = np.fft.rfft(sums)
+    kernels *= g1sq_spectrum
+    np.fft.irfft(kernels, size, out=sums)
     shift, width = sums[..., n - 1 : 2 * n - 1]
     self_shift, self_width = _self_terms(ys, modes, g1sq, eps)
     return shift + self_shift, np.maximum(2.0 * width + self_width, 0.0)
@@ -166,11 +188,13 @@ def discrete_self_energy_2(y, spacing: float, m: DimensionlessModel, c: Coupling
     s1_shift = s1_width = 0.0
     flat = ys.reshape(-1, 1)
     out = np.empty((len(flat), 2))  # (shift, -Gamma_2/2) rows, read as complex
-    rows = max(1, _BLOCK // _fft_length(len(modes)))
+    size = _fft_length(len(modes))
+    spectrum = np.fft.rfft(g1sq[::-1], size) if first_level else None
+    rows = max(1, _BLOCK // size)
     for i in range(0, len(flat), rows):
         block = flat[i : i + rows]
         if first_level:
-            s1_shift, s1_width = _sigma1_at_modes(block, modes, g1sq, spacing)
+            s1_shift, s1_width = _sigma1_at_modes(block, modes, g1sq, spectrum, spacing)
         x = block - m.a - modes - s1_shift
         denom = x * x + 0.25 * s1_width**2 + eps**2
         out[i : i + rows, 0] = (g2sq * x / denom).sum(axis=-1)

@@ -462,10 +462,11 @@ def _lattice(l1: float) -> tuple[float, tuple[tuple[complex, complex, complex], 
     return h, ((z, value, diff), (-z.conjugate(), -value.conjugate(), diff.conjugate()))
 
 
-def _full_sigma2(d: np.ndarray, c: CouplingConfig, s: QuadratureSettings):
+def _full_sigma2(d: np.ndarray, c: CouplingConfig, s: QuadratureSettings, lattice=None):
     """FULL ``Sigma_2`` at detunings ``d``, their error estimates and the
     number of node terms summed; ``L_1`` and ``L_2`` nonzero (``sigma2``
-    sends those limits to the closed form).
+    sends those limits to the closed form).  ``lattice`` is ``_lattice(c.l1)``,
+    found here when not given (a proxy finds it once).
 
     Energies are grouped by the unit bin ``k = floor(d)``, and a bin sums
     the nodes of ``_lattice`` within ``_REACH`` of ``[k, k + 1)``: every
@@ -484,7 +485,7 @@ def _full_sigma2(d: np.ndarray, c: CouplingConfig, s: QuadratureSettings):
     estimate depend on its own ``d`` alone: a scalar call is bit-identical
     to the same energy inside any array.
     """
-    h, poles = _lattice(c.l1)
+    h, poles = lattice or _lattice(c.l1)
 
     def window(k: float) -> tuple[int, int]:  # node indices [lo, hi) within _REACH of [k, k + 1)
         return math.ceil((k - _REACH) / h - 0.5), math.floor((k + 1.0 + _REACH) / h - 0.5) + 1
@@ -595,6 +596,7 @@ class _Proxy:
 
     def __init__(self, c: CouplingConfig, s: QuadratureSettings):
         self.c, self.s = c, s
+        self.lattice = _lattice(c.l1)  # every piece samples the same rule
         self.bins: set[float] = set()
         self.lefts: list[float] = []  # ascending left ends of the pieces
         # (mid, 2/width, Re coefficients, log(-Im) coefficients, estimate, tail)
@@ -615,7 +617,7 @@ class _Proxy:
         while lo.size:
             mid = lo + half
             d = (mid[:, None] + half[:, None] * points).ravel()
-            value, error, n_terms = _full_sigma2(d, self.c, self.s)
+            value, error, n_terms = _full_sigma2(d, self.c, self.s, self.lattice)
             samples, terms = samples + d.size, terms + n_terms
             value, error = value.reshape(lo.size, -1), error.reshape(lo.size, -1)
             neg_im = np.maximum(-value.imag, _TINY)

@@ -35,18 +35,31 @@ k -+ M at a relative e^{-T^2 tau R (R - 1)}.  T^2 tau is chosen to make the
 two equal, each e^{-12.5 pi sqrt(1 - 1/R)} = 1.7e-15 of sum_j |c_j| (which
 is the spectral norm, ~1) before the division's factor of up to 2; with
 R = 2 each would be 8.6e-13.
-Energies are spread 4096 at a time, which caps the temporaries at about
-1 MB each.  The cost is 25 N kernel values, two ``np.bincount`` and one FFT
-of 4 T points, O(25 N + T log T), instead of T N phase terms: for
-``configs/stable_l2_6.ini`` (T = 4000, N = 14311) 3.6e5 kernel values
-instead of 5.7e7 terms.  Against an extended-precision (``np.longdouble``)
-direct sum over the same float64 inputs, every 97th time is off by at most
-1.2e-14 on that STABLE grid, 8.9e-16 on ``configs/full_l2_6.ini`` and
-3.0e-16 on ``configs/oracle_l2_1.ini``.  The sum is taken at the exact
-lattice t_0 + i dt, and the first of these comes from the given times: the
+
+The spreading rests on two facts.  First, the kernel factors (Greengard &
+Lee): with s = h^2 / (4 tau) and x_j offset delta_j steps from its nearest
+grid point, its value q steps from that point is
+e^{-s (delta_j - q)^2} = e^{-s delta_j^2}
+(e^{2 s delta_j})^q e^{-s q^2}, so an energy takes two ``exp`` and its 25
+values come by repeated multiplication outward from q = 0.  Second, the
+energies ascend, so those nearest one grid point form a run (613 runs for
+the 14311 energies of ``configs/stable_l2_6.ini``, 185 for the 5398 of
+``configs/full_l2_6.ini``): one ``np.add.reduceat`` sums each of the 25
+rows over the runs, and 25 sums per run, times e^{-s q^2}, are added to
+the grid (``np.add.at``) in place of 25 N kernel values.  Energies are
+taken 2048 at a time, so the rows, 25 x 2 x 2048 doubles (0.8 MB), are the
+largest temporary; a run that crosses a chunk's edge is added in two parts.
+The cost is 2 N ``exp``, 50 N multiplications and one FFT of 4 T points,
+O(25 N + T log T), instead of T N phase terms: for
+``configs/stable_l2_6.ini`` (T = 4000) 7.2e5 multiplications instead of
+5.7e7 terms.  Against an extended-precision (``np.longdouble``) direct sum
+over the same float64 inputs, every 97th time is off by at most 1.2e-14 on
+that STABLE grid, 9.4e-16 on ``configs/full_l2_6.ini`` and 3.6e-16 on
+``configs/oracle_l2_1.ini``.  The sum is taken at the exact lattice
+t_0 + i dt, and the first of these comes from the given times: the
 ``np.linspace`` samples sit up to 3.5e-15 off that lattice, which moves the
 phase of the doublet at |y| = 3.54 by up to 1.3e-14.  At the lattice times
-the error there is 3.6e-15.
+the error there is 3.2e-15.
 
 Times are dimensionless (``t * delta``); physical conversion happens at the
 CLI boundary.
@@ -65,7 +78,7 @@ from .spectrum import SpectralGrid
 _SIGNIFICANCE = 1e-9  # share of the peak height below which U is negligible
 _OVERSAMPLING = 4  # R: grid points per output time
 _HALF_WIDTH = 12  # kernel points on each side of the nearest grid point
-_CHUNK = 4096  # energies spread at a time
+_CHUNK = 2048  # energies spread at a time: 25 x 2 x 2048 doubles, 0.8 MB
 # T^2 tau, which makes the kernel's truncation equal to its worst aliasing
 _TAU_T2 = (_HALF_WIDTH + 0.5) * math.pi / math.sqrt(_OVERSAMPLING**3 * (_OVERSAMPLING - 1))
 # h^2 / (4 tau): the kernel is e^{-_KERNEL_SCALE p^2} at p grid steps from x_j
@@ -139,6 +152,41 @@ def grid_horizon(grid: SpectralGrid) -> float:
     return 2.0 * math.pi / (4.0 * float(steps[significant].max()))
 
 
+def _spread(c: np.ndarray, pos: np.ndarray, size: int) -> np.ndarray:
+    """The coefficients ``c`` spread with the kernel onto a periodic grid of
+    ``size`` points from the positions ``pos = x_j / h``, ascending or
+    descending (see the module docstring)."""
+    q = np.arange(-_HALF_WIDTH, _HALF_WIDTH + 1)[:, None]
+    gauss = np.exp(-_KERNEL_SCALE * np.square(q))
+    spread = np.zeros(size, dtype=complex)
+    # row q + _HALF_WIDTH: the real and imaginary parts of c_j e^{-s delta_j^2} e^{2 s delta_j q}
+    rows = np.empty((q.size, 2, min(_CHUNK, c.size)))
+    for lo in range(0, c.size, _CHUNK):
+        near = np.rint(pos[lo : lo + _CHUNK])
+        delta = pos[lo : lo + _CHUNK] - near
+        # e^{-s (delta - q)^2} = e^{-s delta^2} (e^{2 s delta})^q e^{-s q^2}
+        weight = np.exp(-_KERNEL_SCALE * np.square(delta))
+        ratio = np.exp((2.0 * _KERNEL_SCALE) * delta)
+        inverse = 1.0 / ratio
+        row = rows[..., : near.size]
+        np.multiply(c.real[lo : lo + _CHUNK], weight, out=row[_HALF_WIDTH, 0])
+        np.multiply(c.imag[lo : lo + _CHUNK], weight, out=row[_HALF_WIDTH, 1])
+        for i in range(_HALF_WIDTH):  # rows q = i + 1 and q = -(i + 1) from their neighbours
+            up, down = _HALF_WIDTH + i, _HALF_WIDTH - i
+            np.multiply(row[up], ratio, out=row[up + 1])
+            np.multiply(row[down], inverse, out=row[down - 1])
+        # a run, consecutive energies with one nearest grid point, spreads as one
+        first = np.flatnonzero(np.diff(near, prepend=np.nan))
+        sums = np.add.reduceat(row, first, axis=2)
+        # the grid index is folded modulo size, never x_j modulo 2 pi
+        np.add.at(
+            spread,
+            (near[first].astype(np.int64) + q) % size,
+            (sums[:, 0] + 1j * sums[:, 1]) * gauss,
+        )
+    return spread
+
+
 def survival_amplitude(grid: SpectralGrid, times) -> SurvivalSeries:
     """Trapezoidal Fourier synthesis of the survival amplitude.
 
@@ -154,10 +202,10 @@ def survival_amplitude(grid: SpectralGrid, times) -> SurvivalSeries:
     u = grid.u_ff
     dy = np.diff(y)
     # trapezoid weights on the nonuniform grid
-    w = np.zeros_like(y)
-    w[:-1] += 0.5 * dy
-    w[1:] += 0.5 * dy
-    wu = w * u
+    wu = np.zeros_like(y)
+    wu[:-1] += 0.5 * dy
+    wu[1:] += 0.5 * dy
+    wu *= u
 
     n = times.size
     if n == 0:
@@ -172,21 +220,7 @@ def survival_amplitude(grid: SpectralGrid, times) -> SurvivalSeries:
     mid = n // 2
     c = wu * np.exp(-1j * y * (t0 + mid * dt))
     size = _OVERSAMPLING * n
-    pos = y * (dt * size / (2.0 * math.pi))  # x_j / h
-    offsets = np.arange(2 * _HALF_WIDTH + 1)
-    # padded index j = (nearest mod size) + offset is grid point j - _HALF_WIDTH, mod size
-    re = np.zeros(size + 2 * _HALF_WIDTH + 1)
-    im = np.zeros_like(re)
-    for lo in range(0, y.size, _CHUNK):
-        p = pos[lo : lo + _CHUNK]
-        near = np.rint(p)
-        kernel = np.exp(-_KERNEL_SCALE * np.square((p - near)[:, None] + (_HALF_WIDTH - offsets)))
-        idx = ((near.astype(np.int64) % size)[:, None] + offsets).ravel()
-        part = c[lo : lo + _CHUNK]
-        re += np.bincount(idx, (kernel * part.real[:, None]).ravel(), re.size)
-        im += np.bincount(idx, (kernel * part.imag[:, None]).ravel(), im.size)
-    fold = (np.arange(re.size) - _HALF_WIDTH) % size
-    spread = np.bincount(fold, re, size) + 1j * np.bincount(fold, im, size)
+    spread = _spread(c, y * (dt * size / (2.0 * math.pi)), size)
     k = np.arange(-mid, n - mid)
     # divide by the kernel's Fourier coefficient, sqrt(tau/pi) e^{-k^2 tau}, times M
     amp = np.fft.fft(spread)[k % size] * (

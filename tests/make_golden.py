@@ -22,6 +22,7 @@ to paste into ``CHANGES.md``.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
@@ -156,7 +157,13 @@ def moved(old: dict, new: dict) -> list[str]:
     return lines
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
+    # no options: --help prints this docstring, any argument exits 2, and
+    # neither writes the manifest
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         results = {}
         for config in CONFIGS:

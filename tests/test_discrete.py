@@ -18,7 +18,7 @@ from transmon_decay import (
 )
 from transmon_decay import discrete
 from transmon_decay.cli import EXIT_CONFIG, EXIT_OK, main
-from transmon_decay.discrete import _band, _mode_counts, _modes, _sigma1_at_modes
+from transmon_decay.discrete import _band, _fft_length, _mode_counts, _modes, _sigma1_at_modes
 from transmon_decay.model import NumericalError, coupling_sq
 
 ORACLE_INI = Path(__file__).resolve().parents[1] / "configs" / "oracle_l2_1.ini"
@@ -51,7 +51,8 @@ def lattice_sigma1(ys, spacing, m, c):
     (energies x modes) arrays."""
     modes = _modes(m, spacing)
     g1sq = coupling_sq(m, c, 1, modes) * spacing
-    return _sigma1_at_modes(np.reshape(ys, (-1, 1)), modes, g1sq, spacing)
+    spectrum = np.fft.rfft(g1sq[::-1], _fft_length(len(modes)))
+    return _sigma1_at_modes(np.reshape(ys, (-1, 1)), modes, g1sq, spectrum, spacing)
 
 
 def direct_sigma2(y, spacing, m, c):
@@ -175,6 +176,32 @@ class TestLatticeSums:
         for g, w in zip((shift[0], width[0]), want):
             assert np.max(np.abs(g - w)) <= 1e-11 * np.max(np.abs(w))
 
+    def test_fft_length_is_the_smallest_5_smooth_length(self):
+        def smooth(k):
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        want = 1
+        for n in range(1, 5001):
+            want = max(want, 2 * n - 1)
+            while not smooth(want):
+                want += 1
+            assert _fft_length(n) == want, n
+
+    # 513 and 1025 modes: 2N - 1 = 2^10 + 1 and 2^11 + 1, FFT lengths 1080 and 2160
+    @pytest.mark.parametrize("modes, size", [(513, 1080), (1025, 2160)])
+    @pytest.mark.parametrize("y", [99.2, 60.0])
+    def test_first_level_just_above_a_power_of_two(self, model, modes, size, y):
+        spacing = (_band(model)[1] - _band(model)[0]) / (modes + 0.5)
+        assert len(_modes(model, spacing)) == modes and _fft_length(modes) == size
+        c = CouplingConfig.transmon_ratio(1.0)
+        shift, width = lattice_sigma1([y], spacing, model, c)
+        want = direct_sigma1(y, spacing, model, c)
+        for g, w in zip((shift[0], width[0]), want):
+            assert np.max(np.abs(g - w)) <= 1e-11 * np.max(np.abs(w))
+
     @pytest.mark.parametrize("k", [0, 17, 1074])
     def test_single_row_matches_direct_sum(self, model, k):
         c = CouplingConfig.transmon_ratio(1.0)
@@ -226,8 +253,8 @@ class TestEnergyBatches:
         ids=["first-level-widths", "bare-pole"],
     )
     def test_array_call_equals_scalar_calls_bit_for_bit(self, model, coupling):
-        # at spacing 0.01 (FFT length 8192) 70 energies go through in blocks of 32, 32 and 6
-        assert discrete._BLOCK // discrete._fft_length(len(_modes(model, 0.01))) == 32
+        # at spacing 0.01 (FFT length 4320) 70 energies go through in blocks of 60 and 10
+        assert discrete._BLOCK // discrete._fft_length(len(_modes(model, 0.01))) == 60
         ys = np.linspace(model.b - 3.0, model.b + 3.0, 70)
         got = discrete_self_energy_2(ys, 0.01, model, coupling)
         want = np.array([discrete_self_energy_2(y, 0.01, model, coupling) for y in ys])

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 
+import make_golden
 import pytest
 from make_golden import CONFIGS, MANIFEST, moved, runs, this_platform
 
@@ -102,3 +103,17 @@ def test_moved_lists_every_entry_that_differs():
         "cfg/spectrum/spectrum.json/values/n_points: 2 -> 2.0",
         "cfg/spectrum/spectrum.json/values/norm: 1.0 -> -",
     ]
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["--out", "x"], 2), (["x"], 2)])
+def test_make_golden_arguments_write_nothing(argv, code, monkeypatch, capsys):
+    # the script takes no argument: --help prints its usage, anything else
+    # is an error, and neither runs a command or rewrites the manifest
+    monkeypatch.setattr(make_golden, "runs", lambda *args: pytest.fail("ran the commands"))
+    before = MANIFEST.read_bytes()
+    with pytest.raises(SystemExit) as exit:
+        make_golden.main(argv)
+    assert exit.value.code == code
+    assert MANIFEST.read_bytes() == before
+    if code == 0:
+        assert "PYTHONPATH=src python tests/make_golden.py" in capsys.readouterr().out

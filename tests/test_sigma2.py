@@ -18,7 +18,11 @@ from transmon_decay import (
     Regime,
     SigmaStats,
     build_grid,
+    find_peaks,
+    find_roots,
+    fwhm,
     sigma2,
+    spectral_callable,
     spectral_function,
 )
 from transmon_decay import spectrum
@@ -682,6 +686,26 @@ class TestProxy:
         normal = want.imag < -np.finfo(float).tiny
         assert np.all(np.abs(got.imag - want.imag)[normal] <= 1e-10 * -want.imag[normal])
         assert np.all(got.imag[~normal] > -1e-300)
+
+    def test_lattice_found_once_per_coupling(self, model, settings, monkeypatch):
+        # the proxy keeps the rule of L_1: a cold grid, its roots, the peaks'
+        # widths and a bin past the grid find it once, in 2 lattice-sum calls
+        # at L2 = 6 and in 3 at L2 = 20, whose grid bisects two bins
+        found, sums = [], []
+        lattice, full_sigma2 = spectrum._lattice, spectrum._full_sigma2
+        monkeypatch.setattr(spectrum, "_lattice", lambda l1: found.append(l1) or lattice(l1))
+        monkeypatch.setattr(
+            spectrum, "_full_sigma2", lambda *args: sums.append(1) or full_sigma2(*args)
+        )
+        couplings = [CouplingConfig.transmon_ratio(l2) for l2 in (6.0, 20.0)]
+        for c in couplings:
+            grid = build_grid(model, c, Regime.FULL, s=settings)
+            roots = find_roots(model, c, Regime.FULL, settings)
+            u = spectral_callable(model, c, Regime.FULL, settings)
+            assert [fwhm(peak, u, settings) for peak in find_peaks(grid, roots)]
+            u(model.b + 20.5)
+        assert found == [c.l1 for c in couplings]
+        assert len(sums) == 5
 
     def test_build_failure_keeps_no_piece(self, model):
         # a sample that misses the tolerance raises, and the bins it was

@@ -16,7 +16,7 @@ from transmon_decay import (
 from transmon_decay.config import load_config
 from transmon_decay.model import NumericalError
 from transmon_decay.spectrum import SpectralGrid
-from transmon_decay.time_domain import TimeHorizonError, grid_horizon
+from transmon_decay.time_domain import _CHUNK, _OVERSAMPLING, TimeHorizonError, grid_horizon
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -50,6 +50,25 @@ def doublet_grid(split: float, gamma: float, y0: float = 98.5, n: int = 40001):
         refinement_level=np.zeros(len(y), dtype=int),
         y_ref=y0,
     )
+
+
+def cluster_grid(cluster: int, y0: float = 98.5):
+    """``doublet_grid(2.0, 0.02, n=4001)`` with ``cluster`` more energies packed
+    into ``y0 +- 1e-3``, between the doublet's peaks."""
+    grid = doublet_grid(split=2.0, gamma=0.02, y0=y0, n=4001)
+    y = np.union1d(grid.energies, y0 + np.linspace(-1e-3, 1e-3, cluster))
+    u = sum(0.5 * (0.02 / (2 * math.pi)) / ((y - y0 - s) ** 2 + 1e-4) for s in (-1.0, 1.0))
+    n = len(y)
+    return SpectralGrid(y, u, np.full(n, 0.02), np.zeros(n), np.zeros(n, dtype=int), y0)
+
+
+def run_lengths(grid: SpectralGrid, times) -> np.ndarray:
+    """Lengths of the runs of consecutive energies that share their nearest
+    point of the spreading grid (step 2 pi / (R T) in x = y dt)."""
+    n = len(times)
+    dt = (times[-1] - times[0]) / (n - 1)
+    near = np.rint((grid.energies - grid.y_ref) * (dt * _OVERSAMPLING * n / (2.0 * math.pi)))
+    return np.diff(np.flatnonzero(np.diff(near, prepend=np.nan, append=np.nan)))
 
 
 def config_grid(name: str):
@@ -94,8 +113,8 @@ class TestFactorisedSum:
         "name, bound",
         [
             ("stable_l2_6", 3e-14),  # measured 1.20e-14
-            ("full_l2_6", 2.5e-15),  # measured 8.9e-16
-            ("oracle_l2_1", 1e-15),  # measured 3.0e-16
+            ("full_l2_6", 2.5e-15),  # measured 9.4e-16
+            ("oracle_l2_1", 1e-15),  # measured 3.6e-16
         ],
     )
     def test_config_grids_match_longdouble_sum(self, name, bound):
@@ -164,9 +183,34 @@ class TestFactorisedSum:
         if t0 == 0.0:
             assert abs(series.magnitude[0] - 1.0) <= 1e-3
 
+    @pytest.mark.parametrize(
+        "times",
+        [
+            np.linspace(1.0, 10.95, 200),
+            np.linspace(10.95, 1.0, 200),  # decreasing: the runs descend
+            np.linspace(1.0, 100.5, 200),  # dt * span of y = 8.0 > 2 pi: the phases wrap
+        ],
+        ids=["increasing", "decreasing", "wrapping"],
+    )
+    def test_run_across_chunks_matches_direct_sum(self, times):
+        # the cluster's 3 chunks of energies form one run among many shorter
+        # ones, so its sum is split over the chunk boundaries
+        grid = cluster_grid(3 * _CHUNK)
+        lengths = run_lengths(grid, times)
+        assert lengths.max() > 2 * _CHUNK and len(lengths) > 50
+        series = survival_amplitude(grid, times)
+        assert np.max(np.abs(series.amplitude - direct_sum(grid, times))) <= 1e-13
+
+    def test_all_energies_in_one_run_match_direct_sum(self):
+        grid = doublet_grid(split=2.0, gamma=0.02, n=3 * _CHUNK + 1)
+        times = np.linspace(0.0, 1e-3, 50)
+        assert len(run_lengths(grid, times)) == 1
+        series = survival_amplitude(grid, times)
+        assert np.max(np.abs(series.amplitude - direct_sum(grid, times))) <= 1e-13
+
     def test_allocation_peak_stays_below_6_mb(self):
-        # the spread holds ~4 temporaries of 4096 x 25 doubles (0.8 MB each)
-        # and the rest is O(N + T): 4.4 MB for T = 4000, N = 14311, where one
+        # the spread holds one temporary of 25 x 2 x 2048 doubles (0.8 MB)
+        # and the rest is O(N + T): 2.1 MB for T = 4000, N = 14311, where one
         # T x N complex temporary would take 916 MB
         grid, times = config_grid("stable_l2_6")
         tracemalloc.start()
